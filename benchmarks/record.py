@@ -14,7 +14,7 @@ smoke pass; the default configuration matches the benchmark harness
 name, e.g. ``record.py --quick table1 fig2``.
 
 ``--engine`` selects the execution engine: ``scalar`` (the default:
-the reference event loop), or ``batch``/``both`` which time every
+every flow on the live per-packet loop), or ``batch``/``both`` which time every
 figure on the scalar engine *and* on the batch engine (cold stream
 cache, then warm), verify the payloads are identical, and record the
 speedups alongside the figure data. A payload divergence between

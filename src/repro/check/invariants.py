@@ -23,11 +23,12 @@ preserve no matter what configuration, engine, or seed produced the run:
   allocations (which partition resident lines by owner) never overlap.
 
 The checker hooks the engines twice. During the run it observes packet
-boundaries through the machine's metrics-sampler protocol (the
-:class:`_CheckProbe` wraps any real sampler, so observability keeps
-working); both engines flush their counter accumulators at exactly those
-points, which makes the windowed checks engine-agnostic. After the run
-it audits the complete machine state and the measured statistics.
+boundaries through the machine's metrics-sampler protocol (a
+:class:`~repro.hw.machine.MetricsProbe` wraps any real sampler, so
+observability keeps working); both engines flush their counter
+accumulators at exactly those points, which makes the windowed checks
+engine-agnostic. After the run it audits the complete machine state
+and the measured statistics.
 
 By default violations are *collected* (``checker.violations``) so a
 fuzzing driver can report, shrink, and serialize them; ``strict=True``
@@ -79,65 +80,6 @@ def _close(a: float, b: float, rel_tol: float) -> bool:
     return abs(a - b) <= rel_tol * max(abs(a), abs(b), 1.0)
 
 
-class _CheckProbe:
-    """Sampler-protocol adapter feeding packet boundaries to a checker.
-
-    Wraps the machine's real :class:`~repro.obs.MetricsSampler` (if any):
-    ``begin``/``sample``/``finish`` are forwarded so time series keep
-    recording, and ``next_due`` aliases the inner sampler's deadline list
-    (both engines bind that list once, before the hot loop, and expect
-    in-place mutation). Without an inner sampler the probe runs its own
-    deadline schedule at the checker's interval.
-    """
-
-    #: Lets :func:`repro.hw.machine.unwrap_probes` peel probe stacks
-    #: (e.g. an SLO-guard probe stacked on top of this one).
-    is_metrics_probe = True
-
-    def __init__(self, checker: "InvariantChecker", inner=None):
-        self._checker = checker
-        self._inner = inner
-        self._machine = None
-        self.next_due: List[float] = []
-
-    @property
-    def inner(self):
-        return self._inner
-
-    def begin(self, machine) -> None:
-        self._machine = machine
-        if self._inner is not None:
-            self._inner.begin(machine)
-            self.next_due = self._inner.next_due
-        else:
-            interval = self._checker.interval_cycles
-            self.next_due = [interval] * len(machine.flows)
-        self._checker._begin_run(machine)
-
-    def sample(self, flow_index: int, clock: float, counters) -> None:
-        self._checker.check_window(self._machine, flow_index, clock,
-                                   counters)
-        if self._inner is not None:
-            # Advances next_due[flow_index] in place.
-            self._inner.sample(flow_index, clock, counters)
-        else:
-            due = self.next_due[flow_index]
-            interval = self._checker.interval_cycles
-            while due <= clock:
-                due += interval
-            self.next_due[flow_index] = due
-
-    def finish(self, flows) -> None:
-        if self._inner is not None:
-            self._inner.finish(flows)
-
-    # RunResult/report consumers only ever see the unwrapped sampler
-    # (Machine.run calls checker.unwrap), but keep payload() harmless in
-    # case a probe leaks into serialization code.
-    def payload(self):  # pragma: no cover - defensive
-        return self._inner.payload() if self._inner is not None else {}
-
-
 @dataclass
 class _FlowTrack:
     """Last-observed monotone state of one flow (windowed checks)."""
@@ -174,20 +116,13 @@ class InvariantChecker:
 
     def install(self, machine) -> None:
         """Wrap ``machine.metrics`` with the packet-boundary probe."""
-        if isinstance(machine.metrics, _CheckProbe):  # pragma: no cover
-            return  # already installed (defensive; machines run once)
-        machine.metrics = _CheckProbe(self, machine.metrics)
+        from ..hw.machine import MetricsProbe
 
-    @staticmethod
-    def unwrap(sampler):
-        """The real metrics sampler behind a probe (or the sampler itself).
-
-        Probe-generic: peels any stack of metrics probes (this checker's,
-        the SLO guard's), not just a single ``_CheckProbe``.
-        """
-        from ..hw.machine import unwrap_probes
-
-        return unwrap_probes(sampler)
+        machine.metrics = MetricsProbe(
+            self._begin_run,
+            lambda i, clock, counters: self.check_window(
+                machine, i, clock, counters),
+            self.interval_cycles, machine.metrics)
 
     def _begin_run(self, machine) -> None:
         self._tracks = [_FlowTrack() for _ in machine.flows]

@@ -1,14 +1,18 @@
-"""Differential testing of the batch engine against the scalar oracle.
+"""Differential testing of the batch engine's replay against the live loop.
 
-The batch engine (:mod:`repro.fastpath.engine`) promises *exact*
-equivalence with the scalar event loop — same integer counters, same
-floating-point clocks, same drop counts — across pregeneration, cached
-replay, and skeleton (construction-skipped) builds. This module turns
-that promise into an executable check: a :class:`Scenario` describes one
-seeded (platform, flow placement, packet budget) configuration; a
-:class:`DifferentialRunner` runs it on the scalar engine and then on the
-batch engine (cold cache, warm cache, and warm-with-skeleton machines)
-and reports every divergence.
+Both engines run on one driver (``Machine._drive``) and differ only in
+each flow's window loop: ``engine="scalar"`` puts every flow on the live
+per-packet loop, which is the oracle here, while the batch engine
+(:mod:`repro.fastpath.engine`) replays pregenerated streams for
+timing-pure flows and promises *exact* equivalence with the live loop —
+same integer counters, same floating-point clocks, same drop counts —
+across pregeneration, cached replay, and skeleton (construction-skipped)
+builds. The driver itself is pinned by the goldens and the regression
+corpus. This module turns the promise into an executable check: a
+:class:`Scenario` describes one seeded (platform, flow placement, packet
+budget) configuration; a :class:`DifferentialRunner` runs it on the
+scalar engine and then on the batch engine (cold cache, warm cache, and
+warm-with-skeleton machines) and reports every divergence.
 
 :func:`generate_scenarios` spans the registry's application set, both
 platform topologies, remote-domain placement, shared-core multiplexing,
@@ -197,7 +201,7 @@ class DifferentialRunner:
 
     Each scenario is executed four ways:
 
-    * ``scalar`` — the reference oracle;
+    * ``scalar`` — every flow on the live loop (the oracle);
     * ``batch-cold`` — batch engine, stream cache cleared first
       (pregeneration path);
     * ``batch-warm`` — batch engine again (cached-replay path; machines

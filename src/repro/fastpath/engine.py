@@ -1,51 +1,45 @@
 """The batch engine: Machine.run(engine="batch").
 
-Drop-in replacement for the scalar event loop in
-:mod:`repro.hw.machine` with identical observable results. The global
-structure is unchanged — a heap interleaves cores at memory-reference
-granularity, each turn runs one core until its clock passes the next
-core's — but the engine differs in two ways:
+Both engines run on the one execution driver, ``Machine._drive`` in
+:mod:`repro.hw.machine`: a heap interleaves cores at memory-reference
+granularity, and each flow's window loop is a suspended generator the
+driver resumes with ``send(next core's clock)``, so its hot bindings
+live in generator locals across windows. The scalar engine puts every
+flow on the live per-packet loop; the batch engine differs only in which
+loop a flow gets:
 
 * **Pregeneration** (see :mod:`repro.fastpath.streams`): flows whose
-  generation is *timing-pure* consume pregenerated, flattened packet
-  blocks with numpy-precomputed set indices instead of re-entering the
-  functional layer per packet, and identical streams are reused across
-  machines through a process-wide cache — which is where dense sweeps
-  (Figure 2's 25 co-runs, sensitivity curves) stop paying generation at
-  all.
-* **Suspended window loops**: each flow's inner loop runs inside a
-  generator that the driver resumes with ``send(next core's clock)``.
-  All hot bindings (cache sets, block arrays, counter accumulators)
-  live in generator locals across windows, so a window costs one C-level
-  resume instead of the scalar engine's per-window rebinding — the
-  dominant cost when co-running cores interleave every few references.
+  generation is *timing-pure* run :func:`_replay_gen` over pregenerated,
+  flattened packet blocks with numpy-precomputed set indices instead of
+  re-entering the functional layer per packet, and identical streams are
+  reused across machines through a process-wide cache — which is where
+  dense sweeps (Figure 2's 25 co-runs, sensitivity curves) stop paying
+  generation at all.
+* Flows that are *not* timing-pure (throttled flows, control elements,
+  pipeline handoff stages), skeletons touched before the run, and all
+  flows of a traced run stay on the live loop.
 
-Exactness rules the implementation follows to the letter:
+Exactness rules the replay loop follows to the letter:
 
 * the per-reference clock updates perform the *same float operations in
-  the same order* as the scalar engine (``now = clock + gap`` then
+  the same order* as the live loop (``now = clock + gap`` then
   ``clock = now + lat``); counter accumulators append onto the running
   value in the same sequence, so float results are bit-equal, not merely
   close;
 * memory controllers and the QPI link are stateful queueing models fed
-  by request timestamps — they are called in exactly the scalar order
-  with exactly the scalar arguments;
+  by request timestamps — they are called in exactly the live loop's
+  order with exactly its arguments;
 * DMA invalidations, counter snapshots, metrics samples, and the
-  max-events guard happen at the same points of the global interleaving;
-* flows that are *not* timing-pure (throttled flows, control elements,
-  pipeline handoff stages) and all flows of a traced run fall back to
-  per-packet generation with code identical to the scalar loop.
+  max-events guard happen at the same points of the global interleaving.
 
-``tests/differential`` asserts the equivalence across every registered
-application, topologies, and throttling configurations.
+``tests/differential`` asserts the equivalence of replay and the live
+loop across every registered application, topologies, and throttling
+configurations.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import List
-
-from ..hw.machine import unwrap_probes
+from ..hw.machine import MAX_EVENTS, _DOMAIN_LINE_SHIFT, _event_limit_error
 from .streams import BATCH_PACKETS, StreamSupplier, StubFlow, is_timing_pure
 
 
@@ -57,7 +51,7 @@ def _replay_gen(fr, sup, shared, env):
     block flushes counter accumulators and pins flow-protocol state to
     the consumed packet count.
     """
-    (flows, lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
+    (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
      sampler, metrics_due, metrics_on, ev, nw, stop_cell) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
@@ -66,7 +60,7 @@ def _replay_gen(fr, sup, shared, env):
     warmup_target = fr.warmup_target
     measure_target = fr.measure_target
 
-    # Accumulators: identical in-place update order to the scalar engine,
+    # Accumulators: identical in-place update order to the live loop,
     # flushed to the CoreCounters at every packet boundary (the only
     # points where snapshots/metrics/other readers observe them).
     l1h = c.l1_hits
@@ -83,7 +77,7 @@ def _replay_gen(fr, sup, shared, env):
     j = 0
     pkt_end = 0
     k = 0
-    loaded = False       # a packet is loaded (scalar: prog_len >= 0)
+    loaded = False       # a packet is loaded (live loop: prog_len >= 0)
     steps = 0            # packets loaded so far (== generation calls)
     dropped_last = 0
 
@@ -131,10 +125,7 @@ def _replay_gen(fr, sup, shared, env):
                 # -- load next pregenerated packet ------------------------
                 if events > max_events:
                     ev[0] = events
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; "
-                        "reduce packet counts or platform scale"
-                    )
+                    raise _event_limit_error(max_events)
                 if block is None or steps - block.start >= block.n_packets:
                     block = sup.next_block()
                     gaps = block.gaps
@@ -254,257 +245,14 @@ def _replay_gen(fr, sup, shared, env):
             sup.patch_flow_state(steps, dropped_last)
 
 
-def _live_gen(fr, shared, env, tracer, trace_on, mem_sample):
-    """Window loop of one live flow: scalar-identical per-packet path."""
-    (flows, lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
-     l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     sampler, metrics_due, metrics_on, ev, nw, stop_cell) = shared
-    (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
-    fl = fr.flow
-    ctx = fr.ctx
-    c = fr.counters
-    i = fr.index
-    tag_refs = c.tag_refs
-    tag_hits = c.tag_hits
-    warmup_target = fr.warmup_target
-    measure_target = fr.measure_target
-    prog = fr.prog
-    pc = fr.pc
-    prog_len = fr.prog_len
-
-    limit = yield
-    clock = fr.clock
-    events = ev[0]
-    try:
-        while True:
-            if pc >= prog_len:
-                # -- packet boundary --------------------------------------
-                if prog_len >= 0:
-                    clock += ctx.trailing_gap
-                    c.gap_cycles += ctx.trailing_gap
-                    if not ctx.is_idle:
-                        c.packets += 1
-                        if (fr.latencies is not None
-                                and fr.snap_start is not None
-                                and not fr.done):
-                            fr.latencies.append(clock - fr.packet_start)
-                        if trace_on:
-                            tracer.packet(
-                                i, fr.packet_start, clock, c.packets,
-                                marks=getattr(fl, "trace_marks", None))
-                    if c.packets == warmup_target and fr.snap_start is None:
-                        c.cycles = clock
-                        fr.snap_start = c.copy()
-                        if trace_on:
-                            tracer.phase(i, clock, "measure_begin",
-                                         packets=c.packets)
-                    elif c.packets == measure_target and not fr.done:
-                        c.cycles = clock
-                        fr.snap_end = c.copy()
-                        fr.done = True
-                        if trace_on:
-                            tracer.phase(i, clock, "measure_end",
-                                         packets=c.packets)
-                        if fr.measured:
-                            nw[0] -= 1
-                            if nw[0] == 0:
-                                stop_cell[0] = True
-                                ev[0] = events
-                                fr.clock = clock
-                                limit = yield clock
-                    if metrics_on and clock >= metrics_due[i]:
-                        sampler.sample(i, clock, c)
-                # -- generate next packet ---------------------------------
-                if events > max_events:
-                    ev[0] = events
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; "
-                        "reduce packet counts or platform scale"
-                    )
-                ctx.reset()
-                # Keep the public run state current: flows with live
-                # feedback (ControlElement, ThrottledFlow) read their
-                # own clock and counters during generation.
-                fr.clock = clock
-                fr.packet_start = clock
-                dma = fl.run_packet(ctx)
-                ctx.finish_packet()
-                c.instructions += ctx.instructions
-                if dma:
-                    for line in dma:
-                        s = my_l1[line % my_l1_n]
-                        if line in s:
-                            s.remove(line)
-                        s = my_l2[line % my_l2_n]
-                        if line in s:
-                            s.remove(line)
-                        s = my_l3[line % my_l3_n]
-                        if line in s:
-                            s.remove(line)
-                prog = fr.prog = ctx.program
-                pc = 0
-                prog_len = len(prog)
-                if prog_len == 0 and ctx.trailing_gap <= 0:
-                    raise RuntimeError(
-                        f"flow {fr.label!r} produced an empty, "
-                        "zero-time packet"
-                    )
-                if clock > limit:
-                    ev[0] = events
-                    fr.clock = clock
-                    limit = yield clock
-                    events = ev[0]
-                continue
-
-            # -- one memory reference -------------------------------------
-            gap = prog[pc]
-            line = prog[pc + 1]
-            now = clock + gap
-            s = my_l1[line % my_l1_n]
-            if line in s:
-                s.remove(line)
-                s.append(line)
-                c.l1_hits += 1
-                clock = now + lat_l1
-            else:
-                s.append(line)
-                if len(s) > l1_ways:
-                    s.pop(0)
-                s2 = my_l2[line % my_l2_n]
-                if line in s2:
-                    s2.remove(line)
-                    s2.append(line)
-                    c.l2_hits += 1
-                    clock = now + lat_l2
-                else:
-                    s2.append(line)
-                    if len(s2) > l2_ways:
-                        s2.pop(0)
-                    c.l3_refs += 1
-                    tag = prog[pc + 2]
-                    tag_refs[tag] += 1
-                    s3 = my_l3[line % my_l3_n]
-                    if line in s3:
-                        s3.remove(line)
-                        s3.append(line)
-                        c.l3_hits += 1
-                        tag_hits[tag] += 1
-                        clock = now + lat_l3
-                    else:
-                        s3.append(line)
-                        if len(s3) > l3_ways:
-                            s3.pop(0)
-                        c.l3_misses += 1
-                        dom = line >> domain_shift
-                        wait = mcs[dom].request(now)
-                        lat = lat_dram + wait
-                        c.mc_wait_cycles += wait
-                        if dom != home:
-                            lat += qpi.transfer(now)
-                            c.remote_refs += 1
-                        clock = now + lat
-                        if trace_on and c.l3_misses % mem_sample == 0:
-                            tracer.mem(i, now, wait, dom, dom != home)
-            c.gap_cycles += gap
-            pc += 3
-            events += 1
-            if clock > limit:
-                ev[0] = events
-                fr.clock = clock
-                limit = yield clock
-                events = ev[0]
-    finally:
-        fr.clock = clock
-        fr.pc = pc
-        fr.prog_len = prog_len
-
-
 def run_batch(machine, warmup_packets: int = 200,
               measure_packets: int = 1000,
-              max_events: int = None,
+              max_events: int = MAX_EVENTS,
               batch: int = BATCH_PACKETS):
     """Execute ``machine`` with the batch engine. See module docstring."""
-    from ..hw.machine import MAX_EVENTS, RunResult, _DOMAIN_LINE_SHIFT
-    from ..mem.access import TAGS
 
-    if max_events is None:
-        max_events = MAX_EVENTS
-    if machine._ran:
-        raise RuntimeError("machine already ran; build a fresh Machine")
-    if not machine.flows:
-        raise RuntimeError("no flows configured")
-    machine._ran = True
-
-    flows = machine.flows
-    for fr in flows:
-        weight = float(getattr(fr.flow, "measure_weight", 1.0))
-        fr.warmup_target = max(50, int(warmup_packets * weight))
-        fr.measure_target = fr.warmup_target + max(100, int(measure_packets * weight))
-
-    if machine.record_latencies:
-        for fr in flows:
-            fr.latencies = []
-
-    n_waiting = sum(1 for fr in flows if fr.measured)
-    if n_waiting == 0:
-        raise RuntimeError("at least one flow must be measured")
-
-    spec = machine.spec
-    lat_dram = spec.lat_l3 + spec.lat_dram_extra
-    l3_by_socket = machine.l3
-    n_tags = len(TAGS)
-
-    heap: List = []
-    for fr in flows:
-        fr.counters._grow_tags()
-        if len(fr.counters.tag_refs) < n_tags:  # pragma: no cover - defensive
-            raise RuntimeError("tag registry changed mid-run")
-        heappush(heap, (fr.clock, fr.index))
-
-    checker = machine.checker
-    if checker is not None:
-        # Same probe wrapping as the scalar engine: the checker observes
-        # packet boundaries through the sampler protocol, at identical
-        # points of the global interleaving.
-        checker.install(machine)
-    guard = machine.guard
-    if guard is not None:
-        # Guard probe stacks outermost, exactly like the scalar engine.
-        guard.install(machine)
-    tracer = machine.tracer
-    trace_on = tracer.active
-    sampler = machine.metrics
-    metrics_on = sampler is not None
-    if trace_on:
-        tracer.begin_run(machine)
-    metrics_due = None
-    if metrics_on:
-        sampler.begin(machine)
-        metrics_due = sampler.next_due
-    mem_sample = tracer.mem_sample if trace_on else 0
-
-    # Shared mutable cells: only one generator runs at a time, and each
-    # syncs the cells at its suspension points, so reads/writes happen in
-    # exactly the scalar engine's order.
-    ev = [0]             # global event (memory reference) count
-    nw = [n_waiting]     # measured flows still short of their target
-    stop_cell = [False]
-    shared = (flows, spec.lat_l1, spec.lat_l2, spec.lat_l3, lat_dram,
-              machine.mcs, machine.qpi,
-              spec.l1_ways, spec.l2_ways, spec.l3_ways, max_events,
-              _DOMAIN_LINE_SHIFT,
-              sampler, metrics_due, metrics_on, ev, nw, stop_cell)
-
-    # One suspended window loop per flow. Timing-pure flows replay
-    # pregenerated blocks; a traced run keeps every flow on the
-    # scalar-identical live path so per-packet marks and sampled miss
-    # events stay byte-equal.
-    gens: List = []
-    for fr in flows:
-        env = (machine._l1[fr.core].sets, machine._l1[fr.core].n_sets,
-               machine._l2[fr.core].sets, machine._l2[fr.core].n_sets,
-               l3_by_socket[fr.socket].sets, l3_by_socket[fr.socket].n_sets,
-               fr.socket)
+    def replay(fr, shared, env):
+        """The replay loop of ``fr``, or None to run it live."""
         cacheable = True
         if isinstance(fr.flow, StubFlow) and fr.flow.touched:
             # Something reached through the stub before the run (and may
@@ -513,59 +261,15 @@ def run_batch(machine, warmup_packets: int = 200,
             # reading or extending the cache.
             fr.flow = fr.flow.materialize()
             cacheable = False
-        if not trace_on and is_timing_pure(fr.flow):
-            sup = StreamSupplier(
-                fr, machine.seed, spec,
-                machine._l1[fr.core].n_sets, machine._l2[fr.core].n_sets,
-                l3_by_socket[fr.socket].n_sets, _DOMAIN_LINE_SHIFT,
-                batch=batch, cacheable=cacheable,
-            )
-            gen = _replay_gen(fr, sup, shared, env)
-        else:
-            gen = _live_gen(fr, shared, env, tracer, trace_on, mem_sample)
-        gen.send(None)
-        gens.append(gen)
+        # A traced run keeps every flow on the live loop so per-packet
+        # marks and sampled miss events stay byte-equal.
+        if machine.tracer.active or not is_timing_pure(fr.flow):
+            return None
+        sup = StreamSupplier(
+            fr, machine.seed, machine.spec, env[1], env[3], env[5],
+            _DOMAIN_LINE_SHIFT, batch=batch, cacheable=cacheable,
+        )
+        return _replay_gen(fr, sup, shared, env)
 
-    try:
-        while heap:
-            clock, i = heappop(heap)
-            limit = heap[0][0] if heap else float("inf")
-            clock = gens[i].send(limit)
-            if stop_cell[0]:
-                break
-            if ev[0] > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; "
-                    "reduce packet counts or platform scale"
-                )
-            heappush(heap, (clock, i))
-    finally:
-        # Suspended loops flush accumulators and pin flow state in their
-        # finally blocks.
-        for gen in gens:
-            gen.close()
-
-    end_clock = max(fr.clock for fr in flows)
-    for fr in flows:
-        if fr.snap_start is not None and fr.snap_end is None:
-            fr.counters.cycles = fr.clock
-            fr.snap_end = fr.counters.copy()
-    # End-of-run flush for closed control loops — the scalar engine runs
-    # the same hook at this exact point. StubFlow carries ``finish_run =
-    # None`` as a class attribute so cached skeletons are not
-    # materialized just to be asked.
-    for fr in flows:
-        hook = getattr(fr.flow, "finish_run", None)
-        if hook is not None:
-            hook()
-    if metrics_on:
-        sampler.finish(flows)
-    if trace_on:
-        tracer.end_run(end_clock, ev[0])
-    result = RunResult(machine.spec, flows, ev[0], end_clock,
-                       metrics=unwrap_probes(sampler))
-    if checker is not None:
-        checker.after_run(machine, result)
-    if guard is not None:
-        guard.after_run(machine, result)
-    return result
+    return machine._drive(warmup_packets, measure_packets, max_events,
+                          replay)

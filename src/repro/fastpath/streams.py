@@ -1,6 +1,6 @@
 """Packet-stream pregeneration and caching for the batch engine.
 
-The scalar engine interleaves *generation* (running the application's
+The live window loop interleaves *generation* (running the application's
 functional layer to produce one packet's access program) with *replay*
 (charging that program against the cache hierarchy). The batch engine
 separates the two: flows whose generation is **timing-pure** — the
@@ -13,7 +13,7 @@ Pregeneration is *exactly* equivalent because for a timing-pure flow the
 k-th call to ``run_packet`` produces the same program no matter when it
 is issued; the engine still applies every per-packet side effect (DMA
 invalidation, counter updates, snapshots) at the same point of the
-global interleaving as the scalar engine.
+global interleaving as the live loop.
 
 Pure flows additionally declare a ``stream_signature``: a hashable value
 that, together with the machine seed, core, and platform spec, fully

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..hw.machine import MetricsProbe
 from .slo import GUARD_SCHEMA, slo_map
 
 #: Probe cadence when no metrics sampler provides one (simulated cycles).
@@ -149,59 +150,6 @@ class _FlowState:
     drops: List[Tuple[float, float]] = field(default_factory=list)
 
 
-class _GuardProbe:
-    """Sampler-protocol adapter feeding windows to the supervisor.
-
-    Identical contract to the invariant engine's probe: forwards
-    ``begin``/``sample``/``finish`` to the wrapped sampler (so time
-    series and stacked probes keep working) and aliases its ``next_due``
-    deadline list; without an inner sampler it runs its own schedule at
-    the guard's interval.
-    """
-
-    #: Lets :func:`repro.hw.machine.unwrap_probes` peel probe stacks.
-    is_metrics_probe = True
-
-    def __init__(self, guard: "SLOGuard", inner=None):
-        self._guard = guard
-        self._inner = inner
-        self._machine = None
-        self.next_due: List[float] = []
-
-    @property
-    def inner(self):
-        return self._inner
-
-    def begin(self, machine) -> None:
-        self._machine = machine
-        if self._inner is not None:
-            self._inner.begin(machine)
-            self.next_due = self._inner.next_due
-        else:
-            interval = self._guard.config.interval_cycles
-            self.next_due = [interval] * len(machine.flows)
-        self._guard._begin_run(machine)
-
-    def sample(self, flow_index: int, clock: float, counters) -> None:
-        self._guard.on_sample(flow_index, clock, counters)
-        if self._inner is not None:
-            # Advances next_due[flow_index] in place.
-            self._inner.sample(flow_index, clock, counters)
-        else:
-            due = self.next_due[flow_index]
-            interval = self._guard.config.interval_cycles
-            while due <= clock:
-                due += interval
-            self.next_due[flow_index] = due
-
-    def finish(self, flows) -> None:
-        if self._inner is not None:
-            self._inner.finish(flows)
-
-    def payload(self):  # pragma: no cover - defensive
-        return self._inner.payload() if self._inner is not None else {}
-
-
 class SLOGuard:
     """Online SLO supervisor; attach via ``Machine(..., guard=...)``."""
 
@@ -230,7 +178,9 @@ class SLOGuard:
 
     def install(self, machine) -> None:
         """Wrap ``machine.metrics`` with the guard's window probe."""
-        machine.metrics = _GuardProbe(self, machine.metrics)
+        machine.metrics = MetricsProbe(
+            self._begin_run, self.on_sample, self.config.interval_cycles,
+            machine.metrics)
 
     def _begin_run(self, machine) -> None:
         self.runs += 1

@@ -8,6 +8,13 @@ memory controllers. Cores are interleaved at memory-reference granularity
 by always advancing the core with the smallest local clock, so co-runners'
 references contend in the shared cache exactly as on real hardware.
 
+One driver does the interleaving for both engines. Each flow runs in a
+suspended window loop that the driver resumes until the flow's clock
+passes the next core's. ``engine="scalar"`` puts every flow on the live
+loop here, which generates each packet on demand; ``engine="batch"``
+(:mod:`repro.fastpath`) gives timing-pure flows a loop that replays
+pregenerated streams instead.
+
 Placement is explicit: ``add_flow(factory, core=..., data_domain=...)``
 controls both which socket executes a flow and which memory domain holds
 its data, which is how the three configurations of the paper's Figure 3
@@ -17,6 +24,7 @@ its data, which is how the three configurations of the paper's Figure 3
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
@@ -145,6 +153,60 @@ class RunResult:
         if self.metrics is not None:
             report.attach_metrics(self.metrics)
         return report
+
+
+class MetricsProbe:
+    """Sampler-protocol adapter feeding packet-boundary windows to an
+    observer (the invariant checker, the SLO guard).
+
+    Wraps the machine's real :class:`~repro.obs.MetricsSampler`, or
+    another probe: ``begin``/``sample``/``finish`` are forwarded so time
+    series and stacked probes keep working, and ``next_due`` aliases the
+    inner sampler's deadline list (the driver binds that list once and
+    expects in-place mutation). Without an inner sampler the probe runs
+    its own deadline schedule every ``interval_cycles``. ``on_begin``
+    receives the machine at run start; ``on_window`` receives each
+    window's ``(flow_index, clock, counters)`` before the inner sampler.
+    """
+
+    #: Lets :func:`unwrap_probes` peel probe stacks.
+    is_metrics_probe = True
+
+    def __init__(self, on_begin, on_window, interval_cycles: float,
+                 inner=None):
+        self.on_begin = on_begin
+        self.on_window = on_window
+        self.interval_cycles = interval_cycles
+        self.inner = inner
+        self.next_due: List[float] = []
+
+    def begin(self, machine) -> None:
+        if self.inner is not None:
+            self.inner.begin(machine)
+            self.next_due = self.inner.next_due
+        else:
+            self.next_due = [self.interval_cycles] * len(machine.flows)
+        self.on_begin(machine)
+
+    def sample(self, flow_index: int, clock: float, counters) -> None:
+        self.on_window(flow_index, clock, counters)
+        if self.inner is not None:
+            # Advances next_due[flow_index] in place.
+            self.inner.sample(flow_index, clock, counters)
+        else:
+            due = self.next_due[flow_index]
+            while due <= clock:
+                due += self.interval_cycles
+            self.next_due[flow_index] = due
+
+    def finish(self, flows) -> None:
+        if self.inner is not None:
+            self.inner.finish(flows)
+
+    # Results only ever see the unwrapped sampler (unwrap_probes), but
+    # keep payload() harmless in case a probe leaks into serialization.
+    def payload(self):  # pragma: no cover - defensive
+        return self.inner.payload() if self.inner is not None else {}
 
 
 def unwrap_probes(sampler):
@@ -365,10 +427,11 @@ class Machine:
         attribute (slow flows like FW measure fewer packets so that mixed
         runs finish in comparable simulated time; rates are unaffected).
 
-        ``engine`` selects the execution engine: ``"scalar"`` (the
-        reference event loop below), ``"batch"`` (the pregenerating
-        engine in :mod:`repro.fastpath`, identical results, faster), or
-        None to use the ambient default set via
+        ``engine`` selects how flows feed the shared driver: ``"scalar"``
+        runs every flow on the live per-packet window loop, ``"batch"``
+        (:func:`repro.fastpath.engine.run_batch`) replays pregenerated
+        streams for timing-pure flows instead (identical results, faster),
+        and None uses the ambient default set via
         :func:`repro.fastpath.use_engine` / ``set_default_engine``.
         """
         if engine is None:
@@ -383,19 +446,19 @@ class Machine:
             raise ValueError(
                 f"unknown engine {engine!r} (choose 'scalar' or 'batch')"
             )
-        # A machine built under the ambient batch engine may hold
-        # construction-skipped StubFlows; the scalar loop needs the real
-        # flow objects. (Stubs can only exist if fastpath.streams was
-        # imported, so probing sys.modules avoids pulling numpy into
-        # scalar-only processes.)
-        import sys
+        return self._drive(warmup_packets, measure_packets, max_events)
 
-        _fastpath = sys.modules.get(
-            __name__.split(".")[0] + ".fastpath.streams")
-        if _fastpath is not None:
-            for fr in self.flows:
-                if isinstance(fr.flow, _fastpath.StubFlow):
-                    fr.flow = fr.flow.materialize()
+    def _drive(self, warmup_packets: int, measure_packets: int,
+               max_events: int, replay=None) -> RunResult:
+        """The execution driver behind both engines.
+
+        Every flow runs in a suspended window loop; a heap interleaves
+        them at memory-reference granularity by always resuming the core
+        with the smallest clock, with the next core's clock as the limit
+        of its window. ``replay(fr, shared, env)`` (the batch engine's
+        hook) may return a flow's window loop; flows it declines, and
+        every flow when it is None, run on :func:`_live_loop`.
+        """
         if self._ran:
             raise RuntimeError("machine already ran; build a fresh Machine")
         if not self.flows:
@@ -407,50 +470,17 @@ class Machine:
             weight = float(getattr(fr.flow, "measure_weight", 1.0))
             fr.warmup_target = max(50, int(warmup_packets * weight))
             fr.measure_target = fr.warmup_target + max(100, int(measure_packets * weight))
-
-        if self.record_latencies:
-            for fr in flows:
+            if self.record_latencies:
                 fr.latencies = []
 
         n_waiting = sum(1 for fr in flows if fr.measured)
         if n_waiting == 0:
             raise RuntimeError("at least one flow must be measured")
 
-        spec = self.spec
-        lat_l1 = spec.lat_l1
-        lat_l2 = spec.lat_l2
-        lat_l3 = spec.lat_l3
-        lat_dram = spec.lat_l3 + spec.lat_dram_extra
-        mcs = self.mcs
-        qpi = self.qpi
-        l3_by_socket = self.l3
-        n_tags = len(TAGS)
-        events = 0
-
-        # Per-flow fast-path bindings.
-        l1_sets = {fr.index: self._l1[fr.core].sets for fr in flows}
-        l1_nsets = {fr.index: self._l1[fr.core].n_sets for fr in flows}
-        l2_sets = {fr.index: self._l2[fr.core].sets for fr in flows}
-        l2_nsets = {fr.index: self._l2[fr.core].n_sets for fr in flows}
-        l1_ways = spec.l1_ways
-        l2_ways = spec.l2_ways
-        l3_ways = spec.l3_ways
-
-        heap: List = []
-        for fr in flows:
-            fr.counters._grow_tags()
-            if len(fr.counters.tag_refs) < n_tags:  # pragma: no cover - defensive
-                raise RuntimeError("tag registry changed mid-run")
-            heappush(heap, (fr.clock, fr.index))
-
-        # Observability bindings. ``trace_on``/``metrics_on`` are the
-        # single boolean guards the hot loop checks; with both off the
-        # loop below is byte-for-byte the pre-observability engine plus
-        # those checks (see tests/test_obs_overhead.py).
         checker = self.checker
         if checker is not None:
             # The checker wraps self.metrics with a probe implementing
-            # the same sampler protocol, so the hot loop below needs no
+            # the same sampler protocol, so the window loops need no
             # extra branches to feed it.
             checker.install(self)
         guard = self.guard
@@ -464,178 +494,70 @@ class Machine:
         metrics_on = sampler is not None
         if trace_on:
             tracer.begin_run(self)
+        metrics_due = None
         if metrics_on:
             sampler.begin(self)
             metrics_due = sampler.next_due
         mem_sample = tracer.mem_sample if trace_on else 0
 
-        stop = False
-        while heap and not stop:
-            clock, i = heappop(heap)
-            fr = flows[i]
-            fl = fr.flow
-            ctx = fr.ctx
-            c = fr.counters
-            tag_refs = c.tag_refs
-            tag_hits = c.tag_hits
-            my_l1 = l1_sets[i]
-            my_l1_n = l1_nsets[i]
-            my_l2 = l2_sets[i]
-            my_l2_n = l2_nsets[i]
-            my_l3 = l3_by_socket[fr.socket].sets
-            my_l3_n = l3_by_socket[fr.socket].n_sets
-            home = fr.socket
-            limit = heap[0][0] if heap else float("inf")
-            clock = fr.clock
-            prog = fr.prog
-            pc = fr.pc
-            prog_len = fr.prog_len
+        # Shared mutable cells: only one window loop runs at a time, and
+        # each syncs the cells at its suspension points.
+        ev = [0]             # global event (memory reference) count
+        nw = [n_waiting]     # measured flows still short of their target
+        stop_cell = [False]
+        spec = self.spec
+        shared = (spec.lat_l1, spec.lat_l2, spec.lat_l3,
+                  spec.lat_l3 + spec.lat_dram_extra, self.mcs, self.qpi,
+                  spec.l1_ways, spec.l2_ways, spec.l3_ways, max_events,
+                  _DOMAIN_LINE_SHIFT,
+                  sampler, metrics_due, metrics_on, ev, nw, stop_cell)
 
-            while True:
-                if pc >= prog_len:
-                    # -- packet boundary --------------------------------------
-                    if prog_len >= 0:
-                        clock += ctx.trailing_gap
-                        c.gap_cycles += ctx.trailing_gap
-                        if not ctx.is_idle:
-                            c.packets += 1
-                            if (fr.latencies is not None
-                                    and fr.snap_start is not None
-                                    and not fr.done):
-                                fr.latencies.append(clock - fr.packet_start)
-                            if trace_on:
-                                tracer.packet(
-                                    i, fr.packet_start, clock, c.packets,
-                                    marks=getattr(fl, "trace_marks", None))
-                        if c.packets == fr.warmup_target and fr.snap_start is None:
-                            c.cycles = clock
-                            fr.snap_start = c.copy()
-                            if trace_on:
-                                tracer.phase(i, clock, "measure_begin",
-                                             packets=c.packets)
-                        elif c.packets == fr.measure_target and not fr.done:
-                            c.cycles = clock
-                            fr.snap_end = c.copy()
-                            fr.done = True
-                            if trace_on:
-                                tracer.phase(i, clock, "measure_end",
-                                             packets=c.packets)
-                            if fr.measured:
-                                n_waiting -= 1
-                                if n_waiting == 0:
-                                    stop = True
-                                    break
-                        if metrics_on and clock >= metrics_due[i]:
-                            sampler.sample(i, clock, c)
-                    # -- generate next packet ---------------------------------
-                    if events > max_events:
-                        raise RuntimeError(
-                            f"simulation exceeded {max_events} events; "
-                            "reduce packet counts or platform scale"
-                        )
-                    ctx.reset()
-                    # Keep the public run state current: flows with live
-                    # feedback (ControlElement, ThrottledFlow) read their
-                    # own clock and counters during generation.
-                    fr.clock = clock
-                    fr.packet_start = clock
-                    dma = fl.run_packet(ctx)
-                    ctx.finish_packet()
-                    c.instructions += ctx.instructions
-                    if dma:
-                        inval_l3 = l3_by_socket[fr.socket]
-                        inval_l1 = my_l1
-                        inval_l2 = my_l2
-                        for line in dma:
-                            s = inval_l1[line % my_l1_n]
-                            if line in s:
-                                s.remove(line)
-                            s = inval_l2[line % my_l2_n]
-                            if line in s:
-                                s.remove(line)
-                            s = my_l3[line % my_l3_n]
-                            if line in s:
-                                s.remove(line)
-                    prog = fr.prog = ctx.program
-                    pc = 0
-                    prog_len = len(prog)
-                    # A packet with no memory references must still advance
-                    # time via its trailing gap, or the loop would never
-                    # make progress.
-                    if prog_len == 0 and ctx.trailing_gap <= 0:
-                        raise RuntimeError(
-                            f"flow {fr.label!r} produced an empty, zero-time packet"
-                        )
-                    if clock > limit:
-                        break
-                    continue
+        # A machine built under the ambient batch engine may hold
+        # construction-skipped StubFlows; the live loop needs the real
+        # flow objects. (Stubs can only exist if fastpath.streams was
+        # imported, so probing sys.modules avoids pulling numpy into
+        # scalar-only processes.)
+        _fastpath = sys.modules.get(
+            __name__.split(".")[0] + ".fastpath.streams")
+        gens: List = []
+        for fr in flows:
+            l1 = self._l1[fr.core]
+            l2 = self._l2[fr.core]
+            l3 = self.l3[fr.socket]
+            env = (l1.sets, l1.n_sets, l2.sets, l2.n_sets, l3.sets, l3.n_sets,
+                   fr.socket)
+            gen = replay(fr, shared, env) if replay is not None else None
+            if gen is None:
+                if (_fastpath is not None
+                        and isinstance(fr.flow, _fastpath.StubFlow)):
+                    fr.flow = fr.flow.materialize()
+                gen = _live_loop(fr, shared, env, tracer, trace_on, mem_sample)
+            gen.send(None)
+            gens.append(gen)
 
-                # -- one memory reference -------------------------------------
-                gap = prog[pc]
-                line = prog[pc + 1]
-                now = clock + gap
-                s = my_l1[line % my_l1_n]
-                if line in s:
-                    s.remove(line)
-                    s.append(line)
-                    c.l1_hits += 1
-                    clock = now + lat_l1
-                else:
-                    s.append(line)
-                    if len(s) > l1_ways:
-                        s.pop(0)
-                    s2 = my_l2[line % my_l2_n]
-                    if line in s2:
-                        s2.remove(line)
-                        s2.append(line)
-                        c.l2_hits += 1
-                        clock = now + lat_l2
-                    else:
-                        s2.append(line)
-                        if len(s2) > l2_ways:
-                            s2.pop(0)
-                        c.l3_refs += 1
-                        tag = prog[pc + 2]
-                        tag_refs[tag] += 1
-                        s3 = my_l3[line % my_l3_n]
-                        if line in s3:
-                            s3.remove(line)
-                            s3.append(line)
-                            c.l3_hits += 1
-                            tag_hits[tag] += 1
-                            clock = now + lat_l3
-                        else:
-                            s3.append(line)
-                            if len(s3) > l3_ways:
-                                s3.pop(0)
-                            c.l3_misses += 1
-                            dom = line >> _DOMAIN_LINE_SHIFT
-                            wait = mcs[dom].request(now)
-                            lat = lat_dram + wait
-                            c.mc_wait_cycles += wait
-                            if dom != home:
-                                lat += qpi.transfer(now)
-                                c.remote_refs += 1
-                            clock = now + lat
-                            if trace_on and c.l3_misses % mem_sample == 0:
-                                tracer.mem(i, now, wait, dom, dom != home)
-                c.gap_cycles += gap
-                pc += 3
-                events += 1
-                if clock > limit:
+        n_tags = len(TAGS)
+        heap: List = []
+        for fr in flows:
+            fr.counters._grow_tags()
+            if len(fr.counters.tag_refs) < n_tags:  # pragma: no cover - defensive
+                raise RuntimeError("tag registry changed mid-run")
+            heappush(heap, (fr.clock, fr.index))
+
+        try:
+            while heap:
+                clock, i = heappop(heap)
+                limit = heap[0][0] if heap else float("inf")
+                clock = gens[i].send(limit)
+                if stop_cell[0]:
                     break
-
-            fr.clock = clock
-            fr.pc = pc
-            fr.prog_len = prog_len
-            if stop:
-                break
-            if events > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; "
-                    "reduce packet counts or platform scale"
-                )
-            heappush(heap, (clock, i))
+                if ev[0] > max_events:
+                    raise _event_limit_error(max_events)
+                heappush(heap, (clock, i))
+        finally:
+            # Suspended loops flush their state in their finally blocks.
+            for gen in gens:
+                gen.close()
+        events = ev[0]
 
         # Close statistics for flows that never reached their measure target
         # (pure competitors kept running for contention): report whatever
@@ -647,8 +569,10 @@ class Machine:
                 fr.snap_end = fr.counters.copy()
         # End-of-run flush for flows with closed control loops (e.g.
         # throttles whose adjust window never filled): runs after the
-        # measurement snapshots close, at the identical point in both
-        # engines, so it never perturbs reported statistics.
+        # measurement snapshots close, so it never perturbs reported
+        # statistics. StubFlow carries ``finish_run = None`` as a class
+        # attribute so cached skeletons are not materialized just to be
+        # asked.
         for fr in flows:
             hook = getattr(fr.flow, "finish_run", None)
             if hook is not None:
@@ -664,3 +588,181 @@ class Machine:
         if guard is not None:
             guard.after_run(self, result)
         return result
+
+
+def _event_limit_error(max_events: int) -> RuntimeError:
+    return RuntimeError(
+        f"simulation exceeded {max_events} events; "
+        "reduce packet counts or platform scale"
+    )
+
+
+def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
+    """Window loop of one live flow: generates each packet on demand.
+
+    Primed with ``send(None)``; every later ``send(limit)`` runs the flow
+    until its clock passes ``limit`` (the next core's clock) and yields
+    that clock. ``close()`` leaves the flow's run state consistent.
+    """
+    (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
+     l1_ways, l2_ways, l3_ways, max_events, domain_shift,
+     sampler, metrics_due, metrics_on, ev, nw, stop_cell) = shared
+    (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
+    fl = fr.flow
+    ctx = fr.ctx
+    c = fr.counters
+    i = fr.index
+    tag_refs = c.tag_refs
+    tag_hits = c.tag_hits
+    warmup_target = fr.warmup_target
+    measure_target = fr.measure_target
+    prog = fr.prog
+    pc = fr.pc
+    prog_len = fr.prog_len
+
+    limit = yield
+    clock = fr.clock
+    events = ev[0]
+    try:
+        while True:
+            if pc >= prog_len:
+                # -- packet boundary --------------------------------------
+                if prog_len >= 0:
+                    clock += ctx.trailing_gap
+                    c.gap_cycles += ctx.trailing_gap
+                    if not ctx.is_idle:
+                        c.packets += 1
+                        if (fr.latencies is not None
+                                and fr.snap_start is not None
+                                and not fr.done):
+                            fr.latencies.append(clock - fr.packet_start)
+                        if trace_on:
+                            tracer.packet(
+                                i, fr.packet_start, clock, c.packets,
+                                marks=getattr(fl, "trace_marks", None))
+                    if c.packets == warmup_target and fr.snap_start is None:
+                        c.cycles = clock
+                        fr.snap_start = c.copy()
+                        if trace_on:
+                            tracer.phase(i, clock, "measure_begin",
+                                         packets=c.packets)
+                    elif c.packets == measure_target and not fr.done:
+                        c.cycles = clock
+                        fr.snap_end = c.copy()
+                        fr.done = True
+                        if trace_on:
+                            tracer.phase(i, clock, "measure_end",
+                                         packets=c.packets)
+                        if fr.measured:
+                            nw[0] -= 1
+                            if nw[0] == 0:
+                                stop_cell[0] = True
+                                ev[0] = events
+                                fr.clock = clock
+                                limit = yield clock
+                    if metrics_on and clock >= metrics_due[i]:
+                        sampler.sample(i, clock, c)
+                # -- generate next packet ---------------------------------
+                if events > max_events:
+                    ev[0] = events
+                    raise _event_limit_error(max_events)
+                ctx.reset()
+                # Keep the public run state current: flows with live
+                # feedback (ControlElement, ThrottledFlow) read their
+                # own clock and counters during generation.
+                fr.clock = clock
+                fr.packet_start = clock
+                dma = fl.run_packet(ctx)
+                ctx.finish_packet()
+                c.instructions += ctx.instructions
+                if dma:
+                    for line in dma:
+                        s = my_l1[line % my_l1_n]
+                        if line in s:
+                            s.remove(line)
+                        s = my_l2[line % my_l2_n]
+                        if line in s:
+                            s.remove(line)
+                        s = my_l3[line % my_l3_n]
+                        if line in s:
+                            s.remove(line)
+                prog = fr.prog = ctx.program
+                pc = 0
+                prog_len = len(prog)
+                # A packet with no memory references must still advance
+                # time via its trailing gap, or the loop would never make
+                # progress.
+                if prog_len == 0 and ctx.trailing_gap <= 0:
+                    raise RuntimeError(
+                        f"flow {fr.label!r} produced an empty, "
+                        "zero-time packet"
+                    )
+                if clock > limit:
+                    ev[0] = events
+                    fr.clock = clock
+                    limit = yield clock
+                    events = ev[0]
+                continue
+
+            # -- one memory reference -------------------------------------
+            gap = prog[pc]
+            line = prog[pc + 1]
+            now = clock + gap
+            s = my_l1[line % my_l1_n]
+            if line in s:
+                s.remove(line)
+                s.append(line)
+                c.l1_hits += 1
+                clock = now + lat_l1
+            else:
+                s.append(line)
+                if len(s) > l1_ways:
+                    s.pop(0)
+                s2 = my_l2[line % my_l2_n]
+                if line in s2:
+                    s2.remove(line)
+                    s2.append(line)
+                    c.l2_hits += 1
+                    clock = now + lat_l2
+                else:
+                    s2.append(line)
+                    if len(s2) > l2_ways:
+                        s2.pop(0)
+                    c.l3_refs += 1
+                    tag = prog[pc + 2]
+                    tag_refs[tag] += 1
+                    s3 = my_l3[line % my_l3_n]
+                    if line in s3:
+                        s3.remove(line)
+                        s3.append(line)
+                        c.l3_hits += 1
+                        tag_hits[tag] += 1
+                        clock = now + lat_l3
+                    else:
+                        s3.append(line)
+                        if len(s3) > l3_ways:
+                            s3.pop(0)
+                        c.l3_misses += 1
+                        dom = line >> domain_shift
+                        wait = mcs[dom].request(now)
+                        lat = lat_dram + wait
+                        c.mc_wait_cycles += wait
+                        if dom != home:
+                            lat += qpi.transfer(now)
+                            c.remote_refs += 1
+                        clock = now + lat
+                        if trace_on and c.l3_misses % mem_sample == 0:
+                            tracer.mem(i, now, wait, dom, dom != home)
+            c.gap_cycles += gap
+            pc += 3
+            events += 1
+            if clock > limit:
+                ev[0] = events
+                fr.clock = clock
+                limit = yield clock
+                events = ev[0]
+    finally:
+        fr.clock = clock
+        fr.pc = pc
+        fr.prog_len = prog_len
+

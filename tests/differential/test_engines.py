@@ -1,12 +1,14 @@
-"""Differential suite: batch engine vs. the scalar oracle.
+"""Differential suite: the batch engine's replay vs. the live loop.
 
-Every scenario from :func:`repro.fastpath.diff.generate_scenarios` runs
-on the scalar engine and on the batch engine twice (cold stream cache,
-then warm cache — the warm pass builds machines under the ambient batch
-engine, so signatured flows exercise the construction-skipped skeleton
-path too). End-of-run CoreCounters, tag breakdowns, clocks, events, and
-per-flow drop counts must match *exactly*; derived rates to 1e-9
-relative.
+Both engines share one driver; ``engine="scalar"`` runs every flow on
+the live per-packet loop and is the oracle here (the driver itself is
+pinned by the goldens and the corpus). Every scenario from
+:func:`repro.fastpath.diff.generate_scenarios` runs on the scalar engine
+and on the batch engine twice (cold stream cache, then warm cache — the
+warm pass builds machines under the ambient batch engine, so signatured
+flows exercise the construction-skipped skeleton path too). End-of-run
+CoreCounters, tag breakdowns, clocks, events, and per-flow drop counts
+must match *exactly*; derived rates to 1e-9 relative.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ change that shifts the paper's curves — even in the last float digit —
 fails here and forces a deliberate regen (``tests/golden/regen.py``)
 whose diff is reviewed like any other code change.
 
-The batch engine is held to the same goldens: it must land on the
-byte-identical reports the scalar oracle produced.
+Both engines share one execution driver and are held to the same
+goldens: each must land on the byte-identical committed reports.
 """
 
 from __future__ import annotations

@@ -14,12 +14,21 @@ from repro.guard.supervisor import (
     GuardConfig,
     GuardEvent,
     SLOGuard,
-    _GuardProbe,
 )
+from repro.hw.machine import MetricsProbe
 
 pytestmark = pytest.mark.guard
 
 FREQ = 1e9
+
+
+def guard_probe(guard, machine):
+    """Install ``guard`` on ``machine``; return the probe it stacked."""
+    inner = machine.metrics
+    guard.install(machine)
+    probe = machine.metrics
+    assert isinstance(probe, MetricsProbe) and probe.inner is inner
+    return probe
 
 
 class FakeControl:
@@ -94,8 +103,9 @@ class Harness:
             slos={"V": victim_slo}, baselines=base,
             config=config or GuardConfig(backoff_cycles=1.0,
                                          quarantine_cycles=1e6))
-        self.probe = _GuardProbe(self.guard)
-        self.probe.begin(_FakeMachine(flows))
+        machine = _FakeMachine(flows)
+        self.probe = guard_probe(self.guard, machine)
+        self.probe.begin(machine)
         self.clock = 0.0
         self.counters = [_Counters() for _ in flows]
 
@@ -352,9 +362,10 @@ def test_probe_stacks_on_an_inner_sampler():
 
     inner = InnerSampler()
     guard = SLOGuard(slos={}, baselines={})
-    probe = _GuardProbe(guard, inner)
-    assert probe.inner is inner
     machine = _FakeMachine([_FakeFlowRun(0, "V", object())])
+    machine.metrics = inner
+    probe = guard_probe(guard, machine)
+    assert probe.inner is inner
     probe.begin(machine)
     # The probe aliases (not copies) the inner sampler's schedule.
     assert probe.next_due is inner.next_due

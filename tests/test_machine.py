@@ -111,19 +111,32 @@ def test_bad_domain_rejected(spec):
         m.add_flow(StrideFlow, core=0, data_domain=7)
 
 
-def test_machine_is_single_use(spec):
+ENGINES = pytest.mark.parametrize("engine", ["scalar", "batch"])
+
+
+@ENGINES
+def test_machine_is_single_use(spec, engine):
     m = Machine(spec)
     m.add_flow(StrideFlow, core=0)
-    m.run(warmup_packets=10, measure_packets=50)
-    with pytest.raises(RuntimeError):
-        m.run(warmup_packets=10, measure_packets=50)
+    m.run(warmup_packets=10, measure_packets=50, engine=engine)
+    with pytest.raises(RuntimeError, match="already ran"):
+        m.run(warmup_packets=10, measure_packets=50, engine=engine)
     with pytest.raises(RuntimeError):
         m.add_flow(StrideFlow, core=1)
 
 
-def test_run_without_flows_rejected(spec):
-    with pytest.raises(RuntimeError):
-        Machine(spec).run()
+@ENGINES
+def test_run_without_flows_rejected(spec, engine):
+    with pytest.raises(RuntimeError, match="no flows"):
+        Machine(spec).run(engine=engine)
+
+
+@ENGINES
+def test_run_without_measured_flow_rejected(spec, engine):
+    m = Machine(spec)
+    m.add_flow(StrideFlow, core=0, measured=False)
+    with pytest.raises(RuntimeError, match="at least one flow"):
+        m.run(warmup_packets=10, measure_packets=50, engine=engine)
 
 
 def test_hot_line_flow_hits_after_warmup(spec):
@@ -205,7 +218,8 @@ def test_total_l3_refs_helper(spec):
     assert total > excl >= 0
 
 
-def test_zero_time_empty_packet_rejected(spec):
+@ENGINES
+def test_zero_time_empty_packet_rejected(spec, engine):
     class Broken:
         name = "broken"
 
@@ -218,7 +232,7 @@ def test_zero_time_empty_packet_rejected(spec):
     m = Machine(spec)
     m.add_flow(Broken, core=0)
     with pytest.raises(RuntimeError, match="zero-time"):
-        m.run(warmup_packets=10, measure_packets=10)
+        m.run(warmup_packets=10, measure_packets=10, engine=engine)
 
 
 def test_measure_weight_scales_targets(spec):
@@ -231,11 +245,13 @@ def test_measure_weight_scales_targets(spec):
     assert stats.packets == 200
 
 
-def test_max_events_guard(spec):
+@ENGINES
+def test_max_events_guard(spec, engine):
     m = Machine(spec)
     m.add_flow(StrideFlow, core=0)
     with pytest.raises(RuntimeError, match="events"):
-        m.run(warmup_packets=100, measure_packets=10_000, max_events=500)
+        m.run(warmup_packets=100, measure_packets=10_000, max_events=500,
+              engine=engine)
 
 
 def test_latency_recording_disabled_by_default(spec):
@@ -283,3 +299,33 @@ def test_latency_grows_under_contention(spec):
     solo = run(0)
     crowded = run(5)
     assert crowded.latency_percentile(50) > solo.latency_percentile(50)
+
+
+def test_scalar_run_never_imports_the_batch_engine():
+    # The batch engine's modules pull in numpy; a scalar-only process
+    # must not pay for them (Machine.run probes sys.modules for stubs
+    # instead of importing repro.fastpath.streams).
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from repro.apps.registry import app_factory\n"
+        "from repro.hw.machine import Machine\n"
+        "from repro.hw.topology import PlatformSpec\n"
+        "m = Machine(PlatformSpec.westmere().scaled(64))\n"
+        "m.add_flow(app_factory('IP'), core=0)\n"
+        "m.add_flow(app_factory('MON'), core=1)\n"
+        "m.run(warmup_packets=10, measure_packets=20, engine='scalar')\n"
+        "print(sorted(n for n in ('repro.fastpath.streams',\n"
+        "                         'repro.fastpath.engine')\n"
+        "             if n in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
