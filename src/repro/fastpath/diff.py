@@ -103,6 +103,13 @@ class Scenario:
         return machine, result
 
 
+def _caches(machine) -> List:
+    """Every cache of ``machine`` in a fixed order: L1s, L2s, then L3s."""
+    return ([machine._l1[core] for core in sorted(machine._l1)]
+            + [machine._l2[core] for core in sorted(machine._l2)]
+            + list(machine.l3))
+
+
 def _flow_state(fr) -> Dict[str, object]:
     """Engine-visible end-of-run flow state, beyond the counters."""
     flow = fr.flow
@@ -122,9 +129,11 @@ def compare_results(ref_machine, ref_result, alt_machine, alt_result,
                     label: str = "batch") -> List[str]:
     """Every divergence between a reference and an alternate run.
 
-    Counters, tag breakdowns, clocks, events, and drop state must match
-    exactly; derived per-flow rates must agree to ``REL_TOL`` relative.
-    Returns human-readable divergence strings (empty means equivalent).
+    Counters, tag breakdowns, clocks, events, drop state, and end-of-run
+    cache contents (every core's L1/L2 and every socket's L3, set by set
+    in LRU order) must match exactly; derived per-flow rates must agree
+    to ``REL_TOL`` relative. Returns human-readable divergence strings
+    (empty means equivalent).
     """
     divergences: List[str] = []
 
@@ -159,6 +168,16 @@ def compare_results(ref_machine, ref_result, alt_machine, alt_result,
             if ref_state.get(key) != alt_state.get(key):
                 diverge(f"{where} {key}", ref_state.get(key),
                         alt_state.get(key))
+
+    for ref_cache, alt_cache in zip(_caches(ref_machine),
+                                    _caches(alt_machine)):
+        for idx, (ref_set, alt_set) in enumerate(zip(ref_cache.sets,
+                                                     alt_cache.sets)):
+            if ref_set != alt_set:
+                # First differing set only: one bad install shows once.
+                diverge(f"cache {ref_cache.name} set {idx}", ref_set,
+                        alt_set)
+                break
 
     if sorted(ref_result.stats) != sorted(alt_result.stats):
         diverge("measured flow labels", sorted(ref_result.stats),

@@ -10,11 +10,14 @@ loop a flow gets:
 
 * **Pregeneration** (see :mod:`repro.fastpath.streams`): flows whose
   generation is *timing-pure* run :func:`_replay_gen` over pregenerated,
-  flattened packet blocks with numpy-precomputed set indices instead of
-  re-entering the functional layer per packet, and identical streams are
-  reused across machines through a process-wide cache — which is where
-  dense sweeps (Figure 2's 25 co-runs, sensitivity curves) stop paying
-  generation at all.
+  flattened packet blocks instead of re-entering the functional layer
+  per packet, and identical streams are reused across machines through
+  a process-wide cache — which is where dense sweeps (Figure 2's 25
+  co-runs, sensitivity curves) stop paying generation at all.
+* **Private-cache prefiltering**: each block arrives with every
+  reference's L1/L2 outcome already resolved, so the replay loop probes
+  no private cache and touches the socket's L3, the memory controllers
+  and the QPI link only for L3-bound references.
 * Flows that are *not* timing-pure (throttled flows, control elements,
   pipeline handoff stages), skeletons touched before the run, and all
   flows of a traced run stay on the live loop.
@@ -30,7 +33,17 @@ Exactness rules the replay loop follows to the letter:
   by request timestamps — they are called in exactly the live loop's
   order with exactly its arguments;
 * DMA invalidations, counter snapshots, metrics samples, and the
-  max-events guard happen at the same points of the global interleaving.
+  max-events guard happen at the same points of the global interleaving;
+* a core's private L1/L2 sees only its own flow's references and DMA
+  invalidations, so for a timing-pure flow every private outcome is a
+  function of the flow's stream alone and is resolved ahead of the run
+  (the level codes); the loop still adds each private hit's latency one
+  reference at a time in stream order. Nothing else may touch a
+  prefiltered core's private caches mid-run —
+  :meth:`~repro.hw.machine.Machine.invalidate_private` refuses, which is
+  safe because its callers, handoff stages, are never timing-pure — and
+  the ``finally`` block installs the L1/L2 contents the live loop would
+  have left.
 
 ``tests/differential`` asserts the equivalence of replay and the live
 loop across every registered application, topologies, and throttling
@@ -47,9 +60,11 @@ def _replay_gen(fr, sup, shared, env):
     """Window loop of one pregenerated (timing-pure) flow.
 
     Yields the flow's clock whenever it passes ``limit`` (the next
-    core's clock, received via ``send``). On ``close()`` the ``finally``
-    block flushes counter accumulators and pins flow-protocol state to
-    the consumed packet count.
+    core's clock, received via ``send``). Private-cache outcomes come
+    precomputed as the block's level codes. On ``close()`` the
+    ``finally`` block flushes counter accumulators, installs the core's
+    L1/L2 contents, and pins flow-protocol state to the consumed packet
+    count.
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
@@ -57,6 +72,8 @@ def _replay_gen(fr, sup, shared, env):
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
     c = fr.counters
     i = fr.index
+    tag_refs = c.tag_refs
+    tag_hits = c.tag_hits
     warmup_target = fr.warmup_target
     measure_target = fr.measure_target
 
@@ -73,7 +90,7 @@ def _replay_gen(fr, sup, shared, env):
     mcw = c.mc_wait_cycles
 
     block = None
-    gaps = lines = tags = l1i = l2i = l3i = doms = samep = bounds = None
+    gaps = lines = tags = l3i = doms = codes = bounds = None
     j = 0
     pkt_end = 0
     k = 0
@@ -131,11 +148,9 @@ def _replay_gen(fr, sup, shared, env):
                     gaps = block.gaps
                     lines = block.lines
                     tags = block.tags
-                    l1i = block.l1i
-                    l2i = block.l2i
                     l3i = block.l3i
                     doms = block.doms
-                    samep = block.samep
+                    codes = block.codes
                     bounds = block.bounds
                 k = steps - block.start
                 steps += 1
@@ -145,13 +160,8 @@ def _replay_gen(fr, sup, shared, env):
                 dropped_last = block.dropped[k]
                 dma = block.dma[k]
                 if dma:
+                    # The prefilter already dropped the L1/L2 copies.
                     for line in dma:
-                        s = my_l1[line % my_l1_n]
-                        if line in s:
-                            s.remove(line)
-                        s = my_l2[line % my_l2_n]
-                        if line in s:
-                            s.remove(line)
                         s = my_l3[line % my_l3_n]
                         if line in s:
                             s.remove(line)
@@ -168,57 +178,39 @@ def _replay_gen(fr, sup, shared, env):
             # -- one pregenerated memory reference ------------------------
             gap = gaps[j]
             now = clock + gap
-            if samep[j]:
-                # Same line as the previous reference of this packet: an
-                # unconditional L1 hit (it is the MRU line; invalidations
-                # only happen at packet boundaries).
+            code = codes[j]
+            if code == 2:
+                # L3-bound: the only references that touch shared state.
+                l3r += 1
+                line = lines[j]
+                tag = tags[j]
+                tag_refs[tag] += 1
+                s3 = my_l3[l3i[j]]
+                if line in s3:
+                    s3.remove(line)
+                    s3.append(line)
+                    l3h += 1
+                    tag_hits[tag] += 1
+                    clock = now + lat_l3
+                else:
+                    s3.append(line)
+                    if len(s3) > l3_ways:
+                        s3.pop(0)
+                    l3m += 1
+                    dom = doms[j]
+                    wait = mcs[dom].request(now)
+                    lat = lat_dram + wait
+                    mcw += wait
+                    if dom != home:
+                        lat += qpi.transfer(now)
+                        rr += 1
+                    clock = now + lat
+            elif code:
+                l2h += 1
+                clock = now + lat_l2
+            else:
                 l1h += 1
                 clock = now + lat_l1
-            else:
-                line = lines[j]
-                s = my_l1[l1i[j]]
-                if line in s:
-                    s.remove(line)
-                    s.append(line)
-                    l1h += 1
-                    clock = now + lat_l1
-                else:
-                    s.append(line)
-                    if len(s) > l1_ways:
-                        s.pop(0)
-                    s2 = my_l2[l2i[j]]
-                    if line in s2:
-                        s2.remove(line)
-                        s2.append(line)
-                        l2h += 1
-                        clock = now + lat_l2
-                    else:
-                        s2.append(line)
-                        if len(s2) > l2_ways:
-                            s2.pop(0)
-                        l3r += 1
-                        tag = tags[j]
-                        c.tag_refs[tag] += 1
-                        s3 = my_l3[l3i[j]]
-                        if line in s3:
-                            s3.remove(line)
-                            s3.append(line)
-                            l3h += 1
-                            c.tag_hits[tag] += 1
-                            clock = now + lat_l3
-                        else:
-                            s3.append(line)
-                            if len(s3) > l3_ways:
-                                s3.pop(0)
-                            l3m += 1
-                            dom = doms[j]
-                            wait = mcs[dom].request(now)
-                            lat = lat_dram + wait
-                            mcw += wait
-                            if dom != home:
-                                lat += qpi.transfer(now)
-                                rr += 1
-                            clock = now + lat
             g += gap
             j += 1
             events += 1
@@ -242,6 +234,8 @@ def _replay_gen(fr, sup, shared, env):
         c.mc_wait_cycles = mcw
         fr.clock = clock
         if steps:
+            # Leave the core's L1/L2 exactly as the live loop would.
+            sup.install_private(my_l1, my_l2, k, j)
             sup.patch_flow_state(steps, dropped_last)
 
 
@@ -263,12 +257,15 @@ def run_batch(machine, warmup_packets: int = 200,
             cacheable = False
         # A traced run keeps every flow on the live loop so per-packet
         # marks and sampled miss events stay byte-equal.
-        if machine.tracer.active or not is_timing_pure(fr.flow):
+        # Prefiltering starts from empty private caches.
+        if (machine.tracer.active or not is_timing_pure(fr.flow)
+                or any(env[0]) or any(env[2])):
             return None
         sup = StreamSupplier(
             fr, machine.seed, machine.spec, env[1], env[3], env[5],
             _DOMAIN_LINE_SHIFT, batch=batch, cacheable=cacheable,
         )
+        machine.prefiltered_cores.add(fr.core)
         return _replay_gen(fr, sup, shared, env)
 
     return machine._drive(warmup_packets, measure_packets, max_events,

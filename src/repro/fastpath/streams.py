@@ -15,6 +15,15 @@ is issued; the engine still applies every per-packet side effect (DMA
 invalidation, counter updates, snapshots) at the same point of the
 global interleaving as the live loop.
 
+The same argument covers the core's private caches. L1/L2 see only the
+flow's own references and DMA invalidations, so :func:`prefilter` runs
+their LRU once per block, ahead of the run, and records each reference's
+*level code*: L1 hit, L2 hit, or L3-bound. The replay loop then touches
+shared state only for L3-bound references. Each block also keeps a few
+checkpoints of the private state, so :func:`restore_private` can rebuild
+the L1/L2 contents at any consumed (packet, reference) position when a
+run ends.
+
 Pure flows additionally declare a ``stream_signature``: a hashable value
 that, together with the machine seed, core, and platform spec, fully
 determines the generated stream. Streams of signatured flows are stored
@@ -25,7 +34,11 @@ flow (possibly at different absolute addresses, because other flows
 were allocated first) can rebase and replay the stream without paying
 generation again. That is the dominant cost of dense experiment sweeps
 (Figure 2's 25 co-runs re-generate the same five flow types over and
-over), and the reason ``engine="batch"`` is fast.
+over), and the reason ``engine="batch"`` is fast. Level codes and
+checkpoints are cached with the stream, keyed by the layout's region-base
+residues (:meth:`RegionTable.residues`), the only part of a layout that
+private outcomes depend on; warm machines reuse them and never probe
+L1/L2 at all.
 
 Cached replay preserves everything the engine observes — counters,
 clocks, drop counts (patched via ``dropped``) — but leaves app-internal
@@ -37,9 +50,12 @@ engine-visible equivalence.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from ..constants import CACHE_LINE
 
 #: Default pregeneration block size (packets per block).
 BATCH_PACKETS = 256
@@ -66,13 +82,15 @@ class PacketBlock:
 
     All per-reference sequences are plain Python lists (fastest to index
     from the interpreter loop); the numpy round-trip happens once per
-    block to precompute set indices and home domains.
+    block to precompute L3 set indices and home domains. ``codes`` holds
+    each reference's private-cache outcome (see :func:`prefilter`): the
+    supplier attaches it, and the replay loop touches shared state only
+    for L3-bound references.
     """
 
     __slots__ = (
-        "start", "n_packets", "gaps", "lines", "tags",
-        "l1i", "l2i", "l3i", "doms", "samep",
-        "bounds", "trailing", "instr", "idle", "dma", "dropped",
+        "start", "n_packets", "gaps", "lines", "tags", "l3i", "doms",
+        "codes", "bounds", "trailing", "instr", "idle", "dma", "dropped",
     )
 
     def __init__(self, start: int, n_packets: int,
@@ -91,50 +109,164 @@ class PacketBlock:
         self.idle = idle
         self.dma = dma                  # per packet: tuple of lines or None
         self.dropped = dropped          # cumulative flow.dropped after packet
-        self.l1i: List[int] = []
-        self.l2i: List[int] = []
         self.l3i: List[int] = []
         self.doms: List[int] = []
-        self.samep: List[bool] = []
+        self.codes = b""
 
     @property
     def n_refs(self) -> int:
         return len(self.lines)
 
-    def finalize(self, l1_nsets: int, l2_nsets: int, l3_nsets: int,
-                 domain_shift: int) -> None:
-        """Precompute per-reference cache set indices and home domains.
+    def finalize(self, l3_nsets: int, domain_shift: int) -> None:
+        """Precompute per-reference L3 set indices and home domains.
 
         This is the vectorized part of the batch engine's address path:
-        one numpy pass per block replaces three modulo operations and a
-        shift per reference in the interpreter loop. ``samep`` marks
-        references to the same line as their predecessor *within one
-        packet*: such a reference is an unconditional L1 hit (the line
-        was made most-recently-used by the previous reference and
-        nothing — not even a DMA invalidation, which only happens at
-        packet boundaries — can intervene), so the replay loop skips the
-        membership probes entirely.
+        one numpy pass per block replaces a modulo and a shift per
+        L3-bound reference in the interpreter loop.
         """
-        if not self.lines:
-            self.l1i = []
-            self.l2i = []
-            self.l3i = []
-            self.doms = []
-            self.samep = []
-            return
         arr = np.asarray(self.lines, dtype=np.int64)
-        self.l1i = (arr % l1_nsets).tolist()
-        self.l2i = (arr % l2_nsets).tolist()
         self.l3i = (arr % l3_nsets).tolist()
         self.doms = (arr >> domain_shift).tolist()
-        same = np.zeros(len(arr), dtype=bool)
-        if len(arr) > 1:
-            same[1:] = arr[1:] == arr[:-1]
-        # A packet boundary invalidates the "previous reference" chain.
-        for b in self.bounds[:-1]:
-            if b < len(same):
-                same[b] = False
-        self.samep = same.tolist()
+
+
+#: Level codes :func:`prefilter` assigns to references.
+L1_HIT, L2_HIT, L3_BOUND = 0, 1, 2
+
+
+def _private_lru(l1, l1_ways, l2, l2_ways, block, first, k, j, codes,
+                 spacing=0, marks=None) -> None:
+    """Run a core's private L1/L2 sets from packet ``first`` to (``k``, ``j``).
+
+    ``l1``/``l2`` are lists of LRU-first sets, as in
+    :class:`~repro.hw.cache.SetAssociativeCache`, mutated in place.
+    Packets ``first..k`` are loaded in turn (invalidating their DMA lines,
+    as the live loop does at packet load), and every reference before
+    index ``j`` of packet ``k`` is applied, its level code written to
+    ``codes``, which must arrive zeroed. With ``marks``, the state is
+    snapshotted into it before the load of every packet that is a
+    multiple of ``spacing``.
+    """
+    n1 = len(l1)
+    n2 = len(l2)
+    lines = block.lines
+    bounds = block.bounds
+    dma = block.dma
+    for p in range(first, k + 1):
+        if marks is not None and p % spacing == 0:
+            flat = [line for s in l1 for line in s]
+            n_l1 = len(flat)
+            flat.extend([line for s in l2 for line in s])
+            marks.append((flat, n_l1))
+        lost = dma[p]
+        if lost:
+            for line in lost:
+                s = l1[line % n1]
+                if line in s:
+                    s.remove(line)
+                s = l2[line % n2]
+                if line in s:
+                    s.remove(line)
+        for r in range(bounds[p], bounds[p + 1] if p < k else j):
+            line = lines[r]
+            s = l1[line % n1]
+            if line in s:
+                if s[-1] != line:
+                    s.remove(line)
+                    s.append(line)
+                continue                # L1_HIT: codes arrive zeroed
+            s.append(line)
+            if len(s) > l1_ways:
+                del s[0]
+            s = l2[line % n2]
+            if line in s:
+                s.remove(line)
+                s.append(line)
+                codes[r] = L2_HIT
+            else:
+                s.append(line)
+                if len(s) > l2_ways:
+                    del s[0]
+                codes[r] = L3_BOUND
+
+
+class PrivateCodes:
+    """The private-cache outcome of one block for one layout residue class.
+
+    ``codes[r]`` is reference ``r``'s level (:data:`L1_HIT`,
+    :data:`L2_HIT` or :data:`L3_BOUND`). Checkpoints hold the private
+    state before every ``spacing``-th packet's load, region-relative so
+    every layout of the residue class can restore them.
+    """
+
+    __slots__ = ("codes", "spacing", "ck_lines", "ck_packed", "ck_bounds")
+
+    def __init__(self, codes: bytes, spacing: int, marks, table):
+        self.codes = codes
+        self.spacing = spacing
+        flat: List[int] = []
+        self.ck_bounds: List[Tuple[int, int, int]] = []
+        for lines, n_l1 in marks:
+            lo = len(flat)
+            flat.extend(lines)
+            self.ck_bounds.append((lo, lo + n_l1, len(flat)))
+        lines = np.asarray(flat, dtype=np.int64)
+        packed = table.pack(lines)
+        # A flow touching lines outside its regions is never cached
+        # (StreamSupplier._store), so its checkpoints stay absolute.
+        self.ck_packed = packed is not None
+        self.ck_lines = packed if self.ck_packed else lines
+
+    def checkpoint(self, c: int, table: "RegionTable"):
+        """Checkpoint ``c`` as (L1 lines, L2 lines), absolute for ``table``."""
+        lo, mid, hi = self.ck_bounds[c]
+        lines = self.ck_lines[lo:hi]
+        if self.ck_packed:
+            lines = table.unpack(lines)
+        lines = lines.tolist()
+        return lines[:mid - lo], lines[mid - lo:]
+
+
+def prefilter(l1, l1_ways, l2, l2_ways, block: PacketBlock,
+              table: "RegionTable") -> PrivateCodes:
+    """Resolve every private-cache outcome of ``block`` in one pass.
+
+    For a timing-pure flow the L1/L2 outcome of a reference depends only
+    on the flow's own stream (its DMA invalidations included), so it is
+    computed once here, starting from the state ``l1``/``l2`` hold (where
+    the previous block ended) and leaving them where this block ends.
+    Checkpoints are as dense as a budget of the block's own reference
+    count in stored lines allows: a few packets apart on small caches,
+    one per block at full scale.
+    """
+    n_refs = block.n_refs
+    per_checkpoint = len(l1) * l1_ways + len(l2) * l2_ways
+    n_checkpoints = max(1, n_refs // per_checkpoint)
+    spacing = -(-block.n_packets // n_checkpoints)
+    codes = bytearray(n_refs)
+    marks: List = []
+    _private_lru(l1, l1_ways, l2, l2_ways, block, 0, block.n_packets - 1,
+                 n_refs, codes, spacing, marks)
+    return PrivateCodes(bytes(codes), spacing, marks, table)
+
+
+def restore_private(rec: PrivateCodes, block: PacketBlock,
+                    table: "RegionTable", l1, l1_ways, l2, l2_ways,
+                    k: int, j: int) -> None:
+    """Set ``l1``/``l2`` to the private state at (packet ``k``, ref ``j``).
+
+    That is the state with packet ``k`` of ``block`` loaded and its
+    references before index ``j`` applied: the nearest checkpoint at or
+    before packet ``k``, run forward.
+    """
+    c = k // rec.spacing
+    for sets, part in zip((l1, l2), rec.checkpoint(c, table)):
+        n = len(sets)
+        for s in sets:
+            s.clear()
+        for line in part:
+            sets[line % n].append(line)
+    _private_lru(l1, l1_ways, l2, l2_ways, block, c * rec.spacing, k, j,
+                 bytearray(block.n_refs))
 
 
 class _RelativeBlock:
@@ -209,10 +341,43 @@ class RegionTable:
         self._order = np.asarray(order, dtype=np.int64)
         self._bases_by_index = np.asarray(
             [r.base >> 6 for r in self.regions], dtype=np.int64)
+        # Start of each region in the regions' concatenated line space.
+        sizes = [((r.end + 63) >> 6) - (r.base >> 6) for r in self.regions]
+        self._packed_starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self._packed_dtype = (np.int32 if sum(sizes) <= np.iinfo(np.int32).max
+                              else np.int64)
 
     def fingerprint(self) -> Tuple:
         """Shape check for cache hits: sizes/names in allocation order."""
         return tuple((r.name, r.size) for r in self.regions)
+
+    def pack(self, lines: np.ndarray) -> Optional[np.ndarray]:
+        """Lines as offsets into the concatenation of the regions (in
+        allocation order), or None when one lies outside them all.
+
+        Like :meth:`relativize`, the form holds across layouts; it takes
+        a quarter of the space (int32, unless the regions are too large).
+        """
+        ridx, rdelta = self.relativize(lines)
+        if len(ridx) and ridx.min() < 0:
+            return None
+        return (self._packed_starts[ridx] + rdelta).astype(self._packed_dtype)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`pack` against *this* machine's bases."""
+        ridx = np.searchsorted(self._packed_starts, packed, side="right") - 1
+        return self._bases_by_index[ridx] + (packed - self._packed_starts[ridx])
+
+    def residues(self, modulus: int) -> Tuple[int, ...]:
+        """Region-base lines relative to the first region, mod ``modulus``.
+
+        Two layouts with equal residues mod a cache's set count map the
+        cache's sets onto each other by one rotation, the same for every
+        region-relative line. Sets are independent and alike, so
+        private-cache outcomes computed for one layout hold for both.
+        """
+        bases = self._bases_by_index
+        return tuple(((bases - bases[:1]) % modulus).tolist())
 
     def relativize(self, lines: np.ndarray):
         """Map absolute lines to (region index, line offset).
@@ -224,8 +389,9 @@ class RegionTable:
         regions; the -1 path is a defensive escape hatch, and any -1
         entry disqualifies the stream from cache storage).
         """
-        if len(lines) == 0:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        if len(lines) == 0 or not self.regions:
+            return (np.full(len(lines), -1, dtype=np.int64),
+                    np.asarray(lines, dtype=np.int64))
         pos = np.searchsorted(self._starts, lines, side="right") - 1
         pos = np.clip(pos, 0, len(self._starts) - 1)
         inside = (lines >= self._starts[pos]) & (lines < self._ends[pos])
@@ -237,13 +403,9 @@ class RegionTable:
         """Inverse of :meth:`relativize` against *this* machine's bases."""
         if len(ridx) == 0:
             return np.zeros(0, dtype=np.int64)
-        starts = np.asarray(
-            [self.regions[i].base >> 6 for i in range(len(self.regions))],
-            dtype=np.int64)
-        # Region bases in relativize() order are start-of-region lines.
-        out = np.where(ridx >= 0, starts[np.clip(ridx, 0, None)] + rdelta,
-                       rdelta)
-        return out
+        bases = self._bases_by_index
+        return np.where(ridx >= 0, bases[np.clip(ridx, 0, None)] + rdelta,
+                        rdelta)
 
 
 class StreamMeta:
@@ -331,8 +493,6 @@ class _ReplaySpace:
         return self.take(domain, size, name)
 
     def take(self, d: int, size: int, name: str):
-        from ..constants import CACHE_LINE
-
         rounded = (size + CACHE_LINE - 1) & ~(CACHE_LINE - 1)
         queue = self._queues.get(d, [])
         cursor = self._cursors.get(d, 0)
@@ -495,6 +655,9 @@ class CachedStream:
         #: region-external line was seen); further stores are refused so
         #: the cache never serves a stream with holes.
         self.poisoned = False
+        #: Per-block :class:`PrivateCodes`, keyed by the layout's region
+        #: residues (see :meth:`RegionTable.residues`).
+        self.private: Dict[Tuple, List["PrivateCodes"]] = {}
 
     def append(self, rel: _RelativeBlock) -> None:
         self.blocks.append(rel)
@@ -609,6 +772,9 @@ class StreamSupplier:
     up* the (still fresh, never-run) flow instance by generating and
     discarding the already-replayed prefix, then continues live —
     exactly what the scalar engine would have paid for the whole run.
+    Every served block carries its private-cache level codes, reused
+    from the cache when a layout of the same residue class computed
+    them, else prefiltered here from where the previous block ended.
     """
 
     def __init__(self, fr, seed: int, spec, l1_nsets: int, l2_nsets: int,
@@ -619,7 +785,15 @@ class StreamSupplier:
         self.flow = fr.flow
         self.batch = batch
         self.cache = cache if cache is not None else STREAM_CACHE
-        self._geom = (l1_nsets, l2_nsets, l3_nsets, domain_shift)
+        self._geom = (l3_nsets, domain_shift)
+        # The prefilter's private L1/L2 sets: where the last served block
+        # ended while _private_live, stale after cached codes were served.
+        self._ways = (spec.l1_ways, spec.l2_ways)
+        self._private = ([[] for _ in range(l1_nsets)],
+                         [[] for _ in range(l2_nsets)])
+        self._private_live = True
+        self._served = 0
+        self._last: Optional[Tuple[PacketBlock, PrivateCodes]] = None
         self._next_packet = 0
         self._generated = 0        # packets actually produced by the flow
         self._dropped_base = int(getattr(self.flow, "dropped", 0) or 0)
@@ -634,6 +808,10 @@ class StreamSupplier:
             if stream is not None and stream.n_packets > 0:
                 self._cached = stream
                 self.from_cache = True
+        self._residues = self._regions.residues(math.lcm(l1_nsets, l2_nsets))
+        self._records: List[PrivateCodes] = (
+            self._cached.private.setdefault(self._residues, [])
+            if self._cached is not None else [])
         # AccessContext for generation, private to the supplier (the
         # engine never reads fr.ctx for pregenerated flows).
         from ..mem.access import AccessContext
@@ -684,10 +862,8 @@ class StreamSupplier:
             dma.append(tuple(lines_dma) if lines_dma else None)
             dropped.append(int(getattr(flow, "dropped", 0) or 0))
             self._generated += 1
-        block = PacketBlock(start, self.batch, gaps, lines, tags, bounds,
-                            trailing, instr, idle, dma, dropped)
-        block.finalize(*self._geom)
-        return block
+        return PacketBlock(start, self.batch, gaps, lines, tags, bounds,
+                           trailing, instr, idle, dma, dropped)
 
     def _store(self, block: PacketBlock) -> None:
         if self.key is None or not self._regions.regions:
@@ -712,6 +888,8 @@ class StreamSupplier:
             stream.poisoned = True
             return
         stream.append(rel)
+        # The first stored block hands this layout's codes to the stream.
+        stream.private.setdefault(self._residues, self._records)
         if stream.meta is None:
             stream.meta = build_meta(self.flow, self._regions.regions,
                                      self.fr.data_domain)
@@ -732,22 +910,54 @@ class StreamSupplier:
     def next_block(self) -> PacketBlock:
         """The next block of packets (cached replay or live generation)."""
         start = self._next_packet
+        block = None
         if self._cached is not None:
             rel = self._cached.block_at(start)
             if rel is not None:
                 block = rel.rebase(self._regions)
-                block.finalize(*self._geom)
-                self._next_packet = start + block.n_packets
-                return block
-            # Cache exhausted: catch the fresh flow instance up to the
-            # replayed prefix, then continue generating (and extending
-            # the cache) from there.
-            self._catch_up(start)
-            self._cached = None
-        block = self._generate_block(start)
-        self._store(block)
+            else:
+                # Cache exhausted: catch the fresh flow instance up to the
+                # replayed prefix, then continue generating (and extending
+                # the cache) from there.
+                self._catch_up(start)
+                self._cached = None
+        if block is None:
+            block = self._generate_block(start)
+            self._store(block)
+        self._attach_codes(block)
+        block.finalize(*self._geom)
         self._next_packet = start + block.n_packets
         return block
+
+    def _attach_codes(self, block: PacketBlock) -> None:
+        """Give ``block`` its level codes: cached, or prefiltered now."""
+        records = self._records
+        b = self._served
+        self._served += 1
+        l1, l2 = self._private
+        w1, w2 = self._ways
+        if b < len(records):
+            rec = records[b]
+            self._private_live = False
+        else:
+            if not self._private_live:
+                # Codes of the previous block came from the cache: run
+                # its checkpoint forward to where it ended.
+                prev, prev_rec = self._last
+                restore_private(prev_rec, prev, self._regions, l1, w1, l2, w2,
+                                prev.n_packets - 1, prev.n_refs)
+                self._private_live = True
+            rec = prefilter(l1, w1, l2, w2, block, self._regions)
+            records.append(rec)
+        block.codes = rec.codes
+        self._last = (block, rec)
+
+    def install_private(self, l1, l2, k: int, j: int) -> None:
+        """Install the private state at (packet ``k``, ref ``j``) of the
+        last served block into a core's L1/L2 ``sets``."""
+        block, rec = self._last
+        w1, w2 = self._ways
+        restore_private(rec, block, self._regions, l1, w1, l2, w2, k, j)
 
     def patch_flow_state(self, consumed_packets: int, dropped_cum: int) -> None:
         """Pin engine-visible flow state to the *consumed* packet count.

@@ -297,6 +297,9 @@ class Machine:
         self._cores_used: Dict[int, str] = {}
         self._l1: Dict[int, SetAssociativeCache] = {}
         self._l2: Dict[int, SetAssociativeCache] = {}
+        #: Cores whose flow replays prefiltered level codes (batch
+        #: engine): their L1/L2 contents are only installed at run end.
+        self.prefiltered_cores: set = set()
         self._ran = False
 
     # -- construction --------------------------------------------------------
@@ -407,7 +410,13 @@ class Machine:
         transfer of a written-shared line: the next reader pays an L3 access).
 
         Used by the pipeline-handoff model; the shared L3 keeps the line.
+        Handoff stages run live, so a core replaying prefiltered private
+        outcomes is never a legitimate target.
         """
+        if core in self.prefiltered_cores:
+            raise RuntimeError(
+                f"invalidate_private targets core {core}, whose private "
+                "cache outcomes were prefiltered from its own stream")
         l1 = self._l1.get(core)
         l2 = self._l2.get(core)
         for line in lines:

@@ -65,6 +65,14 @@ def test_compare_results_detects_divergence():
     divergences = compare_results(ref_machine, ref_result,
                                   alt_machine, alt_result)
     assert any("l3_refs" in d for d in divergences)
+    # A wrong end-of-run install: one line differs in one private set.
+    alt_machine.flows[0].counters.l3_refs -= 1
+    l2_set = next(s for s in alt_machine._l2[0].sets if s)
+    l2_set[-1] += alt_machine._l2[0].n_sets
+    divergences = compare_results(ref_machine, ref_result,
+                                  alt_machine, alt_result)
+    assert len(divergences) == 1
+    assert "cache L2.0 set" in divergences[0]
 
 
 def _ip_factory():
