@@ -22,13 +22,13 @@ preserve no matter what configuration, engine, or seed produced the run:
   and indexing, occupancy never exceeds capacity, and the flows' region
   allocations (which partition resident lines by owner) never overlap.
 
-The checker hooks the engines twice. During the run it observes packet
-boundaries through the machine's metrics-sampler protocol (a
-:class:`~repro.hw.machine.MetricsProbe` wraps any real sampler, so
-observability keeps working); both engines flush their counter
-accumulators at exactly those points, which makes the windowed checks
-engine-agnostic. After the run it audits the complete machine state
-and the measured statistics.
+The checker hooks the engines twice. During the run it is one of the
+machine's observers: the driver hands it a packet-boundary window of
+each flow every ``interval_cycles``, on deadlines of its own whatever
+else observes the run. Both engines flush their counter accumulators at
+exactly those points, which makes the windowed checks engine-agnostic.
+After the run it audits the complete machine state and the measured
+statistics.
 
 By default violations are *collected* (``checker.violations``) so a
 fuzzing driver can report, shrink, and serialize them; ``strict=True``
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-#: Probe cadence when no metrics sampler provides one (simulated cycles).
+#: Window cadence of the mid-run checks (simulated cycles).
 DEFAULT_PROBE_INTERVAL = 100_000.0
 
 #: Relative tolerance for float identities (clock decomposition). The
@@ -111,21 +111,18 @@ class InvariantChecker:
         self.runs_checked = 0
         self.windows_checked = 0
         self._tracks: List[_FlowTrack] = []
+        self._machine = None
 
     # -- engine hooks -------------------------------------------------------
 
-    def install(self, machine) -> None:
-        """Wrap ``machine.metrics`` with the packet-boundary probe."""
-        from ..hw.machine import MetricsProbe
-
-        machine.metrics = MetricsProbe(
-            self._begin_run,
-            lambda i, clock, counters: self.check_window(
-                machine, i, clock, counters),
-            self.interval_cycles, machine.metrics)
-
-    def _begin_run(self, machine) -> None:
+    def begin(self, machine) -> None:
+        """Engine hook: bind to ``machine`` at run start."""
+        self._machine = machine
         self._tracks = [_FlowTrack() for _ in machine.flows]
+
+    def window(self, flow_index: int, clock: float, counters) -> None:
+        """Engine hook: one flow's packet-boundary window."""
+        self.check_window(self._machine, flow_index, clock, counters)
 
     # -- reporting ----------------------------------------------------------
 
@@ -475,6 +472,7 @@ class InvariantChecker:
 
     def after_run(self, machine, result) -> None:
         """Engine hook: run the full audit; raise when strict."""
+        self._machine = None
         self.runs_checked += 1
         self.check_machine(machine, result)
         if self.strict:

@@ -32,7 +32,7 @@ Exactness rules the replay loop follows to the letter:
 * memory controllers and the QPI link are stateful queueing models fed
   by request timestamps — they are called in exactly the live loop's
   order with exactly its arguments;
-* DMA invalidations, counter snapshots, metrics samples, and the
+* DMA invalidations, counter snapshots, observer windows, and the
   max-events guard happen at the same points of the global interleaving;
 * a core's private L1/L2 sees only its own flow's references and DMA
   invalidations, so for a timing-pure flow every private outcome is a
@@ -68,7 +68,7 @@ def _replay_gen(fr, sup, shared, env):
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     sampler, metrics_due, metrics_on, ev, nw, stop_cell) = shared
+     observe, metrics_due, metrics_on, ev, nw, stop_cell) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
     c = fr.counters
     i = fr.index
@@ -138,7 +138,7 @@ def _replay_gen(fr, sup, shared, env):
                                 fr.clock = clock
                                 limit = yield clock
                     if metrics_on and clock >= metrics_due[i]:
-                        sampler.sample(i, clock, c)
+                        observe(i, clock, c)
                 # -- load next pregenerated packet ------------------------
                 if events > max_events:
                     ev[0] = events

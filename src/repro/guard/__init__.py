@@ -11,9 +11,9 @@ closes that loop at runtime:
   placements, or throttle targets derived by inverting the victims'
   sensitivity curves).
 * **Monitoring** (:mod:`.supervisor`) — live per-flow drop and refs/sec
-  observed through the engines' sampler-probe protocol (the same hook
-  the invariant engine uses), so the guard works identically under the
-  scalar and batch engines.
+  observed as one of the machine's observers (beside the invariant
+  checker and the metrics sampler, each on its own cadence), so the
+  guard works identically under the scalar and batch engines.
 * **Enforcement** — an escalation ladder per misbehaving flow: warn →
   tighten its throttle target (with hysteresis and exponential backoff
   of re-tightening) → quarantine (suspend on its core). Two-faced flows

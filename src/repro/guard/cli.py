@@ -152,6 +152,13 @@ def _make_tracer(path: Optional[str]):
     return Tracer(JsonlSink(path))
 
 
+#: Options fuzz mode has no use for: each scenario fixes its own
+#: platform, packet counts and SLOs, and the guard runs
+#: ``FUZZ_GUARD_CONFIG``. Passing one is a usage error, not a no-op.
+_NOT_FUZZ = ("interval", "scale", "warmup", "measure", "trigger",
+             "unguarded", "slo", "admit_only", "trace")
+
+
 def _run_fuzz(args, command: str) -> int:
     from .fuzz import GuardFuzzOptions, run_fuzz
 
@@ -303,6 +310,12 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     if args.fuzz is not None:
+        ignored = ["--" + name.replace("_", "-") for name in _NOT_FUZZ
+                   if getattr(args, name)]
+        if ignored:
+            print(f"repro-guard: --fuzz does not take {', '.join(ignored)}",
+                  file=sys.stderr)
+            return 2
         return _run_fuzz(args, command)
     if args.mix is not None:
         return _run_mix(args, command)

@@ -4,7 +4,7 @@ Reuses the :mod:`repro.check` scenario generator: every generated flow
 is wrapped in a :class:`~repro.guard.wrappers.GuardedFlow` (giving the
 supervisor a control surface on every core) and a deterministic subset
 of flows gains a random SLO drawn from :data:`SLO_LEVELS`. The guard
-runs with self-calibrated baselines and full enforcement, stacked on an
+runs with self-calibrated baselines and full enforcement, beside an
 :class:`~repro.check.InvariantChecker`, on both engines.
 
 The contract under test is *not* that random SLOs are met — many are
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..check.invariants import InvariantChecker
@@ -45,8 +45,13 @@ SLO_PROBABILITY = 0.7
 _SLO_SALT = 0x51_0
 
 #: Guard knobs for fuzz runs: short quarantines so a suspended measured
-#: flow cannot stretch a small scenario by millions of cycles.
-FUZZ_GUARD_CONFIG = GuardConfig(quarantine_cycles=300_000.0,
+#: flow cannot stretch a small scenario by millions of cycles. The
+#: window cadence is the invariant checker's 100,000 cycles: the guard
+#: used to share the checker's schedule when both were attached, so
+#: every recorded fuzz campaign observed at that cadence. Moving the
+#: fuzz to the guard's default 40,000 changes its event streams.
+FUZZ_GUARD_CONFIG = GuardConfig(interval_cycles=100_000.0,
+                                quarantine_cycles=300_000.0,
                                 backoff_cycles=60_000.0)
 
 
@@ -128,6 +133,7 @@ class GuardFuzzResult:
             "schema": GUARD_SCHEMA,
             "mode": "fuzz",
             "ok": self.ok,
+            "guard_config": asdict(FUZZ_GUARD_CONFIG),
             "scenarios": [o.to_dict() for o in self.outcomes],
         }
         return report

@@ -1,12 +1,11 @@
 """The runtime supervisor: monitor, escalate, contain, recover.
 
-An :class:`SLOGuard` attaches to a :class:`~repro.hw.machine.Machine`
-through the engines' metrics-sampler protocol — the same packet-boundary
-hook the invariant engine uses — so it observes live per-flow windows
-(packets/sec, L3 refs/sec) under both the scalar and batch engines at
-identical points of the interleaving. Probes stack: the guard wraps
-whatever sampler (or invariant probe) is already installed and forwards
-every call.
+An :class:`SLOGuard` is one of a :class:`~repro.hw.machine.Machine`'s
+observers, beside the invariant checker and the metrics sampler: the
+driver hands it live per-flow packet-boundary windows (packets/sec, L3
+refs/sec) under both the scalar and batch engines at identical points of
+the interleaving, every ``config.interval_cycles`` on deadlines of its
+own, whatever else observes the run.
 
 Per window the guard:
 
@@ -36,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..hw.machine import MetricsProbe
 from .slo import GUARD_SCHEMA, slo_map
 
-#: Probe cadence when no metrics sampler provides one (simulated cycles).
+#: Default window cadence of the guard (simulated cycles).
 DEFAULT_GUARD_INTERVAL = 40_000.0
 
 
@@ -47,7 +45,7 @@ DEFAULT_GUARD_INTERVAL = 40_000.0
 class GuardConfig:
     """Escalation-ladder and monitoring knobs of one guard."""
 
-    #: Window cadence when the guard owns the probe schedule (cycles).
+    #: Window cadence (cycles), independent of other observers.
     interval_cycles: float = DEFAULT_GUARD_INTERVAL
     #: Live refs/sec over baseline refs/sec beyond which a flow counts
     #: as deviating from its solo profile (two-faced symptom).
@@ -176,13 +174,13 @@ class SLOGuard:
 
     # -- engine hooks --------------------------------------------------------
 
-    def install(self, machine) -> None:
-        """Wrap ``machine.metrics`` with the guard's window probe."""
-        machine.metrics = MetricsProbe(
-            self._begin_run, self.on_sample, self.config.interval_cycles,
-            machine.metrics)
+    @property
+    def interval_cycles(self) -> float:
+        """The guard's window cadence (``config.interval_cycles``)."""
+        return self.config.interval_cycles
 
-    def _begin_run(self, machine) -> None:
+    def begin(self, machine) -> None:
+        """Engine hook: bind to ``machine`` at run start."""
         self.runs += 1
         self.freq_hz = machine.spec.freq_hz
         tracer = machine.tracer
@@ -210,6 +208,10 @@ class SLOGuard:
                                **detail)
 
     # -- one observation window ---------------------------------------------
+
+    def window(self, flow_index: int, clock: float, counters) -> None:
+        """Engine hook: one flow's packet-boundary window."""
+        self.on_sample(flow_index, clock, counters)
 
     def on_sample(self, flow_index: int, clock: float, counters) -> None:
         """Process one flow's packet-boundary window."""

@@ -155,73 +155,6 @@ class RunResult:
         return report
 
 
-class MetricsProbe:
-    """Sampler-protocol adapter feeding packet-boundary windows to an
-    observer (the invariant checker, the SLO guard).
-
-    Wraps the machine's real :class:`~repro.obs.MetricsSampler`, or
-    another probe: ``begin``/``sample``/``finish`` are forwarded so time
-    series and stacked probes keep working, and ``next_due`` aliases the
-    inner sampler's deadline list (the driver binds that list once and
-    expects in-place mutation). Without an inner sampler the probe runs
-    its own deadline schedule every ``interval_cycles``. ``on_begin``
-    receives the machine at run start; ``on_window`` receives each
-    window's ``(flow_index, clock, counters)`` before the inner sampler.
-    """
-
-    #: Lets :func:`unwrap_probes` peel probe stacks.
-    is_metrics_probe = True
-
-    def __init__(self, on_begin, on_window, interval_cycles: float,
-                 inner=None):
-        self.on_begin = on_begin
-        self.on_window = on_window
-        self.interval_cycles = interval_cycles
-        self.inner = inner
-        self.next_due: List[float] = []
-
-    def begin(self, machine) -> None:
-        if self.inner is not None:
-            self.inner.begin(machine)
-            self.next_due = self.inner.next_due
-        else:
-            self.next_due = [self.interval_cycles] * len(machine.flows)
-        self.on_begin(machine)
-
-    def sample(self, flow_index: int, clock: float, counters) -> None:
-        self.on_window(flow_index, clock, counters)
-        if self.inner is not None:
-            # Advances next_due[flow_index] in place.
-            self.inner.sample(flow_index, clock, counters)
-        else:
-            due = self.next_due[flow_index]
-            while due <= clock:
-                due += self.interval_cycles
-            self.next_due[flow_index] = due
-
-    def finish(self, flows) -> None:
-        if self.inner is not None:
-            self.inner.finish(flows)
-
-    # Results only ever see the unwrapped sampler (unwrap_probes), but
-    # keep payload() harmless in case a probe leaks into serialization.
-    def payload(self):  # pragma: no cover - defensive
-        return self.inner.payload() if self.inner is not None else {}
-
-
-def unwrap_probes(sampler):
-    """Peel stacked metrics probes down to the real sampler (or None).
-
-    Probes (the invariant checker's, the SLO guard's) wrap the machine's
-    sampler while implementing the same protocol, and mark themselves
-    with ``is_metrics_probe``. Results should expose the underlying
-    sampler, whatever got stacked on top and in which order.
-    """
-    while getattr(sampler, "is_metrics_probe", False):
-        sampler = sampler.inner
-    return sampler
-
-
 def _audit_wrapper_identity(flow) -> None:
     """Reject wrapper flows that alias their wrapped flow's identity.
 
@@ -272,16 +205,17 @@ class Machine:
             if metrics is None:
                 metrics = session.new_sampler()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        # The three observer slots. The driver runs them as one ordered
+        # list (guard, checker, metrics), each on its own per-flow
+        # deadlines every ``interval_cycles`` (see _observer_schedule).
         #: Optional ``repro.obs.MetricsSampler`` (one run's time series).
         self.metrics = metrics
-        #: Optional ``repro.check.InvariantChecker``: hooks conservation
-        #: checks into packet boundaries (via the metrics protocol) and
-        #: runs the full machine-wide audit at end of run. Both engines
-        #: honour it at identical points of the interleaving.
+        #: Optional ``repro.check.InvariantChecker``: conservation checks
+        #: at packet-boundary windows plus the full machine-wide audit
+        #: at end of run.
         self.checker = checker
-        #: Optional ``repro.guard.SLOGuard``: observes per-flow windows
-        #: through the same sampler protocol (stacked outside the
-        #: checker's probe) and steers guarded flows' throttles.
+        #: Optional ``repro.guard.SLOGuard``: watches per-flow windows
+        #: and steers guarded flows' throttles.
         self.guard = guard
         self.space = AddressSpace(self.spec.n_sockets)
         self.l3 = [
@@ -486,27 +420,18 @@ class Machine:
         if n_waiting == 0:
             raise RuntimeError("at least one flow must be measured")
 
-        checker = self.checker
-        if checker is not None:
-            # The checker wraps self.metrics with a probe implementing
-            # the same sampler protocol, so the window loops need no
-            # extra branches to feed it.
-            checker.install(self)
-        guard = self.guard
-        if guard is not None:
-            # Same probe-stacking trick, outermost: the guard sees every
-            # window first, then forwards to the checker/sampler below.
-            guard.install(self)
+        observers = [obs for obs in (self.guard, self.checker, self.metrics)
+                     if obs is not None]
         tracer = self.tracer
         trace_on = tracer.active
-        sampler = self.metrics
-        metrics_on = sampler is not None
         if trace_on:
             tracer.begin_run(self)
-        metrics_due = None
+        for obs in observers:
+            obs.begin(self)
+        metrics_on = bool(observers)
+        metrics_due = observe = None
         if metrics_on:
-            sampler.begin(self)
-            metrics_due = sampler.next_due
+            metrics_due, observe = _observer_schedule(observers, len(flows))
         mem_sample = tracer.mem_sample if trace_on else 0
 
         # Shared mutable cells: only one window loop runs at a time, and
@@ -519,7 +444,7 @@ class Machine:
                   spec.lat_l3 + spec.lat_dram_extra, self.mcs, self.qpi,
                   spec.l1_ways, spec.l2_ways, spec.l3_ways, max_events,
                   _DOMAIN_LINE_SHIFT,
-                  sampler, metrics_due, metrics_on, ev, nw, stop_cell)
+                  observe, metrics_due, metrics_on, ev, nw, stop_cell)
 
         # A machine built under the ambient batch engine may hold
         # construction-skipped StubFlows; the live loop needs the real
@@ -586,17 +511,46 @@ class Machine:
             hook = getattr(fr.flow, "finish_run", None)
             if hook is not None:
                 hook()
-        if metrics_on:
-            sampler.finish(flows)
         if trace_on:
             tracer.end_run(end_clock, events)
         result = RunResult(self.spec, flows, events, end_clock,
-                           metrics=unwrap_probes(sampler))
-        if checker is not None:
-            checker.after_run(self, result)
-        if guard is not None:
-            guard.after_run(self, result)
+                           metrics=self.metrics)
+        for obs in observers:
+            obs.after_run(self, result)
         return result
+
+
+def _observer_schedule(observers, n_flows):
+    """Per-flow deadlines of the run's observers, merged for the loops.
+
+    Every observer implements ``begin(machine)``, ``window(flow_index,
+    clock, counters)`` and ``after_run(machine, result)``, and exposes
+    ``interval_cycles`` (read after ``begin``). Each owns one deadline
+    per flow, first due at one interval and advanced by its own
+    interval past every window it sees. Returns ``(next_due,
+    observe)``: ``next_due[i]`` is flow ``i``'s earliest deadline over
+    all observers, and the window loops call ``observe(i, clock,
+    counters)`` at a packet boundary once ``clock >= next_due[i]``; it
+    hands the window to every due observer in list order.
+    """
+    schedule = [(obs, obs.interval_cycles, [obs.interval_cycles] * n_flows)
+                for obs in observers]
+    next_due = [min(obs.interval_cycles for obs in observers)] * n_flows
+
+    def observe(i: int, clock: float, counters) -> None:
+        first = float("inf")
+        for obs, interval, dues in schedule:
+            due = dues[i]
+            if due <= clock:
+                obs.window(i, clock, counters)
+                while due <= clock:
+                    due += interval
+                dues[i] = due
+            if due < first:
+                first = due
+        next_due[i] = first
+
+    return next_due, observe
 
 
 def _event_limit_error(max_events: int) -> RuntimeError:
@@ -615,7 +569,7 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     sampler, metrics_due, metrics_on, ev, nw, stop_cell) = shared
+     observe, metrics_due, metrics_on, ev, nw, stop_cell) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
     fl = fr.flow
     ctx = fr.ctx
@@ -670,7 +624,7 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                                 fr.clock = clock
                                 limit = yield clock
                     if metrics_on and clock >= metrics_due[i]:
-                        sampler.sample(i, clock, c)
+                        observe(i, clock, c)
                 # -- generate next packet ---------------------------------
                 if events > max_events:
                     ev[0] = events

@@ -10,7 +10,10 @@ Three layers, wired through the whole stack:
 * **Metrics** (:mod:`.metrics`) — periodic counter snapshots at a
   configurable simulated-time interval, yielding per-core time series
   (throughput, L3 refs/sec, hit rate, MC wait) with percentile summaries
-  instead of a single end-of-run delta.
+  instead of a single end-of-run delta. The sampler is one of the
+  machine's observers, next to the invariant checker and the SLO guard;
+  the driver keeps separate deadlines for each, so a sampler's interval
+  never shifts another observer's windows.
 * **Run reports** (:mod:`.report`, :mod:`.recorder`) — a serializable
   :class:`RunReport` schema used by the CLIs (``--json``) and the
   ``BENCH_<name>.json`` benchmark records.

@@ -8,6 +8,8 @@ configurable simulated-time interval; consecutive snapshots yield
 interval rates (throughput, L3 refs/sec, hit rate, MC wait fraction)
 exposed as :class:`FlowSeries` with percentile summaries.
 
+The sampler implements the machine's observer contract (``begin``,
+``window``, ``after_run``); the driver owns its per-flow deadlines.
 Sampling happens at packet boundaries (the engine's natural quiescent
 points), so sample timestamps carry the actual clock of the boundary that
 triggered them rather than the nominal grid point; rates are computed
@@ -124,9 +126,9 @@ class MetricsSampler:
 
     Attach one to a :class:`~repro.hw.machine.Machine` (``metrics=``
     argument, or implicitly through an :func:`repro.obs.observe`
-    session). The engine checks a single boolean to decide whether the
-    sampler exists, then compares the flow clock against
-    :attr:`next_due` at packet boundaries — both O(1).
+    session). The sampler is one of the machine's observers: the driver
+    owns its per-flow deadlines, every :attr:`interval_cycles`, and
+    calls :meth:`window` at the first packet boundary past each one.
     """
 
     def __init__(self, interval_us: Optional[float] = None,
@@ -141,14 +143,12 @@ class MetricsSampler:
         self._interval_us = interval_us
         self.interval_cycles = interval_cycles
         self.freq_hz: Optional[float] = None
-        #: Per-flow next sample deadline in cycles (engine fast path).
-        self.next_due: List[float] = []
         self._snaps: List[List[Tuple[float, Any]]] = []
         self._labels: List[str] = []
         self._cores: List[int] = []
         self._begun = False
 
-    # -- engine protocol ----------------------------------------------------
+    # -- observer protocol --------------------------------------------------
 
     def begin(self, machine) -> None:
         """Bind to a machine at run start; takes the t=0 snapshot."""
@@ -159,29 +159,22 @@ class MetricsSampler:
         self.freq_hz = machine.spec.freq_hz
         if self.interval_cycles is None:
             self.interval_cycles = self._interval_us * 1e-6 * self.freq_hz
-        interval = self.interval_cycles
         for fr in machine.flows:
             self._labels.append(fr.label)
             self._cores.append(fr.core)
             snap = fr.counters.copy()
             snap.cycles = 0.0
             self._snaps.append([(0.0, snap)])
-            self.next_due.append(interval)
 
-    def sample(self, flow_index: int, clock: float, counters) -> None:
-        """Snapshot one flow at ``clock`` and advance its deadline."""
+    def window(self, flow_index: int, clock: float, counters) -> None:
+        """Snapshot one flow at ``clock``."""
         snap = counters.copy()
         snap.cycles = clock
         self._snaps[flow_index].append((clock, snap))
-        due = self.next_due[flow_index]
-        interval = self.interval_cycles
-        while due <= clock:
-            due += interval
-        self.next_due[flow_index] = due
 
-    def finish(self, flows) -> None:
+    def after_run(self, machine, result) -> None:
         """Final snapshot per flow at its end-of-run clock."""
-        for i, fr in enumerate(flows):
+        for i, fr in enumerate(machine.flows):
             last_clock = self._snaps[i][-1][0]
             if fr.clock > last_clock:
                 snap = fr.counters.copy()

@@ -1,7 +1,7 @@
 """Unit tests of the runtime invariant engine itself.
 
 Two obligations: the checker must stay *silent* on healthy runs (both
-engines, with and without a real metrics sampler underneath the probe),
+engines, with and without a metrics sampler observing the same run),
 and it must *fire* — on the right invariant — when machine state is
 corrupted. A checker is only trustworthy when both directions hold.
 """
@@ -45,7 +45,7 @@ def test_clean_runs_pass_strict(engine, config):
 
 @pytest.mark.parametrize("engine", ["scalar", "batch"])
 def test_probe_is_transparent_to_metrics_sampling(engine):
-    """A checker underneath a real sampler must not change its payload."""
+    """A checker beside a sampler must not change the sampler's payload."""
     interval = 50_000.0
 
     machine = CONFIG.build(metrics=MetricsSampler(interval_cycles=interval))
@@ -58,8 +58,9 @@ def test_probe_is_transparent_to_metrics_sampling(engine):
                            checker=checker)
     result = machine.run(warmup_packets=CONFIG.warmup,
                          measure_packets=CONFIG.measure, engine=engine)
-    # RunResult carries the real sampler, not the probe.
+    # The machine keeps, and RunResult carries, the real sampler.
     assert isinstance(result.metrics, MetricsSampler)
+    assert result.metrics is machine.metrics
     assert result.metrics.payload() == plain
     assert checker.ok and checker.windows_checked > 0
 
@@ -226,7 +227,7 @@ def test_window_checks_catch_backwards_clock_and_counters():
     assert checker.ok
     fr = machine.flows[0]
     c = fr.counters
-    checker._begin_run(machine)
+    checker.begin(machine)
     checker.check_window(machine, 0, fr.clock, c)
     # Clock going backwards between boundaries.
     checker.check_window(machine, 0, fr.clock - 10.0, c)

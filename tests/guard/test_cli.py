@@ -1,10 +1,12 @@
 """The ``repro-guard`` CLI: parsing, mode selection, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.guard.cli import build_parser, main
+from repro.guard.fuzz import FUZZ_GUARD_CONFIG
 
 pytestmark = pytest.mark.guard
 
@@ -42,6 +44,14 @@ def test_modes_are_mutually_exclusive(capsys):
     assert main(["--mix", "IP:0", "--fuzz", "1"]) == 2
     assert main(["--fuzz", "1", "--inject", "two-faced"]) == 2
     assert "choose one of" in capsys.readouterr().err
+    # Fuzz mode rejects the options it has no use for.
+    for extra in (["--interval", "5000"], ["--scale", "16"],
+                  ["--warmup", "10"], ["--measure", "10"],
+                  ["--trigger", "5"], ["--unguarded"],
+                  ["--slo", "IP@0=0.1"], ["--admit-only"],
+                  ["--trace", "t.jsonl"]):
+        assert main(["--fuzz", "1"] + extra) == 2, extra
+        assert f"--fuzz does not take {extra[0]}" in capsys.readouterr().err
 
 
 def test_mix_rejects_slo_for_unknown_flow(capsys):
@@ -61,6 +71,10 @@ def test_fuzz_mode_end_to_end(tmp_path, capsys):
     assert doc["seed"] == SEED
     assert doc["results"]["mode"] == "fuzz"
     assert doc["results"]["ok"] is True
+    # The report states the cadence the guard observed at.
+    guard_config = doc["results"]["guard_config"]
+    assert guard_config["interval_cycles"] == 100_000.0
+    assert guard_config == dataclasses.asdict(FUZZ_GUARD_CONFIG)
     assert doc["command"].startswith("repro-guard --fuzz 1")
 
 

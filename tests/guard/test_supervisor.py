@@ -1,7 +1,7 @@
 """Escalation-ladder fault injection at the window level.
 
 These tests drive :class:`~repro.guard.supervisor.SLOGuard` through its
-sampler-probe protocol with hand-crafted windows — no simulator — so
+observer hooks with hand-crafted windows — no simulator — so
 each ladder rung (warn → tighten → quarantine), the hysteresis clock,
 and the recovery path can be exercised deterministically and in
 isolation. A fake control surface records what the guard did to it.
@@ -10,25 +10,14 @@ isolation. A fake control surface records what the guard did to it.
 import pytest
 
 from repro.guard.supervisor import (
-    DEFAULT_GUARD_INTERVAL,
     GuardConfig,
     GuardEvent,
     SLOGuard,
 )
-from repro.hw.machine import MetricsProbe
 
 pytestmark = pytest.mark.guard
 
 FREQ = 1e9
-
-
-def guard_probe(guard, machine):
-    """Install ``guard`` on ``machine``; return the probe it stacked."""
-    inner = machine.metrics
-    guard.install(machine)
-    probe = machine.metrics
-    assert isinstance(probe, MetricsProbe) and probe.inner is inner
-    return probe
 
 
 class FakeControl:
@@ -82,7 +71,6 @@ class _FakeMachine:
         self.flows = flows
         self.spec = types.SimpleNamespace(freq_hz=FREQ)
         self.tracer = types.SimpleNamespace(active=False)
-        self.metrics = None
 
 
 class Harness:
@@ -103,9 +91,7 @@ class Harness:
             slos={"V": victim_slo}, baselines=base,
             config=config or GuardConfig(backoff_cycles=1.0,
                                          quarantine_cycles=1e6))
-        machine = _FakeMachine(flows)
-        self.probe = guard_probe(self.guard, machine)
-        self.probe.begin(machine)
+        self.guard.begin(_FakeMachine(flows))
         self.clock = 0.0
         self.counters = [_Counters() for _ in flows]
 
@@ -119,11 +105,11 @@ class Harness:
             victim_pps = 1e6 * (1.0 - drop)
         self.counters[0].packets += int(victim_pps * seconds)
         self.counters[0].l3_refs += int(10e6 * seconds)
-        self.probe.sample(0, self.clock, self.counters[0])
+        self.guard.on_sample(0, self.clock, self.counters[0])
         for i, c in enumerate(self.counters[1:], start=1):
             c.packets += int(1e6 * seconds)
             c.l3_refs += int(10e6 * aggressor_refs_ratio * seconds)
-            self.probe.sample(i, self.clock, c)
+            self.guard.on_sample(i, self.clock, c)
 
     def actions(self, flow=None):
         return [e.action for e in self.guard.events
@@ -322,11 +308,11 @@ def test_escalation_targets_only_deviant_controllables():
         seconds = 100_000.0 / FREQ
         h.counters[0].packets += int(1e6 * (1 - drop) * seconds)
         h.counters[0].l3_refs += int(10e6 * seconds)
-        h.probe.sample(0, h.clock, h.counters[0])
+        h.guard.on_sample(0, h.clock, h.counters[0])
         for i, ratio in ((1, 3.0), (2, 1.0)):
             h.counters[i].packets += int(1e6 * seconds)
             h.counters[i].l3_refs += int(10e6 * ratio * seconds)
-            h.probe.sample(i, h.clock, h.counters[i])
+            h.guard.on_sample(i, h.clock, h.counters[i])
 
     window(0.0)
     for _ in range(4):
@@ -334,45 +320,6 @@ def test_escalation_targets_only_deviant_controllables():
     assert "warn" in h.actions("A0")
     assert h.actions("A1") == []
     assert h.control[1].limits == []
-
-
-def test_probe_without_sampler_runs_its_own_schedule():
-    h = Harness()
-    assert h.probe.next_due == [DEFAULT_GUARD_INTERVAL] * 2
-    h.window(d_clock=DEFAULT_GUARD_INTERVAL)
-    assert h.probe.next_due[0] == pytest.approx(2 * DEFAULT_GUARD_INTERVAL)
-
-
-def test_probe_stacks_on_an_inner_sampler():
-    calls = []
-
-    class InnerSampler:
-        def __init__(self):
-            self.next_due = [123.0]
-
-        def begin(self, machine):
-            calls.append(("begin",))
-
-        def sample(self, i, clock, counters):
-            calls.append(("sample", i))
-            self.next_due[i] = clock + 500.0
-
-        def finish(self, flows):
-            calls.append(("finish",))
-
-    inner = InnerSampler()
-    guard = SLOGuard(slos={}, baselines={})
-    machine = _FakeMachine([_FakeFlowRun(0, "V", object())])
-    machine.metrics = inner
-    probe = guard_probe(guard, machine)
-    assert probe.inner is inner
-    probe.begin(machine)
-    # The probe aliases (not copies) the inner sampler's schedule.
-    assert probe.next_due is inner.next_due
-    probe.sample(0, 1000.0, _Counters(packets=10, l3_refs=10))
-    probe.finish([])
-    assert calls == [("begin",), ("sample", 0), ("finish",)]
-    assert probe.next_due[0] == 1500.0
 
 
 def test_guard_event_round_trips_and_prints():

@@ -301,6 +301,60 @@ def test_latency_grows_under_contention(spec):
     assert crowded.latency_percentile(50) > solo.latency_percentile(50)
 
 
+class RecordingObserver:
+    """Implements the observer protocol and logs every call."""
+
+    def __init__(self, name, interval_cycles, log):
+        self.name = name
+        self.interval_cycles = interval_cycles
+        self.log = log
+
+    def begin(self, machine):
+        self.log.append((self.name, "begin"))
+
+    def window(self, flow_index, clock, counters):
+        assert counters is not None
+        self.log.append((self.name, flow_index, clock))
+
+    def after_run(self, machine, result):
+        self.log.append((self.name, "after_run", result))
+
+
+@ENGINES
+def test_observers_run_on_their_own_deadlines_in_list_order(spec, engine):
+    from repro.apps.registry import app_factory
+
+    log = []
+    m = Machine(spec, seed=3,
+                guard=RecordingObserver("g", 40_000.0, log),
+                checker=RecordingObserver("c", 100_000.0, log),
+                # A 1-cycle observer sees every packet boundary.
+                metrics=RecordingObserver("every", 1.0, log))
+    m.add_flow(app_factory("IP"), core=0)
+    m.add_flow(app_factory("MON"), core=1)
+    result = m.run(warmup_packets=50, measure_packets=300, engine=engine)
+    assert result.metrics is m.metrics
+    assert log[:3] == [("g", "begin"), ("c", "begin"), ("every", "begin")]
+    assert log[-3:] == [(name, "after_run", result)
+                        for name in ("g", "c", "every")]
+    windows = log[3:-3]
+    rank = {"g": 0, "c": 1, "every": 2}
+    for before, after in zip(windows, windows[1:]):
+        if before[1:] == after[1:]:
+            assert rank[before[0]] < rank[after[0]]
+    for i in range(len(m.flows)):
+        bounds = [clock for name, f, clock in windows
+                  if name == "every" and f == i]
+        assert len(bounds) > 100
+        for name, interval in (("g", 40_000.0), ("c", 100_000.0)):
+            seen = [clock for n, f, clock in windows if n == name and f == i]
+            multiples = range(1, int(bounds[-1] // interval) + 1)
+            expected = sorted({min(b for b in bounds if b >= k * interval)
+                               for k in multiples})
+            assert len(expected) >= 3
+            assert seen == expected, (name, i)
+
+
 def test_scalar_run_never_imports_the_batch_engine():
     # The batch engine's modules pull in numpy; a scalar-only process
     # must not pay for them (Machine.run probes sys.modules for stubs
