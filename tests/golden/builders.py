@@ -1,7 +1,7 @@
 """Deterministic builders for the golden regression reports.
 
-One seed-pinned, small-scale configuration drives fig2/fig5/fig8; the
-resulting :class:`~repro.obs.report.RunReport` JSON documents are
+One seed-pinned, small-scale configuration drives table1, fig2, fig5,
+fig6, fig8, fig9 and multiflow; the resulting :class:`~repro.obs.report.RunReport` JSON documents are
 committed next to this module and asserted byte-stable (modulo
 timestamp-like keys) by ``test_golden.py``. Regenerate deliberately
 with::
@@ -19,7 +19,7 @@ from typing import Dict
 
 from repro.core.prediction import ContentionPredictor, sweep_sensitivity
 from repro.core.profiler import profile_apps
-from repro.experiments import fig2, fig5, fig8
+from repro.experiments import fig2, fig5, fig6, fig8, fig9, multiflow, table1
 from repro.experiments.common import ExperimentConfig
 from repro.obs.recorder import _jsonable
 from repro.obs.report import RunReport
@@ -34,15 +34,19 @@ GOLDEN_CONFIG = ExperimentConfig(
     corun_warmup=120, corun_measure=200,
 )
 
-GOLDEN_NAMES = ("fig2", "fig5", "fig8")
+#: A small two-socket Figure 9 mix (six flows, three per socket).
+GOLDEN_MIX = ("MON", "IP", "FW")
+
+GOLDEN_NAMES = ("table1", "fig2", "fig5", "fig6", "fig8", "fig9",
+                "multiflow")
 
 #: Keys that may legitimately differ between regenerations.
 VOLATILE_KEYS = frozenset(
     {"timestamp", "generated_at", "seconds", "elapsed", "wall_seconds"})
 
 
-def _report(kind: str, results: dict) -> RunReport:
-    report = RunReport.new(kind, spec=GOLDEN_CONFIG.socket_spec(),
+def _report(kind: str, results: dict, spec=None) -> RunReport:
+    report = RunReport.new(kind, spec=spec or GOLDEN_CONFIG.socket_spec(),
                            config=GOLDEN_CONFIG,
                            command="tests/golden/regen.py")
     report.results.update(_jsonable(results))
@@ -68,8 +72,13 @@ def build_reports() -> Dict[str, str]:
     predictor = ContentionPredictor(profiles=profiles, curves=curves)
     f8 = fig8.run(config, apps=GOLDEN_APPS, fig2_result=f2,
                   predictor=predictor)
+    t1 = table1.run(config, apps=GOLDEN_APPS)
+    f6 = fig6.run(config, apps=GOLDEN_APPS)
+    f9 = fig9.run(config, predictor, socket_mix=GOLDEN_MIX)
+    mf = multiflow.run(config)
 
     reports = {
+        "table1": _report("golden-table1", {"profiles": t1.profiles}),
         "fig2": _report("golden-fig2", {
             "drops": f2.drops,
             "averages": f2.averages(),
@@ -89,6 +98,20 @@ def build_reports() -> Dict[str, str]:
             "average_abs_error_perfect": {
                 t: f8.average_abs_error(t, perfect=True) for t in f8.apps},
             "worst_abs_error": f8.worst_abs_error(),
+        }),
+        "fig6": _report("golden-fig6", {
+            "curves": f6.curves,
+            "app_points": f6.app_points,
+        }),
+        "fig9": _report("golden-fig9", {
+            "rows": f9.rows,
+            "mean_abs_error": f9.mean_abs_error(),
+            "max_abs_error": f9.max_abs_error(),
+        }, spec=config.spec()),
+        "multiflow": _report("golden-multiflow", {
+            "rows": mf.rows,
+            "shortfalls": {label: mf.shortfall(label)
+                           for label, _ideal, _measured in mf.rows},
         }),
     }
     return {name: reports[name].to_json() + "\n" for name in GOLDEN_NAMES}

@@ -1,7 +1,8 @@
 """Golden regression tests: seed-pinned figure reports must not drift.
 
 The committed ``golden_<name>.json`` files are RunReport documents for
-fig2/fig5/fig8 at a pinned small configuration. Any engine or model
+table1, fig2, fig5, fig6, fig8, fig9 and multiflow at a pinned small
+configuration. Any engine or model
 change that shifts the paper's curves — even in the last float digit —
 fails here and forces a deliberate regen (``tests/golden/regen.py``)
 whose diff is reviewed like any other code change.
