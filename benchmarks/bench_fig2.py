@@ -11,12 +11,9 @@ from repro.experiments import fig2
 from repro.experiments.fig2 import PAPER_FIG2B
 
 
-def test_fig2_pairwise_drops(benchmark, config, profiles, shared_cache,
-                             run_once, strict, record):
-    result = run_once(
-        benchmark, lambda: fig2.run(config, profiles=profiles)
-    )
-    shared_cache.setdefault("fig2", result)
+def test_fig2_pairwise_drops(benchmark, config, runner, run_once, strict,
+                             record):
+    result = run_once(benchmark, lambda: fig2.run(config, runner=runner))
     record("fig2", {
         "drops": result.drops,
         "averages": result.averages(),

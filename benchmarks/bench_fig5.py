@@ -11,12 +11,9 @@ per reference than SYN, so their points sit somewhat below the curve).
 from repro.experiments import fig5
 
 
-def test_fig5_syn_equivalence(benchmark, config, fig2_result, curves,
-                              run_once, strict, record):
-    result = run_once(
-        benchmark,
-        lambda: fig5.run(config, fig2_result=fig2_result, curves=curves),
-    )
+def test_fig5_syn_equivalence(benchmark, config, runner, run_once, strict,
+                              record):
+    result = run_once(benchmark, lambda: fig5.run(config, runner=runner))
     record("fig5", {
         "curves": {t: c.points for t, c in result.curves.items()},
         "realistic_points": result.realistic_points,

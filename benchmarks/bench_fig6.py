@@ -11,11 +11,9 @@ from repro.core.equation1 import worst_case_drop
 from repro.experiments import fig6
 
 
-def test_fig6_worst_case_bound(benchmark, config, profiles, fig2_result,
-                               run_once, strict, record):
-    result = run_once(
-        benchmark, lambda: fig6.run(config, profiles=profiles)
-    )
+def test_fig6_worst_case_bound(benchmark, config, runner, profiles,
+                               fig2_result, run_once, strict, record):
+    result = run_once(benchmark, lambda: fig6.run(config, runner=runner))
     record("fig6", {
         "curves": result.curves,
         "app_points": result.app_points,

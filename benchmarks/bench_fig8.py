@@ -12,13 +12,9 @@ widens the worst case while the average stays in the paper's regime.
 from repro.experiments import fig8
 
 
-def test_fig8_prediction_errors(benchmark, config, fig2_result, predictor,
+def test_fig8_prediction_errors(benchmark, fig2_result, predictor,
                                 run_once, strict, record):
-    result = run_once(
-        benchmark,
-        lambda: fig8.run(config, fig2_result=fig2_result,
-                         predictor=predictor),
-    )
+    result = run_once(benchmark, lambda: fig8.run(fig2_result, predictor))
     record("fig8", {
         "entries": result.entries,
         "average_abs_error": {t: result.average_abs_error(t)

@@ -8,9 +8,9 @@ and symmetric sockets producing consistent measurements.
 from repro.experiments import fig9
 
 
-def test_fig9_mixed_workload(benchmark, config, predictor, run_once,
+def test_fig9_mixed_workload(benchmark, config, runner, run_once,
                              strict, record):
-    result = run_once(benchmark, lambda: fig9.run(config, predictor))
+    result = run_once(benchmark, lambda: fig9.run(config, runner=runner))
     record("fig9", {
         "rows": result.rows,
         "mean_abs_error": result.mean_abs_error(),

@@ -1,9 +1,10 @@
 """Shared state for the benchmark harness.
 
-Each ``bench_*.py`` regenerates one table/figure of the paper. Expensive
-prerequisites (solo profiles, the Figure 2 co-run matrix, the sensitivity
-curves) are computed once per session and shared; each benchmark times
-its own experiment.
+Each ``bench_*.py`` regenerates one table/figure of the paper. Every
+experiment resolves its shards on the session's cached sweep runner, so
+expensive prerequisites (solo profiles, the Figure 2 co-run matrix, the
+sensitivity curves) are computed once per session and shared; each
+benchmark times its own experiment's remaining work.
 
 Environment knobs:
 
@@ -20,11 +21,12 @@ import os
 import pytest
 
 from repro.apps.registry import REALISTIC_APPS
-from repro.core.prediction import ContentionPredictor, sweep_sensitivity
+from repro.core.prediction import ContentionPredictor
 from repro.core.profiler import profile_apps
-from repro.experiments import fig2
+from repro.experiments import fig2, fig5
 from repro.experiments.common import ExperimentConfig
 from repro.obs.recorder import BenchRecorder
+from repro.sweep import MemoryCache, SweepOptions, SweepRunner
 
 
 def pytest_configure(config):
@@ -54,46 +56,33 @@ def config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def shared_cache() -> dict:
-    """Cross-benchmark memoization (populated lazily)."""
-    return {}
+def runner() -> SweepRunner:
+    """The session's sweep runner: its in-memory cache shares prerequisite
+    shards (solo profiles, Figure 2 co-runs, SYN curves) across
+    benchmarks by content key."""
+    return SweepRunner(SweepOptions(cache=MemoryCache()))
 
 
 @pytest.fixture(scope="session")
-def profiles(config, shared_cache):
+def profiles(config, runner):
     """Solo profiles of the five realistic flow types (Table 1 input)."""
-    if "profiles" not in shared_cache:
-        shared_cache["profiles"] = profile_apps(
-            REALISTIC_APPS, config.socket_spec(), seed=config.seed,
-            warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure,
-        )
-    return shared_cache["profiles"]
+    return profile_apps(
+        REALISTIC_APPS, config.socket_spec(), seed=config.seed,
+        warmup_packets=config.solo_warmup,
+        measure_packets=config.solo_measure, runner=runner,
+    )
 
 
 @pytest.fixture(scope="session")
-def fig2_result(config, profiles, shared_cache):
+def fig2_result(config, runner):
     """The Figure 2 pairwise co-run matrix (reused by Figures 5 and 8)."""
-    if "fig2" not in shared_cache:
-        shared_cache["fig2"] = fig2.run(config, profiles=profiles)
-    return shared_cache["fig2"]
+    return fig2.run(config, runner=runner)
 
 
 @pytest.fixture(scope="session")
-def curves(config, profiles, shared_cache):
+def curves(config, runner):
     """Per-app SYN sensitivity curves (prediction step 2)."""
-    if "curves" not in shared_cache:
-        spec = config.socket_spec()
-        shared_cache["curves"] = {
-            app: sweep_sensitivity(
-                app, spec, seed=config.seed,
-                warmup_packets=config.corun_warmup,
-                measure_packets=config.corun_measure,
-                solo=profiles[app],
-            )
-            for app in REALISTIC_APPS
-        }
-    return shared_cache["curves"]
+    return fig5.run(config, runner=runner).curves
 
 
 @pytest.fixture(scope="session")

@@ -20,12 +20,12 @@ cache, then warm), verify the payloads are identical, and record the
 speedups alongside the figure data. A payload divergence between
 engines makes the run exit non-zero.
 
-``--jobs N`` records each figure as a sharded :mod:`repro.sweep` run on
-N worker processes; the figure payloads are identical to a serial pass.
-Shard results are cached in memory across figures (or on disk with
-``--cache-dir``), so prerequisites shared between figures — the solo
-profiles, the Figure 2 co-run grid — cost one execution per content
-key, like the serial context's memoization.
+Every figure resolves its grid through one :mod:`repro.sweep` runner per
+engine pass: inline by default, on N worker processes with ``--jobs N``
+(the figure payloads are identical either way). Shard results are cached
+in memory across figures (or on disk with ``--cache-dir``), so
+prerequisites shared between figures — the solo profiles, the Figure 2
+co-run grid — cost one execution per content key.
 """
 
 from __future__ import annotations
@@ -37,96 +37,19 @@ import time
 from typing import Callable, Dict
 
 import repro.fastpath as fastpath
-from repro.apps.registry import REALISTIC_APPS
-from repro.core.prediction import sweep_sensitivity
-from repro.core.profiler import profile_apps
 from repro.experiments import fig2, fig5, fig6, fig9, multiflow, table1
 from repro.experiments.common import ExperimentConfig
-from repro.core.prediction import ContentionPredictor
 from repro.obs.recorder import BenchRecorder, _jsonable
+from repro.sweep import MemoryCache, ResultCache, SweepOptions, SweepRunner
 
 
-class _Context:
-    """Memoized shared prerequisites (mirrors the conftest fixtures).
-
-    With a :class:`~repro.sweep.SweepRunner` attached (``--jobs``),
-    figures run as sharded sweeps instead; the runner's result cache
-    plays the memoization role (shared shards — e.g. the solo profiles
-    every figure needs — cost one execution across all figures), and
-    the merged payloads are identical to the serial path's.
-    """
-
-    def __init__(self, config: ExperimentConfig, runner=None):
-        self.config = config
-        self.runner = runner
-        self._cache: Dict[str, object] = {}
-
-    def figure(self, name: str):
-        """The figure's result object — sharded when a runner is set."""
-        if self.runner is not None:
-            from repro.sweep import run_figure
-
-            return run_figure(name, self.config, runner=self.runner)
-        return self._serial(name)
-
-    def _serial(self, name: str):
-        if name == "table1":
-            return table1.run(self.config)
-        if name == "fig2":
-            return self.fig2()
-        if name == "fig5":
-            return fig5.run(self.config, fig2_result=self.fig2(),
-                            curves=self.curves())
-        if name == "fig6":
-            return fig6.run(self.config, profiles=self.profiles())
-        if name == "fig9":
-            return fig9.run(self.config, self.predictor())
-        if name == "multiflow":
-            return multiflow.run(self.config)
-        raise KeyError(name)
-
-    def profiles(self):
-        if "profiles" not in self._cache:
-            c = self.config
-            self._cache["profiles"] = profile_apps(
-                REALISTIC_APPS, c.socket_spec(), seed=c.seed,
-                warmup_packets=c.solo_warmup,
-                measure_packets=c.solo_measure)
-        return self._cache["profiles"]
-
-    def fig2(self):
-        if "fig2" not in self._cache:
-            self._cache["fig2"] = fig2.run(self.config,
-                                           profiles=self.profiles())
-        return self._cache["fig2"]
-
-    def curves(self):
-        if "curves" not in self._cache:
-            c = self.config
-            spec = c.socket_spec()
-            profiles = self.profiles()
-            self._cache["curves"] = {
-                app: sweep_sensitivity(
-                    app, spec, seed=c.seed,
-                    warmup_packets=c.corun_warmup,
-                    measure_packets=c.corun_measure,
-                    solo=profiles[app])
-                for app in REALISTIC_APPS
-            }
-        return self._cache["curves"]
-
-    def predictor(self):
-        return ContentionPredictor(profiles=self.profiles(),
-                                   curves=self.curves())
-
-
-def _record_table1(ctx: _Context) -> dict:
-    result = ctx.figure("table1")
+def _record_table1(config, runner) -> dict:
+    result = table1.run(config, runner=runner)
     return {"profiles": result.profiles}
 
 
-def _record_fig2(ctx: _Context) -> dict:
-    result = ctx.figure("fig2")
+def _record_fig2(config, runner) -> dict:
+    result = fig2.run(config, runner=runner)
     return {
         "drops": result.drops,
         "averages": result.averages(),
@@ -136,8 +59,8 @@ def _record_fig2(ctx: _Context) -> dict:
     }
 
 
-def _record_fig5(ctx: _Context) -> dict:
-    result = ctx.figure("fig5")
+def _record_fig5(config, runner) -> dict:
+    result = fig5.run(config, runner=runner)
     return {
         "curves": {t: c.points for t, c in result.curves.items()},
         "realistic_points": result.realistic_points,
@@ -145,13 +68,13 @@ def _record_fig5(ctx: _Context) -> dict:
     }
 
 
-def _record_fig6(ctx: _Context) -> dict:
-    result = ctx.figure("fig6")
+def _record_fig6(config, runner) -> dict:
+    result = fig6.run(config, runner=runner)
     return {"curves": result.curves, "app_points": result.app_points}
 
 
-def _record_fig9(ctx: _Context) -> dict:
-    result = ctx.figure("fig9")
+def _record_fig9(config, runner) -> dict:
+    result = fig9.run(config, runner=runner)
     return {
         "rows": result.rows,
         "mean_abs_error": result.mean_abs_error(),
@@ -159,8 +82,8 @@ def _record_fig9(ctx: _Context) -> dict:
     }
 
 
-def _record_multiflow(ctx: _Context) -> dict:
-    result = ctx.figure("multiflow")
+def _record_multiflow(config, runner) -> dict:
+    result = multiflow.run(config, runner=runner)
     return {
         "rows": [list(row) for row in result.rows],
         "shortfalls": {label: result.shortfall(label)
@@ -168,9 +91,9 @@ def _record_multiflow(ctx: _Context) -> dict:
     }
 
 
-#: name -> payload builder. Order matters: later figures reuse earlier
-#: memoized prerequisites.
-FIGURES: Dict[str, Callable[[_Context], dict]] = {
+#: name -> payload builder ``(config, runner)``. Later figures reuse the
+#: shards of earlier ones through the runner's cache.
+FIGURES: Dict[str, Callable[[ExperimentConfig, SweepRunner], dict]] = {
     "table1": _record_table1,
     "fig2": _record_fig2,
     "fig5": _record_fig5,
@@ -246,26 +169,22 @@ def main(argv=None) -> int:
 
     recorder = BenchRecorder(args.out, config=config)
 
-    runner = None
-    if args.jobs > 1 or args.cache_dir:
-        from repro.sweep import (MemoryCache, ResultCache, SweepOptions,
-                                 SweepRunner)
-
+    def new_runner() -> SweepRunner:
+        """One engine pass's runner; its cache shares shards across
+        figures (solo profiles et al. run once per content key)."""
         if args.no_cache:
             cache = None
         elif args.cache_dir:
             cache = ResultCache(args.cache_dir)
         else:
-            # In-memory cache: plays _Context's memoization role across
-            # figures (shared solo profiles et al. run once per key).
             cache = MemoryCache()
-        runner = SweepRunner(SweepOptions(jobs=args.jobs, cache=cache))
+        return SweepRunner(SweepOptions(jobs=args.jobs, cache=cache))
 
     if args.engine == "scalar":
-        ctx = _Context(config, runner=runner)
+        runner = new_runner()
         for name in names:
             start = time.perf_counter()
-            payload = FIGURES[name](ctx)
+            payload = FIGURES[name](config, runner)
             elapsed = time.perf_counter() - start
             payload["engine"] = "scalar"
             payload["seconds"] = elapsed
@@ -273,35 +192,33 @@ def main(argv=None) -> int:
             print(f"[{elapsed:7.2f}s] {name:9s} -> {path}", file=sys.stderr)
         print(f"{len(recorder.written)} record(s) in {args.out}/",
               file=sys.stderr)
-        if runner is not None:
-            stats = runner.execution_stats()
-            print(f"sweep: {stats['shards']} shard(s), "
-                  f"{stats['executed']} executed, "
-                  f"{stats['cache_hits']} cache hit(s), "
-                  f"{stats['retries']} retried, "
-                  f"{stats['quarantined']} quarantined "
-                  f"on {stats['jobs']} job(s)", file=sys.stderr)
+        stats = runner.execution_stats()
+        print(f"sweep: {stats['shards']} shard(s), "
+              f"{stats['executed']} executed, "
+              f"{stats['cache_hits']} cache hit(s), "
+              f"{stats['retries']} retried, "
+              f"{stats['quarantined']} quarantined "
+              f"on {stats['jobs']} job(s)", file=sys.stderr)
         return 0
 
     # batch / both: one scalar reference pass, one cold-cache batch pass,
     # one warm-cache batch pass — figure by figure so each record carries
-    # its own three timings. Contexts memoize per pass, exactly like
-    # three independent record.py invocations would.
-    scalar_ctx = _Context(config)
-    cold_ctx = _Context(config)
-    warm_ctx = _Context(config)
+    # its own three timings. Each pass has its own runner (and shard
+    # cache), exactly like three independent record.py invocations.
+    scalar_runner, cold_runner, warm_runner = (new_runner(), new_runner(),
+                                               new_runner())
     fastpath.clear_stream_cache()
     diverged = []
     for name in names:
         start = time.perf_counter()
-        ref_payload = FIGURES[name](scalar_ctx)
+        ref_payload = FIGURES[name](config, scalar_runner)
         t_scalar = time.perf_counter() - start
         with fastpath.use_engine("batch"):
             start = time.perf_counter()
-            cold_payload = FIGURES[name](cold_ctx)
+            cold_payload = FIGURES[name](config, cold_runner)
             t_cold = time.perf_counter() - start
             start = time.perf_counter()
-            warm_payload = FIGURES[name](warm_ctx)
+            warm_payload = FIGURES[name](config, warm_runner)
             t_warm = time.perf_counter() - start
         ref_c = _canonical(ref_payload)
         matches = {

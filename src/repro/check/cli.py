@@ -19,32 +19,11 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .. import argtypes
 from .corpus import DEFAULT_CORPUS_DIR, corpus_paths, load_repro
 from .invariants import DEFAULT_PROBE_INTERVAL
 from .runner import (CheckOptions, CheckRunner, DEFAULT_SEED, ENGINE_SETS,
                      run_config)
-
-
-def _seed(text: str) -> int:
-    """Accept decimal and ``0x…`` seeds (the CI seed is hex)."""
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,10 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-check",
         description="Fuzz randomized scenarios through the simulator's "
                     "runtime invariant checks.")
-    parser.add_argument("--scenarios", type=_non_negative_int, default=50,
-                        metavar="N", help="scenarios to generate and check "
+    parser.add_argument("--scenarios", type=argtypes.non_negative_int,
+                        default=50, metavar="N",
+                        help="scenarios to generate and check "
                         "(default: %(default)s)")
-    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=argtypes.seed, default=DEFAULT_SEED,
                         metavar="S", help="master seed, decimal or 0x-hex "
                         "(default: 0x%(default)X)")
     parser.add_argument("--engine", choices=sorted(ENGINE_SETS),
@@ -74,11 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-corpus", dest="corpus_dir",
                         action="store_const", const=None,
                         help="do not record failures")
-    parser.add_argument("--probe-interval", type=_positive_float,
+    parser.add_argument("--probe-interval", type=argtypes.positive_float,
                         default=DEFAULT_PROBE_INTERVAL, metavar="CYCLES",
                         help="cadence of the windowed invariant probe "
                         "(default: %(default)s)")
-    parser.add_argument("--sweep-equality", type=_non_negative_int,
+    parser.add_argument("--sweep-equality", type=argtypes.non_negative_int,
                         default=0, metavar="N",
                         help="also run the first N scenarios through the "
                         "sharded sweep orchestrator and require payload "

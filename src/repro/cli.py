@@ -16,12 +16,13 @@ samples per-flow counter time series every US simulated microseconds
 execution engine — results are identical, the batch engine is faster on
 sweeps (see :mod:`repro.fastpath`).
 
-``--jobs N`` runs the independent simulations of a tool (solo profiles,
-sensitivity-sweep levels, placement co-runs) on N worker processes via
-:mod:`repro.sweep`; results are bit-identical to ``--jobs 1``. Parallel
-runs cache shard results under ``--cache-dir`` (default
+Every tool resolves its independent simulations (solo profiles,
+sensitivity-sweep levels, placement co-runs) as one :mod:`repro.sweep`
+grid: inline by default, on N worker processes with ``--jobs N`` —
+results are bit-identical either way. ``--jobs N`` (N > 1) or
+``--cache-dir`` also caches shard results (default directory
 ``~/.cache/repro-sweep``, keyed by config + seed + engine + code
-version; ``--no-cache`` disables), and the JSON report records the
+version; ``--no-cache`` disables), and the JSON report then records the
 cache/retry counters under its volatile ``execution`` key.
 """
 
@@ -32,6 +33,7 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
+from . import argtypes
 from .apps.registry import APP_NAMES, REALISTIC_APPS, describe_apps
 from .core.asciiplot import plot_curve
 from .core.prediction import ContentionPredictor, sweep_sensitivity
@@ -44,44 +46,26 @@ from .hw.counters import performance_drop
 from .obs import ChromeTraceSink, RunReport, Tracer, observe
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=int, default=8,
+    parser.add_argument("--scale", type=argtypes.scale, default=8,
                         help="platform scale-down factor (default 8)")
-    parser.add_argument("--seed", type=int, default=0x5EED)
-    parser.add_argument("--warmup", type=int, default=5000,
-                        help="warm-up packets per flow")
-    parser.add_argument("--measure", type=int, default=1500,
-                        help="measured packets per flow")
+    parser.add_argument("--seed", type=argtypes.seed, default=0x5EED,
+                        help="seed, decimal or 0x-hex (default 0x5EED)")
+    parser.add_argument("--warmup", type=argtypes.non_negative_int,
+                        default=5000, help="warm-up packets per flow")
+    parser.add_argument("--measure", type=argtypes.positive_int,
+                        default=1500, help="measured packets per flow")
     parser.add_argument("--json", action="store_true",
                         help="emit a RunReport JSON document instead of "
                              "ASCII tables")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a Chrome trace_event file of the "
                              "simulated runs to PATH")
-    parser.add_argument("--trace-sample", type=_positive_int, default=1,
-                        metavar="N", help="keep one traced packet in N "
-                                          "(default 1: every packet)")
-    parser.add_argument("--metrics-interval", type=_positive_float,
+    parser.add_argument("--trace-sample", type=argtypes.positive_int,
+                        default=1, metavar="N",
+                        help="keep one traced packet in N "
+                             "(default 1: every packet)")
+    parser.add_argument("--metrics-interval", type=argtypes.positive_float,
                         default=None,
                         metavar="US", help="sample per-flow counter time "
                         "series every US simulated microseconds")
@@ -90,7 +74,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="execution engine: 'scalar' (reference event "
                              "loop) or 'batch' (pregenerating engine, "
                              "identical results, faster)")
-    parser.add_argument("--jobs", type=_positive_int, default=1,
+    parser.add_argument("--jobs", type=argtypes.positive_int, default=1,
                         metavar="N",
                         help="run independent simulations as N parallel "
                              "worker processes (results are identical to "
@@ -104,16 +88,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="disable the sweep result cache")
 
 
+def _sweeping(args) -> bool:
+    """Whether the run asked for the pool or a cache (``--jobs > 1`` or
+    ``--cache-dir``); only then does the report carry ``execution``."""
+    return args.jobs > 1 or args.cache_dir is not None
+
+
 def _sweep_runner(args):
-    """A shared :class:`~repro.sweep.SweepRunner`, or None for the
-    legacy serial path (``--jobs 1`` with no cache directory given)."""
-    if args.jobs == 1 and args.cache_dir is None:
-        return None
+    """The :class:`~repro.sweep.SweepRunner` every grid of the tool
+    resolves on: inline and uncached unless :func:`_sweeping`."""
     from .sweep import (ResultCache, SweepOptions, SweepRunner,
                         default_cache_dir)
 
     cache = None
-    if not args.no_cache:
+    if _sweeping(args) and not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     return SweepRunner(SweepOptions(jobs=args.jobs, engine=args.engine,
                                     cache=cache))
@@ -153,10 +141,10 @@ def _observe(args, parser: argparse.ArgumentParser):
     return _session()
 
 
-def _finish(args, session, report: RunReport, runner=None) -> None:
+def _finish(args, session, report: RunReport, runner) -> None:
     """Common tail: attach time series, emit JSON, announce the trace."""
     report.results.setdefault("engine", args.engine)
-    if runner is not None and runner.stats_history:
+    if _sweeping(args) and runner.stats_history:
         report.execution["sweep"] = runner.execution_stats()
     if args.metrics_interval is not None:
         report.timeseries.update(session.timeseries_payload())
@@ -202,7 +190,7 @@ def profile_main(argv: Optional[List[str]] = None) -> int:
         profiles = profile_apps(apps, spec, seed=config.seed,
                                 warmup_packets=config.solo_warmup,
                                 measure_packets=config.solo_measure,
-                                jobs=args.jobs, runner=runner)
+                                runner=runner)
     if args.json:
         report = RunReport.new("profile", spec=spec, config=config,
                                command="repro-profile")
@@ -260,8 +248,7 @@ def predict_main(argv: Optional[List[str]] = None) -> int:
         predictor = ContentionPredictor.build(
             types, spec, seed=config.seed,
             warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure,
-            jobs=args.jobs, runner=runner,
+            measure_packets=config.solo_measure, runner=runner,
         )
         measured = {}
         corun = None
@@ -327,12 +314,11 @@ def schedule_main(argv: Optional[List[str]] = None) -> int:
         profiles = profile_apps(types, spec, seed=config.seed,
                                 warmup_packets=config.solo_warmup,
                                 measure_packets=config.solo_measure,
-                                jobs=args.jobs, runner=runner)
+                                runner=runner)
         study = PlacementStudy(spec, profiles, seed=config.seed,
                                warmup_packets=config.corun_warmup,
                                measure_packets=config.corun_measure)
-        result = study.run(flows, method="simulate",
-                           jobs=args.jobs, runner=runner)
+        result = study.run(flows, method="simulate", runner=runner)
     report = RunReport.new("schedule", spec=spec, config=config,
                            command="repro-schedule")
     report.results["deployment"] = flows
@@ -367,7 +353,8 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("app", choices=sorted(APP_NAMES),
                         help="flow type to sweep")
-    parser.add_argument("--competitors", type=int, default=5,
+    parser.add_argument("--competitors", type=argtypes.positive_int,
+                        default=5,
                         help="number of SYN co-runners (default 5)")
     _add_common(parser)
     args = parser.parse_args(argv)
@@ -381,8 +368,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
             args.app, spec, seed=config.seed,
             n_competitors=args.competitors,
             warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure,
-            jobs=args.jobs, runner=runner,
+            measure_packets=config.solo_measure, runner=runner,
         )
     report = RunReport.new("sweep", spec=spec, config=config,
                            command="repro-sweep")

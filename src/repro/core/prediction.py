@@ -26,12 +26,11 @@ from ..constants import (
     DEFAULT_SEED,
     DEFAULT_WARMUP_PACKETS,
 )
-from ..hw.counters import performance_drop
 from ..hw.machine import Machine
 from ..hw.topology import PlatformSpec
 from ..apps.registry import app_factory
 from ..apps.synthetic import SWEEP_CPU_OPS, syn_factory
-from .profiler import SoloProfile, profile_apps, profile_solo
+from .profiler import SoloProfile
 
 
 @dataclass
@@ -122,9 +121,8 @@ def sweep_level(
 ) -> Tuple[float, float]:
     """One point of a sensitivity sweep: ``(competing refs/sec, target pps)``.
 
-    This is the independently-runnable unit of step 2 — the sweep
-    orchestrator runs one level per shard, and :func:`sweep_sensitivity`
-    calls it serially — so both paths execute identical arithmetic.
+    This is the independently-runnable unit of step 2: the sweep
+    orchestrator runs one level per shard.
     """
     machine = Machine(spec, seed=seed + 7 * level)
     target = machine.add_flow(app_factory(app), core=0, label=app)
@@ -150,44 +148,32 @@ def sweep_sensitivity(
     warmup_packets: int = DEFAULT_WARMUP_PACKETS,
     measure_packets: int = DEFAULT_MEASURE_PACKETS,
     solo: Optional[SoloProfile] = None,
-    jobs: int = 1,
     runner=None,
 ) -> SensitivityCurve:
     """Step 2 of the method: ramp SYN competitors against ``app``.
 
     Each level co-runs the target with ``n_competitors`` SYN flows on the
     same socket; the x coordinate is the competitors' *measured* combined
-    refs/sec, the y coordinate the target's measured drop. ``jobs > 1``
-    (or a :class:`~repro.sweep.SweepRunner` as ``runner``) runs the
-    levels (and the solo profile, when not supplied) as parallel shards
-    via :mod:`repro.sweep`; the curve is identical either way.
+    refs/sec, the y coordinate the target's measured drop. The levels
+    (and the solo profile, when not supplied) resolve as one grid through
+    :func:`repro.sweep.run_grid` on ``runner`` (default: inline).
     """
     if n_competitors < 1:
         raise ValueError("need at least one competitor")
     if n_competitors >= spec.cores_per_socket:
         raise ValueError("competitors must fit on the target's socket")
-    if jobs > 1 or runner is not None:
-        from ..sweep.parallel import sweep_sensitivity_parallel
+    from ..sweep import run_grid
+    from ..sweep.parallel import curve_block, predictor_block
 
-        return sweep_sensitivity_parallel(
-            app, spec, seed=seed, cpu_ops_levels=cpu_ops_levels,
-            n_competitors=n_competitors, warmup_packets=warmup_packets,
-            measure_packets=measure_packets, solo=solo, jobs=jobs,
-            runner=runner,
-        )
+    packets = (warmup_packets, measure_packets)
     if solo is None:
-        solo = profile_solo(app, spec, seed=seed,
-                            warmup_packets=warmup_packets,
-                            measure_packets=measure_packets)
-    points: List[Tuple[float, float]] = []
-    for level, cpu_ops in enumerate(cpu_ops_levels):
-        competing, target_pps = sweep_level(
-            app, spec, seed, level, cpu_ops, n_competitors,
-            warmup_packets, measure_packets,
-        )
-        points.append((competing, performance_drop(solo.throughput,
-                                                   target_pps)))
-    return SensitivityCurve(app=app, points=points)
+        shards, merge = predictor_block([app], spec, seed, packets, packets,
+                                        cpu_ops_levels, n_competitors)
+        return run_grid((shards, lambda results: merge(results)[1][app]),
+                        runner)
+    shards, merge = curve_block(app, spec, seed, cpu_ops_levels,
+                                n_competitors, *packets)
+    return run_grid((shards, lambda results: merge(results, solo)), runner)
 
 
 class ContentionPredictor:
@@ -205,36 +191,21 @@ class ContentionPredictor:
               n_competitors: int = 5,
               warmup_packets: int = DEFAULT_WARMUP_PACKETS,
               measure_packets: int = DEFAULT_MEASURE_PACKETS,
-              jobs: int = 1,
               runner=None,
               ) -> "ContentionPredictor":
         """Run the full offline profiling pass for ``apps``.
 
-        ``jobs > 1`` (or a :class:`~repro.sweep.SweepRunner` as
-        ``runner``) shards the pass — every solo profile and every
-        (app, SYN level) co-run is an independent simulation — across a
-        :mod:`repro.sweep` worker pool; results are identical to serial.
+        Every solo profile and every (app, SYN level) co-run is an
+        independent simulation; the pass resolves as one grid through
+        :func:`repro.sweep.run_grid` on ``runner`` (default: inline).
         """
-        apps = list(apps)
-        if jobs > 1 or runner is not None:
-            from ..sweep.parallel import build_predictor_parallel
+        from ..sweep import run_grid
+        from ..sweep.parallel import predictor_block
 
-            return build_predictor_parallel(
-                cls, apps, spec, seed=seed, cpu_ops_levels=cpu_ops_levels,
-                n_competitors=n_competitors, warmup_packets=warmup_packets,
-                measure_packets=measure_packets, jobs=jobs, runner=runner,
-            )
-        profiles = profile_apps(apps, spec, seed=seed,
-                                warmup_packets=warmup_packets,
-                                measure_packets=measure_packets)
-        curves = {
-            app: sweep_sensitivity(
-                app, spec, seed=seed, cpu_ops_levels=cpu_ops_levels,
-                n_competitors=n_competitors, warmup_packets=warmup_packets,
-                measure_packets=measure_packets, solo=profiles[app],
-            )
-            for app in apps
-        }
+        packets = (warmup_packets, measure_packets)
+        profiles, curves = run_grid(
+            predictor_block(apps, spec, seed, packets, packets,
+                            cpu_ops_levels, n_competitors), runner)
         return cls(profiles=profiles, curves=curves)
 
     # -- prediction -------------------------------------------------------------

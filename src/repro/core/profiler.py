@@ -73,36 +73,21 @@ def profile_apps(apps: Iterable[str], spec: PlatformSpec,
                  seed: int = DEFAULT_SEED,
                  warmup_packets: int = DEFAULT_WARMUP_PACKETS,
                  measure_packets: int = DEFAULT_MEASURE_PACKETS,
-                 repeats: int = 1, jobs: int = 1,
-                 runner=None) -> Dict[str, SoloProfile]:
+                 repeats: int = 1, runner=None) -> Dict[str, SoloProfile]:
     """Profile several flow types; averages over ``repeats`` seeded runs.
 
     This is how Table 1 is produced ("each number represents an average
     over 5 independent runs"; we default to 1 and let callers choose).
-    ``jobs > 1`` (or a :class:`~repro.sweep.SweepRunner` passed as
-    ``runner``) runs the (app, repeat) grid as parallel shards via
-    :mod:`repro.sweep`; the profiles are identical to a serial pass.
+    The (app, repeat) grid resolves through :func:`repro.sweep.run_grid`
+    on ``runner`` (default: inline, uncached).
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    if jobs > 1 or runner is not None:
-        from ..sweep.parallel import profile_apps_parallel
+    from ..sweep import run_grid
+    from ..sweep.parallel import profile_block
 
-        return profile_apps_parallel(
-            apps, spec, seed=seed, warmup_packets=warmup_packets,
-            measure_packets=measure_packets, repeats=repeats, jobs=jobs,
-            runner=runner,
-        )
-    out: Dict[str, SoloProfile] = {}
-    for app in apps:
-        profiles = [
-            profile_solo(app, spec, seed=seed + 101 * i,
-                         warmup_packets=warmup_packets,
-                         measure_packets=measure_packets)
-            for i in range(repeats)
-        ]
-        out[app] = _average_profiles(app, profiles)
-    return out
+    return run_grid(profile_block(list(apps), spec, seed, warmup_packets,
+                                  measure_packets, repeats), runner)
 
 
 def _average_profiles(app: str, profiles) -> SoloProfile:

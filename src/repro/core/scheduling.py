@@ -24,7 +24,6 @@ from ..hw.counters import performance_drop
 from ..hw.topology import PlatformSpec
 from .prediction import ContentionPredictor
 from .profiler import SoloProfile
-from .validation import run_corun
 
 #: A split: (socket-0 flow names, socket-1 flow names), each sorted.
 Split = Tuple[Tuple[str, ...], Tuple[str, ...]]
@@ -156,29 +155,9 @@ class PlacementStudy:
                 placement.append((app, socket * per_socket + i))
         return placement
 
-    def _outcome(self, split: Split, corun) -> PlacementOutcome:
-        """Drop arithmetic shared by the serial and sharded paths."""
-        drops: Dict[str, float] = {}
-        for label, app in corun.apps.items():
-            drops[label] = performance_drop(
-                self.profiles[app].throughput, corun.throughput[label]
-            )
-        avg = sum(drops.values()) / len(drops)
-        return PlacementOutcome(split=split, per_flow_drop=drops,
-                                average_drop=avg)
-
-    def simulate_split(self, split: Split) -> PlacementOutcome:
-        """Full-machine simulation of one split."""
-        corun = run_corun(self._placement(split), self.spec, seed=self.seed,
-                          warmup_packets=self.warmup_packets,
-                          measure_packets=self.measure_packets)
-        return self._outcome(split, corun)
-
-    def _simulate_splits_sharded(self, splits: List[Split], jobs: int,
-                                 runner) -> List[PlacementOutcome]:
-        """Each split's co-run as one sweep shard; outcomes in input order."""
-        from ..sweep.parallel import (_runner, corun_measurement,
-                                      corun_shard)
+    def grid(self, splits: Sequence[Split]):
+        """Each split's co-run as one shard; merge -> outcomes in order."""
+        from ..sweep.parallel import corun_measurement, corun_shard
 
         shards = [
             corun_shard(self._placement(split), self.spec, self.seed,
@@ -187,12 +166,22 @@ class PlacementStudy:
                             "+".join(group) for group in split))
             for split in splits
         ]
-        outcome = _runner(jobs, runner).run(shards)
-        outcome.raise_for_quarantine()
-        return [
-            self._outcome(split, corun_measurement(res.payload))
-            for split, res in zip(splits, outcome.results)
-        ]
+
+        def merge(results) -> List[PlacementOutcome]:
+            outcomes = []
+            for split, res in zip(splits, results):
+                corun = corun_measurement(res.payload)
+                drops = {
+                    label: performance_drop(self.profiles[app].throughput,
+                                            corun.throughput[label])
+                    for label, app in corun.apps.items()
+                }
+                outcomes.append(PlacementOutcome(
+                    split=split, per_flow_drop=drops,
+                    average_drop=sum(drops.values()) / len(drops)))
+            return outcomes
+
+        return shards, merge
 
     def predict_split(self, split: Split) -> PlacementOutcome:
         """Predictor-based evaluation (no simulation)."""
@@ -210,17 +199,16 @@ class PlacementStudy:
                                 average_drop=avg)
 
     def run(self, flows: Sequence[str], method: str = "simulate",
-            max_splits: Optional[int] = None, jobs: int = 1,
+            max_splits: Optional[int] = None,
             runner=None) -> StudyResult:
         """Evaluate every distinct split of ``flows``.
 
         ``method`` is ``"simulate"`` (ground truth, slow) or ``"predict"``
         (uses the sensitivity curves, fast). ``max_splits`` caps the number
         of evaluated splits for large mixed combinations (the extremes of
-        interest are found among all splits by prediction first).
-        ``jobs > 1`` (or a :class:`~repro.sweep.SweepRunner` as
-        ``runner``) simulates the splits as parallel sweep shards; the
-        outcomes are identical to a serial pass.
+        interest are found among all splits by prediction first). The
+        simulated splits resolve as one grid through
+        :func:`repro.sweep.run_grid` on ``runner`` (default: inline).
         """
         splits = enumerate_splits(flows, self.spec.cores_per_socket)
         if method == "predict":
@@ -236,7 +224,6 @@ class PlacementStudy:
                             key=lambda s: self.predict_split(s).average_drop)
             half = max(1, max_splits // 2)
             splits = ranked[:half] + ranked[-half:]
-        if jobs > 1 or runner is not None:
-            return StudyResult(
-                self._simulate_splits_sharded(splits, jobs, runner))
-        return StudyResult([self.simulate_split(s) for s in splits])
+        from ..sweep import run_grid
+
+        return StudyResult(run_grid(self.grid(splits), runner))

@@ -13,12 +13,15 @@ hits/sec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..apps.registry import REALISTIC_APPS
-from ..core.profiler import SoloProfile, profile_apps
+from ..core.profiler import SoloProfile
 from ..core.reporting import format_table, pct
-from ..core.validation import CoRunMeasurement, measure_drop
+from ..core.validation import CoRunMeasurement
+from ..sweep import run_grid
+from ..sweep.parallel import (concat, corun_measurement, corun_shard,
+                              profile_block)
 from .common import ExperimentConfig
 
 #: Paper Figure 2(b): average drop per target type (percent).
@@ -81,12 +84,9 @@ def grid(config: ExperimentConfig,
 
     One shard per solo profile and one per (target, competitor, repeat)
     co-run — the sweep orchestrator runs them in any order on any number
-    of workers, and ``merge`` rebuilds a :class:`Fig2Result` identical
-    to :func:`run`'s (same seeds, same arithmetic, fixed merge order).
+    of workers, and ``merge`` rebuilds the :class:`Fig2Result` in a fixed
+    order.
     """
-    from ..sweep.parallel import (corun_measurement, corun_shard,
-                                  profile_block)
-
     apps = tuple(apps)
     spec = config.socket_spec()
     prof_shards, merge_profiles = profile_block(
@@ -104,11 +104,12 @@ def grid(config: ExperimentConfig,
                     config.corun_warmup, config.corun_measure,
                     tag=f"fig2:{target} vs {n_competitors}x{competitor}"
                         + (f"#{rep}" if config.repeats > 1 else "")))
-    shards = prof_shards + corun_shards
+    shards, split = concat(prof_shards, corun_shards)
 
     def merge(results) -> Fig2Result:
-        profiles = merge_profiles(results[:len(prof_shards)])
-        it = iter(results[len(prof_shards):])
+        prof_results, corun_results = split(results)
+        profiles = merge_profiles(prof_results)
+        it = iter(corun_results)
         drops: Dict[Tuple[str, str], float] = {}
         measurements: Dict[Tuple[str, str], CoRunMeasurement] = {}
         for target in apps:
@@ -129,35 +130,6 @@ def grid(config: ExperimentConfig,
 
 def run(config: ExperimentConfig,
         apps: Sequence[str] = REALISTIC_APPS,
-        profiles: Optional[Dict[str, SoloProfile]] = None,
-        n_competitors: int = 5) -> Fig2Result:
+        n_competitors: int = 5, runner=None) -> Fig2Result:
     """Run the full pairwise co-run study."""
-    apps = tuple(apps)
-    spec = config.socket_spec()
-    if profiles is None:
-        profiles = profile_apps(
-            apps, spec, seed=config.seed,
-            warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure,
-            repeats=config.repeats,
-        )
-    drops: Dict[Tuple[str, str], float] = {}
-    measurements: Dict[Tuple[str, str], CoRunMeasurement] = {}
-    for target in apps:
-        for competitor in apps:
-            total = 0.0
-            last = None
-            for rep in range(config.repeats):
-                drop, corun = measure_drop(
-                    target, [competitor] * n_competitors, spec,
-                    solo=profiles[target],
-                    seed=config.seed + 1009 * rep,
-                    warmup_packets=config.corun_warmup,
-                    measure_packets=config.corun_measure,
-                )
-                total += drop
-                last = corun
-            drops[(target, competitor)] = total / config.repeats
-            measurements[(target, competitor)] = last
-    return Fig2Result(apps=apps, profiles=profiles, drops=drops,
-                      measurements=measurements)
+    return run_grid(grid(config, apps, n_competitors), runner)

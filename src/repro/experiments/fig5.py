@@ -11,12 +11,13 @@ what processing they do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..apps.registry import REALISTIC_APPS
-from ..core.prediction import SensitivityCurve, sweep_sensitivity
-from ..core.profiler import SoloProfile
+from ..core.prediction import SensitivityCurve
 from ..core.reporting import format_series
+from ..sweep import run_grid
+from ..sweep.parallel import concat, predictor_block
 from .common import ExperimentConfig
 from . import fig2
 
@@ -65,72 +66,38 @@ def grid(config: ExperimentConfig,
          apps: Sequence[str] = REALISTIC_APPS):
     """The overlay as shards: the Figure 2 grid plus per-app SYN curves.
 
-    Composes :func:`fig2.grid` with one
-    :func:`~repro.sweep.parallel.curve_block` per app; shared solo
-    profiles dedupe by content key inside the sweep.
+    Composes :func:`fig2.grid` with a
+    :func:`~repro.sweep.parallel.predictor_block` over the same apps;
+    the shared solo profiles dedupe by content key inside the sweep.
     """
-    from ..apps.synthetic import SWEEP_CPU_OPS
-    from ..sweep.parallel import curve_block
-
     apps = tuple(apps)
-    spec = config.socket_spec()
     fig2_shards, merge_fig2 = fig2.grid(config, apps=apps)
-    blocks = [
-        curve_block(app, spec, config.seed, SWEEP_CPU_OPS, 5,
-                    config.corun_warmup, config.corun_measure)
-        for app in apps
-    ]
-    shards = list(fig2_shards)
-    for curve_shards, _ in blocks:
-        shards.extend(curve_shards)
+    pred_shards, merge_predictor = predictor_block(
+        apps, config.socket_spec(), config.seed,
+        (config.solo_warmup, config.solo_measure),
+        (config.corun_warmup, config.corun_measure),
+        repeats=config.repeats)
+    shards, split = concat(fig2_shards, pred_shards)
 
     def merge(results) -> Fig5Result:
-        fig2_result = merge_fig2(results[:len(fig2_shards)])
-        curves: Dict[str, SensitivityCurve] = {}
-        pos = len(fig2_shards)
-        for app, (curve_shards, merge_curve) in zip(apps, blocks):
-            curves[app] = merge_curve(
-                results[pos:pos + len(curve_shards)],
-                fig2_result.profiles[app])
-            pos += len(curve_shards)
-        return _finish(apps, fig2_result, curves)
+        fig2_results, pred_results = split(results)
+        fig2_result = merge_fig2(fig2_results)
+        _, curves = merge_predictor(pred_results)
+        realistic: Dict[str, List[Tuple[str, float, float]]] = {}
+        for target in apps:
+            points = []
+            for competitor in apps:
+                corun = fig2_result.measurements[(target, competitor)]
+                refs = corun.competing_refs(exclude=f"{target}@0")
+                points.append((competitor, refs,
+                               fig2_result.drops[(target, competitor)]))
+            realistic[target] = points
+        return Fig5Result(curves=curves, realistic_points=realistic)
 
     return shards, merge
 
 
-def _finish(apps: Sequence[str], fig2_result: fig2.Fig2Result,
-            curves: Dict[str, SensitivityCurve]) -> Fig5Result:
-    """Overlay assembly shared by the serial and sharded paths."""
-    realistic: Dict[str, List[Tuple[str, float, float]]] = {}
-    for target in apps:
-        points = []
-        for competitor in apps:
-            corun = fig2_result.measurements[(target, competitor)]
-            refs = corun.competing_refs(exclude=f"{target}@0")
-            points.append(
-                (competitor, refs, fig2_result.drops[(target, competitor)])
-            )
-        realistic[target] = points
-    return Fig5Result(curves=curves, realistic_points=realistic)
-
-
 def run(config: ExperimentConfig,
-        apps: Sequence[str] = REALISTIC_APPS,
-        fig2_result: Optional[fig2.Fig2Result] = None,
-        curves: Optional[Dict[str, SensitivityCurve]] = None) -> Fig5Result:
-    """Build the overlay from a Figure 2 run plus per-app SYN sweeps."""
-    spec = config.socket_spec()
-    if fig2_result is None:
-        fig2_result = fig2.run(config, apps=apps)
-    profiles: Dict[str, SoloProfile] = fig2_result.profiles
-    if curves is None:
-        curves = {
-            app: sweep_sensitivity(
-                app, spec, seed=config.seed,
-                warmup_packets=config.corun_warmup,
-                measure_packets=config.corun_measure,
-                solo=profiles[app],
-            )
-            for app in apps
-        }
-    return _finish(apps, fig2_result, curves)
+        apps: Sequence[str] = REALISTIC_APPS, runner=None) -> Fig5Result:
+    """Build the overlay from the Figure 2 co-runs plus per-app SYN sweeps."""
+    return run_grid(grid(config, apps), runner)

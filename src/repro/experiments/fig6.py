@@ -9,13 +9,15 @@ paper's point: hits/sec alone bounds a flow's worst-case sensitivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..apps.registry import REALISTIC_APPS
 from ..constants import DELTA_NS
 from ..core.equation1 import figure6_series, worst_case_drop
-from ..core.profiler import SoloProfile, profile_apps
+from ..core.profiler import SoloProfile
 from ..core.reporting import format_series, format_table, pct
+from ..sweep import run_grid
+from ..sweep.parallel import profile_block
 from .common import ExperimentConfig
 
 
@@ -57,44 +59,30 @@ def grid(config: ExperimentConfig,
 
     The delta curves are analytic; only the measured profiles cost
     simulation time, so they are the sweep's shards and ``merge``
-    finishes the figure exactly as :func:`run` would.
+    finishes the figure.
     """
-    from ..sweep.parallel import profile_block
-
     apps = tuple(apps)
     shards, merge_profiles = profile_block(
         apps, config.socket_spec(), config.seed,
         config.solo_warmup, config.solo_measure, config.repeats)
 
     def merge(results) -> Fig6Result:
-        return _finish(merge_profiles(results), deltas_ns)
+        profiles = merge_profiles(results)
+        max_hits = max(p.l3_hits_per_sec for p in profiles.values()) * 1.6
+        app_points = {
+            app: (p.l3_hits_per_sec, worst_case_drop(p.l3_hits_per_sec))
+            for app, p in profiles.items()
+        }
+        return Fig6Result(curves=figure6_series(max_hits,
+                                                deltas_ns=deltas_ns),
+                          app_points=app_points, profiles=profiles)
 
     return shards, merge
-
-
-def _finish(profiles: Dict[str, SoloProfile],
-            deltas_ns: Sequence[float]) -> Fig6Result:
-    """Analytic tail shared by the serial and sharded paths."""
-    max_hits = max(p.l3_hits_per_sec for p in profiles.values()) * 1.6
-    curves = figure6_series(max_hits, deltas_ns=deltas_ns)
-    app_points = {
-        app: (p.l3_hits_per_sec, worst_case_drop(p.l3_hits_per_sec))
-        for app, p in profiles.items()
-    }
-    return Fig6Result(curves=curves, app_points=app_points,
-                      profiles=profiles)
 
 
 def run(config: ExperimentConfig,
         apps: Sequence[str] = REALISTIC_APPS,
         deltas_ns: Sequence[float] = (30.0, DELTA_NS, 60.0),
-        profiles: Optional[Dict[str, SoloProfile]] = None) -> Fig6Result:
+        runner=None) -> Fig6Result:
     """Analytical curves + measured solo profiles."""
-    if profiles is None:
-        profiles = profile_apps(
-            apps, config.socket_spec(), seed=config.seed,
-            warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure,
-            repeats=config.repeats,
-        )
-    return _finish(profiles, deltas_ns)
+    return run_grid(grid(config, apps, deltas_ns), runner)

@@ -16,12 +16,10 @@ sensitive-competitor scenarios (5 IP / 5 MON).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from ..apps.registry import REALISTIC_APPS
-from ..core.prediction import ContentionPredictor, sweep_sensitivity
+from ..core.prediction import ContentionPredictor
 from ..core.reporting import format_table, pct
-from .common import ExperimentConfig
 from . import fig2
 
 
@@ -90,29 +88,15 @@ class Fig8Result:
         return table + "\n\n" + averages
 
 
-def run(config: ExperimentConfig,
-        apps: Sequence[str] = REALISTIC_APPS,
-        fig2_result: Optional[fig2.Fig2Result] = None,
-        predictor: Optional[ContentionPredictor] = None,
+def run(fig2_result: fig2.Fig2Result, predictor: ContentionPredictor,
         n_competitors: int = 5) -> Fig8Result:
-    """Predict every Figure 2 scenario and compare to its measurement."""
-    apps = tuple(apps)
-    spec = config.socket_spec()
-    if fig2_result is None:
-        fig2_result = fig2.run(config, apps=apps,
-                               n_competitors=n_competitors)
-    if predictor is None:
-        curves = {
-            app: sweep_sensitivity(
-                app, spec, seed=config.seed,
-                warmup_packets=config.corun_warmup,
-                measure_packets=config.corun_measure,
-                solo=fig2_result.profiles[app],
-            )
-            for app in apps
-        }
-        predictor = ContentionPredictor(profiles=fig2_result.profiles,
-                                        curves=curves)
+    """Predict every Figure 2 scenario and compare to its measurement.
+
+    Pure analysis of a Figure 2 run (``fig2.run``) and a predictor whose
+    curves are the Figure 5 SYN sweeps (``fig5.run(...).curves``); share
+    their simulations through one cached runner.
+    """
+    apps = fig2_result.apps
     entries: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
     for target in apps:
         for competitor in apps:

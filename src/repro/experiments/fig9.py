@@ -12,8 +12,9 @@ from typing import List, Sequence, Tuple
 
 from ..core.prediction import ContentionPredictor
 from ..core.reporting import format_table, pct
-from ..core.validation import run_corun
 from ..hw.counters import performance_drop
+from ..sweep import run_grid
+from ..sweep.parallel import corun_measurement, corun_shard, predictor_block
 from .common import ExperimentConfig
 
 #: The paper's per-socket mix.
@@ -60,81 +61,48 @@ def _placement(spec, socket_mix: Sequence[str]) -> List[Tuple[str, int]]:
     return placement
 
 
-def _finish(placement: Sequence[Tuple[str, int]], per_socket: int,
-            throughput, predictor: ContentionPredictor) -> Fig9Result:
-    """Row assembly shared by the serial and sharded paths."""
-    rows: List[Tuple[str, str, float, float]] = []
-    for app, core in placement:
-        label = f"{app}@{core}"
-        solo = predictor.profiles[app]
-        measured = performance_drop(solo.throughput, throughput[label])
-        socket = core // per_socket
-        competitors = [
-            other for other, other_core in placement
-            if other_core != core and other_core // per_socket == socket
-        ]
-        predicted = predictor.predict_drop(app, competitors)
-        rows.append((label, app, measured, predicted))
-    return Fig9Result(rows=rows)
-
-
 def grid(config: ExperimentConfig,
          socket_mix: Sequence[str] = SOCKET_MIX):
     """The mixed workload as shards, predictor included.
 
-    One solo-profile shard and one SYN-curve block per distinct flow
-    type in the mix (identical content keys to the Figure 5 / predictor
-    shards, so a shared cache or in-sweep dedup pays for them once),
-    plus the single 12-flow co-run. ``merge`` builds the
-    :class:`ContentionPredictor` and the rows exactly as :func:`run`.
+    The predictor's offline pass over the distinct flow types of the mix
+    (identical content keys to the Figure 5 / predictor shards, so a
+    shared cache or in-sweep dedup pays for them once), plus the single
+    two-socket co-run. ``merge`` compares every flow's measured drop
+    with the predictor's.
     """
-    from ..apps.synthetic import SWEEP_CPU_OPS
-    from ..sweep.parallel import (corun_measurement, corun_shard,
-                                  curve_block, profile_block)
-
     spec = config.spec()
-    socket_spec = config.socket_spec()
     placement = _placement(spec, socket_mix)
-    apps = sorted(set(socket_mix))
-    prof_shards, merge_profiles = profile_block(
-        apps, socket_spec, config.seed,
-        config.solo_warmup, config.solo_measure)
-    blocks = [
-        curve_block(app, socket_spec, config.seed, SWEEP_CPU_OPS, 5,
-                    config.corun_warmup, config.corun_measure)
-        for app in apps
-    ]
-    shards = list(prof_shards)
-    for curve_shards, _ in blocks:
-        shards.extend(curve_shards)
-    shards.append(corun_shard(placement, spec, config.seed,
-                              config.corun_warmup, config.corun_measure,
-                              tag="fig9:" + "+".join(socket_mix)))
+    pred_shards, merge_predictor = predictor_block(
+        sorted(set(socket_mix)), config.socket_spec(), config.seed,
+        (config.solo_warmup, config.solo_measure),
+        (config.corun_warmup, config.corun_measure))
+    shards = pred_shards + [
+        corun_shard(placement, spec, config.seed, config.corun_warmup,
+                    config.corun_measure, tag="fig9:" + "+".join(socket_mix))]
+    per_socket = spec.cores_per_socket
 
     def merge(results) -> Fig9Result:
-        profiles = merge_profiles(results[:len(prof_shards)])
-        curves = {}
-        pos = len(prof_shards)
-        for app, (curve_shards, merge_curve) in zip(apps, blocks):
-            curves[app] = merge_curve(
-                results[pos:pos + len(curve_shards)], profiles[app])
-            pos += len(curve_shards)
-        predictor = ContentionPredictor(profiles=profiles, curves=curves)
-        corun = corun_measurement(results[pos].payload)
-        return _finish(placement, spec.cores_per_socket,
-                       corun.throughput, predictor)
+        predictor = ContentionPredictor(*merge_predictor(results[:-1]))
+        throughput = corun_measurement(results[-1].payload).throughput
+        rows: List[Tuple[str, str, float, float]] = []
+        for app, core in placement:
+            label = f"{app}@{core}"
+            solo = predictor.profiles[app]
+            measured = performance_drop(solo.throughput, throughput[label])
+            socket = core // per_socket
+            competitors = [
+                other for other, other_core in placement
+                if other_core != core and other_core // per_socket == socket
+            ]
+            predicted = predictor.predict_drop(app, competitors)
+            rows.append((label, app, measured, predicted))
+        return Fig9Result(rows=rows)
 
     return shards, merge
 
 
-def run(config: ExperimentConfig,
-        predictor: ContentionPredictor,
-        socket_mix: Sequence[str] = SOCKET_MIX) -> Fig9Result:
-    """Run the 12-flow mix and compare measured vs. predicted drops."""
-    spec = config.spec()
-    placement = _placement(spec, socket_mix)
-    corun = run_corun(placement, spec, seed=config.seed,
-                      warmup_packets=config.corun_warmup,
-                      measure_packets=config.corun_measure)
-    return _finish(placement, spec.cores_per_socket,
-                   corun.throughput, predictor)
+def run(config: ExperimentConfig, socket_mix: Sequence[str] = SOCKET_MIX,
+        runner=None) -> Fig9Result:
+    """Run the mix and compare measured vs. predicted drops per flow."""
+    return run_grid(grid(config, socket_mix), runner)

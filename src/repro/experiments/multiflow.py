@@ -15,9 +15,11 @@ from typing import List, Sequence, Tuple
 
 from ..apps.registry import app_factory
 from ..click.multiflow import shared_core_factory
-from ..core.profiler import profile_solo
 from ..core.reporting import format_table, pct
 from ..hw.machine import Machine
+from ..sweep import Shard, run_grid
+from ..sweep.parallel import concat, profile_block
+from ..sweep.tasks import spec_params
 from .common import ExperimentConfig
 
 
@@ -78,18 +80,10 @@ def measure_mix(mix: Sequence[str], spec, seed: int,
 
 def grid(config: ExperimentConfig,
          mixes: Tuple[Tuple[str, ...], ...] = DEFAULT_MIXES):
-    """The study as shards: solo profiles (first-appearance order, as the
-    serial loop discovers them) plus one shard per core-sharing mix."""
-    from ..sweep.parallel import profile_block
-    from ..sweep.shard import Shard
-    from ..sweep.tasks import spec_params
-
+    """The study as shards: solo profiles (in order of first appearance)
+    plus one shard per core-sharing mix."""
     spec = config.socket_spec()
-    unique_apps: List[str] = []
-    for mix in mixes:
-        for app in mix:
-            if app not in unique_apps:
-                unique_apps.append(app)
+    unique_apps = list(dict.fromkeys(app for mix in mixes for app in mix))
     prof_shards, merge_profiles = profile_block(
         unique_apps, spec, config.seed,
         config.solo_warmup, config.solo_measure)
@@ -102,14 +96,17 @@ def grid(config: ExperimentConfig,
               tag=f"multiflow:{'+'.join(mix)}")
         for mix in mixes
     ]
-    shards = prof_shards + mix_shards
+    shards, split = concat(prof_shards, mix_shards)
 
     def merge(results) -> MultiflowResult:
-        profiles = merge_profiles(results[:len(prof_shards)])
-        solos = {app: profiles[app].throughput for app in unique_apps}
+        prof_results, mix_results = split(results)
+        profiles = merge_profiles(prof_results)
         rows: List[Tuple[str, float, float]] = []
-        for mix, shard_result in zip(mixes, results[len(prof_shards):]):
-            ideal = len(mix) / sum(1.0 / solos[app] for app in mix)
+        for mix, shard_result in zip(mixes, mix_results):
+            # Pure time-slicing with one-packet turns: each turn costs
+            # 1/solo seconds, so the aggregate rate is n / sum(1/r_i).
+            ideal = len(mix) / sum(1.0 / profiles[app].throughput
+                                   for app in mix)
             rows.append(("+".join(mix), ideal,
                          shard_result.payload["pps"]))
         return MultiflowResult(rows=rows)
@@ -118,26 +115,7 @@ def grid(config: ExperimentConfig,
 
 
 def run(config: ExperimentConfig,
-        mixes: Tuple[Tuple[str, ...], ...] = DEFAULT_MIXES) -> MultiflowResult:
+        mixes: Tuple[Tuple[str, ...], ...] = DEFAULT_MIXES,
+        runner=None) -> MultiflowResult:
     """Run each mix time-shared on a single otherwise-idle core."""
-    spec = config.socket_spec()
-    solos = {}
-    rows: List[Tuple[str, float, float]] = []
-    for mix in mixes:
-        for app in mix:
-            if app not in solos:
-                solos[app] = profile_solo(
-                    app, spec, seed=config.seed,
-                    warmup_packets=config.solo_warmup,
-                    measure_packets=config.solo_measure,
-                ).throughput
-        # Pure time-slicing: each packet turn costs 1/solo seconds, so the
-        # aggregate rate is the harmonic mean of the member rates (times
-        # the member count over count: n / sum(1/r_i) * ... for round-robin
-        # one-packet turns the aggregate is n / sum(1/r_i)).
-        ideal = len(mix) / sum(1.0 / solos[app] for app in mix)
-        label = "+".join(mix)
-        measured = measure_mix(mix, spec, config.seed,
-                               config.corun_warmup, config.corun_measure)
-        rows.append((label, ideal, measured))
-    return MultiflowResult(rows=rows)
+    return run_grid(grid(config, mixes), runner)

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..apps.registry import REALISTIC_APPS
-from ..core.profiler import SoloProfile, profile_apps
+from ..core.profiler import SoloProfile
 from ..core.reporting import format_table
+from ..sweep import run_grid
+from ..sweep.parallel import profile_block
 from .common import ExperimentConfig
 
 #: The paper's Table 1, for side-by-side comparison in reports.
@@ -62,8 +64,6 @@ class Table1Result:
 def grid(config: ExperimentConfig,
          apps: Sequence[str] = REALISTIC_APPS):
     """The table as shards: one solo profile per (app, repeat)."""
-    from ..sweep.parallel import profile_block
-
     apps = tuple(apps)
     shards, merge_profiles = profile_block(
         apps, config.socket_spec(), config.seed,
@@ -76,12 +76,6 @@ def grid(config: ExperimentConfig,
 
 
 def run(config: ExperimentConfig,
-        apps: Sequence[str] = REALISTIC_APPS) -> Table1Result:
+        apps: Sequence[str] = REALISTIC_APPS, runner=None) -> Table1Result:
     """Profile every flow type solo (Table 1)."""
-    profiles = profile_apps(
-        apps, config.socket_spec(), seed=config.seed,
-        warmup_packets=config.solo_warmup,
-        measure_packets=config.solo_measure,
-        repeats=config.repeats,
-    )
-    return Table1Result(profiles=profiles)
+    return run_grid(grid(config, apps), runner)

@@ -10,6 +10,10 @@ Public surface:
       with repro.fastpath.use_engine("batch"):
           result = fig2.run(config)
 
+  A :class:`~repro.sweep.SweepRunner` built without an engine resolves
+  the ambient one when it runs, so the figure's shards (inline or on
+  workers) use the batch engine too.
+
 * :func:`set_default_engine` / :func:`default_engine` — process-wide
   default (what ``Machine.run()`` uses when no engine is named).
 * :func:`clear_stream_cache` / :func:`stream_cache_stats` — manage the

@@ -25,29 +25,8 @@ import dataclasses
 import sys
 from typing import Dict, List, Optional
 
+from .. import argtypes
 from .slo import parse_slo
-
-
-def _seed(text: str) -> int:
-    """Accept decimal and ``0x…`` seeds (the CI seed is hex)."""
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
 
 
 def _slo_arg(text: str) -> object:
@@ -87,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--inject", choices=("two-faced",), default=None,
                       help="run the Section 4 containment demo (a "
                       "two-faced aggressor pack vs an SLO'd victim)")
-    mode.add_argument("--fuzz", type=_positive_int, metavar="N",
+    mode.add_argument("--fuzz", type=argtypes.positive_int, metavar="N",
                       default=None, help="fuzz N repro.check scenarios "
                       "with random SLOs under the guard")
     parser.add_argument("--slo", type=_slo_arg, action="append",
@@ -99,23 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--unguarded", action="store_true",
                         help="monitor and record violations but never "
                         "contain (the comparison run)")
-    parser.add_argument("--trigger", type=_positive_int, metavar="N",
+    parser.add_argument("--trigger", type=argtypes.positive_int, metavar="N",
                         default=None, help="two-faced trigger packet "
                         "count (demo mode)")
-    parser.add_argument("--scale", type=_positive_int, default=None,
+    parser.add_argument("--scale", type=argtypes.scale, default=None,
                         metavar="F", help="platform scale-down factor")
-    parser.add_argument("--seed", type=_seed, default=None, metavar="S",
-                        help="seed, decimal or 0x-hex")
-    parser.add_argument("--warmup", type=_positive_int, default=None,
+    parser.add_argument("--seed", type=argtypes.seed, default=None,
+                        metavar="S", help="seed, decimal or 0x-hex")
+    parser.add_argument("--warmup", type=argtypes.positive_int, default=None,
                         metavar="N", help="warm-up packets per flow")
-    parser.add_argument("--measure", type=_positive_int, default=None,
+    parser.add_argument("--measure", type=argtypes.positive_int, default=None,
                         metavar="N", help="measured packets per flow")
     parser.add_argument("--engine", choices=("scalar", "batch"),
                         default=None, help="execution engine (default: "
                         "ambient)")
-    parser.add_argument("--interval", type=_positive_float, default=None,
-                        metavar="CYCLES", help="guard window cadence in "
-                        "simulated cycles")
+    parser.add_argument("--interval", type=argtypes.positive_float,
+                        default=None, metavar="CYCLES",
+                        help="guard window cadence in simulated cycles")
     parser.add_argument("--fail-fast", action="store_true",
                         help="fuzz: stop at the first failing scenario")
     parser.add_argument("--report", metavar="PATH", default=None,

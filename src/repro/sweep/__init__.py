@@ -1,11 +1,12 @@
 """repro.sweep — sharded experiment sweeps with caching and fault tolerance.
 
-Decomposes the repository's experiment grids (figure studies, solo
-profiles, sensitivity sweeps) into independent, content-addressed
-*shards*, executes them serially or across a ``multiprocessing`` worker
-pool, and merges the results deterministically: the merged output is
-bit-identical to the serial run for any job count, shard completion
-order, or cache state.
+The repository's one execution path for experiment grids: every solo
+profile set, sensitivity sweep, predictor, placement study and figure is
+a list of independent, content-addressed *shards* plus a merge, resolved
+by :func:`run_grid` on a :class:`SweepRunner` — inline (``jobs=1``, the
+default) or across a ``multiprocessing`` worker pool — and merged
+deterministically: the output is bit-identical for any job count, shard
+completion order, or cache state.
 
 Layers:
 
@@ -17,24 +18,25 @@ Layers:
   shard *does*); pure functions of the shard params.
 * :mod:`~repro.sweep.worker` — the pool worker loop.
 * :mod:`~repro.sweep.orchestrator` — :class:`SweepRunner`: dedup,
-  cache consult, pool management, per-shard timeout, retry with
-  bounded backoff, poison-shard quarantine, obs integration.
-* :mod:`~repro.sweep.parallel` — shard-block builders and the
-  ``jobs > 1`` front-ends the analysis layer delegates to.
-* :mod:`~repro.sweep.figures` — every figure as a ``(shards, merge)``
-  grid; :func:`run_figure`.
+  cache consult, inline or pool execution, per-shard timeout, retry
+  with bounded backoff, poison-shard quarantine, obs integration; and
+  :func:`run_grid`.
+* :mod:`~repro.sweep.parallel` — the shard-block builders grids are
+  assembled from (profiles, curves, predictor, co-runs).
+
+A figure's grid lives in its own experiment module (``grid(config)``);
+its ``run(config, runner=None)`` resolves that grid through
+:func:`run_grid`.
 """
 
 from .cache import MemoryCache, ResultCache, default_cache_dir
 from .codeversion import code_version
-from .figures import FIGURE_GRIDS, run_figure
 from .orchestrator import (SweepError, SweepOptions, SweepOutcome,
-                           SweepRunner, run_shards)
+                           SweepRunner, run_grid)
 from .shard import Shard, ShardResult, canonical_json, shard_key
 from .tasks import run_task
 
 __all__ = [
-    "FIGURE_GRIDS",
     "MemoryCache",
     "ResultCache",
     "Shard",
@@ -46,8 +48,7 @@ __all__ = [
     "canonical_json",
     "code_version",
     "default_cache_dir",
-    "run_figure",
-    "run_shards",
+    "run_grid",
     "run_task",
     "shard_key",
 ]

@@ -22,36 +22,33 @@ Per shard, resolution order is:
 Fault tolerance
 ===============
 
-Workers are expendable; shards are not. A worker that *raises* reports
-the traceback and keeps serving; a worker that *hangs* past
-``shard_timeout`` is SIGKILLed and replaced; a worker that *dies*
+``jobs=1`` executes inline: no subprocesses, the same arithmetic, and
+the ambient tracer/metrics session still observes the machines. A shard
+that raises inline propagates its original exception — a deterministic
+simulation that raised once raises again, so there is nothing to retry.
+
+With ``jobs > 1`` workers are expendable; shards are not. A worker that
+*raises* reports the traceback and keeps serving; a worker that *hangs*
+past ``shard_timeout`` is SIGKILLed and replaced; a worker that *dies*
 (segfault, OOM-kill, SIGKILL) is detected by exit code and replaced. In
 every case the shard it held is retried with bounded exponential backoff
 up to ``retries`` times, and a shard that keeps failing is *quarantined*
 — recorded with its error, counted, and excluded from payloads — so one
 poison shard fails itself, not the sweep. Callers that need every shard
-call :meth:`SweepOutcome.raise_for_quarantine`.
-
-``jobs=1`` executes inline (no subprocesses — same arithmetic, and the
-ambient tracer/metrics session still observes the machines); raising
-shards are retried inline, but hang timeouts are only enforceable with
-worker processes.
+call :meth:`SweepOutcome.raise_for_quarantine`; :func:`run_grid` does.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-import multiprocessing
-import queue
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .codeversion import code_version
 from .shard import Shard, ShardResult
 from .tasks import run_task
-from .worker import worker_main
 
 #: Schema of the execution-stats dict embedded in run reports.
 STATS_SCHEMA = "repro.sweep_stats/1"
@@ -73,7 +70,7 @@ class SweepOptions:
     #: Wall-clock seconds a shard may run before its worker is killed
     #: (None: no timeout; enforced only with ``jobs > 1``).
     shard_timeout: Optional[float] = None
-    #: Re-executions granted after a shard's first failure.
+    #: Re-executions granted after a worker shard's first failure.
     retries: int = 2
     #: Exponential backoff before a retry: ``backoff * 2**(attempt-1)``
     #: seconds, capped at ``backoff_cap``.
@@ -180,8 +177,7 @@ class SweepRunner:
 
         if to_run:
             if opts.jobs == 1:
-                self._run_inline(shards, keys, results, to_run, engine,
-                                 counters)
+                self._run_inline(shards, keys, results, to_run, engine)
             else:
                 self._run_pool(shards, keys, results, to_run, engine,
                                counters)
@@ -241,48 +237,22 @@ class SweepRunner:
 
     # -- inline (jobs=1) ----------------------------------------------------
 
-    def _run_inline(self, shards, keys, results, to_run, engine,
-                    counters) -> None:
+    def _run_inline(self, shards, keys, results, to_run, engine) -> None:
         from .. import fastpath
 
-        opts = self.options
+        cache = self.options.cache
         for idx in to_run:
-            shard = shards[idx]
-            attempt = 0
-            while True:
-                attempt += 1
-                start = time.perf_counter()
-                try:
-                    with fastpath.use_engine(engine):
-                        payload = run_task(shard.kind, shard.params)
-                except Exception as exc:
-                    if attempt > opts.retries:
-                        counters["quarantined"] += 1
-                        results[idx] = ShardResult(
-                            shard=shard, key=keys[idx], status="quarantined",
-                            attempts=attempt,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                        break
-                    counters["retries"] += 1
-                    time.sleep(self._backoff_delay(attempt))
-                else:
-                    results[idx] = ShardResult(
-                        shard=shard, key=keys[idx], payload=payload,
-                        attempts=attempt,
-                        seconds=time.perf_counter() - start,
-                    )
-                    if opts.cache is not None:
-                        opts.cache.put(keys[idx], payload)
-                    break
+            start = time.perf_counter()
+            with fastpath.use_engine(engine):
+                payload = run_task(shards[idx].kind, shards[idx].params)
+            results[idx] = ShardResult(
+                shard=shards[idx], key=keys[idx], payload=payload,
+                attempts=1, seconds=time.perf_counter() - start,
+            )
+            if cache is not None:
+                cache.put(keys[idx], payload)
 
     # -- pool (jobs>1) ------------------------------------------------------
-
-    def _start_method(self) -> str:
-        if self.options.start_method:
-            return self.options.start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
     def _backoff_delay(self, attempt: int) -> float:
         return min(self.options.backoff_cap,
@@ -290,8 +260,17 @@ class SweepRunner:
 
     def _run_pool(self, shards, keys, results, to_run, engine,
                   counters) -> None:
+        # Imported here so inline sweeps never load the pool machinery.
+        import multiprocessing
+        import queue
+
+        from .worker import worker_main
+
         opts = self.options
-        ctx = multiprocessing.get_context(self._start_method())
+        method = opts.start_method or (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        ctx = multiprocessing.get_context(method)
         result_q = ctx.Queue()
         workers: Dict[int, _Worker] = {}
         next_wid = [0]
@@ -462,7 +441,18 @@ class SweepRunner:
             ))
 
 
-def run_shards(shards: Sequence[Shard], jobs: int = 1,
-               **options) -> SweepOutcome:
-    """One-call convenience: build a runner and resolve ``shards``."""
-    return SweepRunner(SweepOptions(jobs=jobs, **options)).run(shards)
+#: A grid: shards plus the merge consuming their results in input order.
+Grid = Tuple[List[Shard], Callable[[Sequence[ShardResult]], Any]]
+
+
+def run_grid(grid: Grid, runner: Optional[SweepRunner] = None) -> Any:
+    """Resolve a ``(shards, merge)`` grid on ``runner``; the merged result.
+
+    The one execution path of every experiment grid. With no runner the
+    shards run inline on a fresh :class:`SweepRunner` (``jobs=1``, no
+    cache). Raises :class:`SweepError` if a worker shard was quarantined.
+    """
+    shards, merge = grid
+    outcome = (runner if runner is not None else SweepRunner()).run(shards)
+    outcome.raise_for_quarantine()
+    return merge(outcome.results)

@@ -1,45 +1,49 @@
-"""Shard-block builders and parallel front-ends for the analysis layer.
+"""Shard-block builders: the analysis layer's simulations as shards.
 
 A *block* is a ``(shards, merge)`` pair: the shard list for one logical
-unit of work (a set of solo profiles, one sensitivity curve) and a merge
-function that consumes exactly that block's :class:`ShardResult` slice —
-in input order — and rebuilds the domain object the serial code would
-have produced. Figure grids compose blocks by concatenating shard lists
-and slicing the result list back apart, which keeps merging positional,
-allocation-free, and trivially deterministic.
-
-The ``*_parallel`` functions at the bottom are what
-:func:`repro.core.profiler.profile_apps`,
-:func:`repro.core.prediction.sweep_sensitivity`, and
-:meth:`repro.core.prediction.ContentionPredictor.build` delegate to when
-called with ``jobs > 1``.
+unit of work (a set of solo profiles, one sensitivity curve, a predictor)
+and a merge function that consumes exactly that block's
+:class:`ShardResult` slice — in input order — and rebuilds the domain
+object. Every grid in the repository (profiles, sensitivity sweeps, the
+predictor, placement studies, figures) is assembled from these blocks
+and resolved by :func:`repro.sweep.run_grid`; grids compose by
+concatenating shard lists and slicing the result list back apart
+(:func:`concat`), which keeps merging positional and deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ..apps.synthetic import SWEEP_CPU_OPS
+from ..core.prediction import SensitivityCurve
 from ..core.profiler import SoloProfile, _average_profiles
 from ..hw.counters import performance_drop
 from ..hw.topology import PlatformSpec
-from .orchestrator import SweepOptions, SweepRunner
+from .orchestrator import Grid
 from .shard import Shard, ShardResult
 from .tasks import spec_params
 
-#: A block: shards plus the merge consuming exactly their results.
-Block = Tuple[List[Shard], Callable[[Sequence[ShardResult]], object]]
 
+def concat(*shard_lists: Sequence[Shard]):
+    """Concatenate shard lists: ``(shards, split)``, where
+    ``split(results)`` returns each list's result slice, in order."""
+    shards: List[Shard] = []
+    bounds: List[Tuple[int, int]] = []
+    for part in shard_lists:
+        bounds.append((len(shards), len(shards) + len(part)))
+        shards.extend(part)
 
-# -- blocks -------------------------------------------------------------------
+    def split(results: Sequence[ShardResult]) -> List[Sequence[ShardResult]]:
+        return [results[start:end] for start, end in bounds]
+
+    return shards, split
+
 
 def profile_block(apps: Sequence[str], spec: PlatformSpec, seed: int,
-                  warmup: int, measure: int, repeats: int = 1) -> Block:
-    """Solo profiles for ``apps`` (averaged over ``repeats`` seeded runs).
-
-    Mirrors :func:`repro.core.profiler.profile_apps`: repeat ``i`` runs
-    at ``seed + 101*i``, and the merge averages exactly as the serial
-    code does.
-    """
+                  warmup: int, measure: int, repeats: int = 1) -> Grid:
+    """Solo profiles for ``apps``, averaged over ``repeats`` seeded runs
+    (repeat ``i`` runs at ``seed + 101*i``); merge -> ``{app: profile}``."""
     fields = spec_params(spec)
     shards = [
         Shard("profile",
@@ -66,8 +70,7 @@ def curve_block(app: str, spec: PlatformSpec, seed: int,
     """One sensitivity curve, one shard per SYN level.
 
     The merge needs the target's solo profile (for the drop baseline),
-    so it takes ``(results, solo)`` — callers close over their profile
-    block's output.
+    so it takes ``(results, solo)``.
     """
     fields = spec_params(spec)
     shards = [
@@ -79,15 +82,41 @@ def curve_block(app: str, spec: PlatformSpec, seed: int,
         for level, cpu_ops in enumerate(cpu_ops_levels)
     ]
 
-    def merge(results: Sequence[ShardResult], solo: SoloProfile):
-        from ..core.prediction import SensitivityCurve
-
+    def merge(results: Sequence[ShardResult],
+              solo: SoloProfile) -> SensitivityCurve:
         points = [
             (r.payload["competing"],
              performance_drop(solo.throughput, r.payload["target_pps"]))
             for r in results
         ]
         return SensitivityCurve(app=app, points=points)
+
+    return shards, merge
+
+
+def predictor_block(apps: Sequence[str], spec: PlatformSpec, seed: int,
+                    solo_packets: Tuple[int, int],
+                    curve_packets: Tuple[int, int],
+                    cpu_ops_levels: Sequence[int] = SWEEP_CPU_OPS,
+                    n_competitors: int = 5, repeats: int = 1) -> Grid:
+    """The prediction method's offline pass: every solo profile (at
+    ``solo_packets`` warm-up/measure) and one SYN curve per app (at
+    ``curve_packets``); merge -> ``(profiles, curves)``."""
+    apps = list(apps)
+    prof_shards, merge_profiles = profile_block(apps, spec, seed,
+                                                *solo_packets, repeats)
+    curves = [curve_block(app, spec, seed, cpu_ops_levels, n_competitors,
+                          *curve_packets) for app in apps]
+    shards, split = concat(prof_shards, *(block for block, _ in curves))
+
+    def merge(results):
+        prof_results, *curve_results = split(results)
+        profiles = merge_profiles(prof_results)
+        return profiles, {
+            app: merge_curve(part, profiles[app])
+            for app, (_, merge_curve), part
+            in zip(apps, curves, curve_results)
+        }
 
     return shards, merge
 
@@ -117,75 +146,3 @@ def corun_measurement(payload: Dict) -> "CoRunMeasurement":
         refs_per_sec=dict(payload["refs_per_sec"]),
         result=None,
     )
-
-
-# -- parallel front-ends ------------------------------------------------------
-
-def _runner(jobs: int, runner: Optional[SweepRunner]) -> SweepRunner:
-    if runner is not None:
-        return runner
-    return SweepRunner(SweepOptions(jobs=jobs))
-
-
-def profile_apps_parallel(apps, spec, seed, warmup_packets, measure_packets,
-                          repeats: int = 1, jobs: int = 1,
-                          runner: Optional[SweepRunner] = None
-                          ) -> Dict[str, SoloProfile]:
-    """Sharded :func:`repro.core.profiler.profile_apps`."""
-    apps = list(apps)
-    shards, merge = profile_block(apps, spec, seed, warmup_packets,
-                                  measure_packets, repeats)
-    outcome = _runner(jobs, runner).run(shards)
-    outcome.raise_for_quarantine()
-    return merge(outcome.results)
-
-
-def sweep_sensitivity_parallel(app, spec, seed, cpu_ops_levels,
-                               n_competitors, warmup_packets,
-                               measure_packets, solo=None, jobs: int = 1,
-                               runner: Optional[SweepRunner] = None):
-    """Sharded :func:`repro.core.prediction.sweep_sensitivity`."""
-    shards: List[Shard] = []
-    prof_merge = None
-    if solo is None:
-        prof_shards, prof_merge = profile_block(
-            [app], spec, seed, warmup_packets, measure_packets)
-        shards.extend(prof_shards)
-    curve_shards, merge_curve = curve_block(
-        app, spec, seed, cpu_ops_levels, n_competitors,
-        warmup_packets, measure_packets)
-    shards.extend(curve_shards)
-    outcome = _runner(jobs, runner).run(shards)
-    outcome.raise_for_quarantine()
-    cut = len(shards) - len(curve_shards)
-    if prof_merge is not None:
-        solo = prof_merge(outcome.results[:cut])[app]
-    return merge_curve(outcome.results[cut:], solo)
-
-
-def build_predictor_parallel(cls, apps, spec, seed, cpu_ops_levels,
-                             n_competitors, warmup_packets, measure_packets,
-                             jobs: int = 1,
-                             runner: Optional[SweepRunner] = None):
-    """Sharded :meth:`ContentionPredictor.build`: all profiles and every
-    (app, SYN level) co-run resolve concurrently in one sweep."""
-    prof_shards, merge_profiles = profile_block(
-        apps, spec, seed, warmup_packets, measure_packets)
-    curve_blocks = [
-        curve_block(app, spec, seed, cpu_ops_levels, n_competitors,
-                    warmup_packets, measure_packets)
-        for app in apps
-    ]
-    shards = list(prof_shards)
-    for curve_shards, _ in curve_blocks:
-        shards.extend(curve_shards)
-    outcome = _runner(jobs, runner).run(shards)
-    outcome.raise_for_quarantine()
-    profiles = merge_profiles(outcome.results[:len(prof_shards)])
-    curves = {}
-    pos = len(prof_shards)
-    for app, (curve_shards, merge_curve) in zip(apps, curve_blocks):
-        curves[app] = merge_curve(
-            outcome.results[pos:pos + len(curve_shards)], profiles[app])
-        pos += len(curve_shards)
-    return cls(profiles=profiles, curves=curves)

@@ -2,10 +2,11 @@
 
 Every task takes a plain-JSON ``params`` dict and returns a plain-JSON
 payload — both cross the process boundary and the result cache, so no
-live objects are allowed. Tasks wrap the *same* underlying functions the
-serial experiment code calls (``profile_solo``, ``run_corun``,
-``sweep_level``, ``measure_mix``), which is what makes a sharded sweep
-bit-identical to a serial one: identical arithmetic, different schedule.
+live objects are allowed. Tasks call only the simulation primitives
+(``profile_solo``, ``run_corun``, ``sweep_level``, ``measure_mix``) —
+never a grid-backed function such as ``profile_apps``, which would nest
+runners — so a shard computes the same arithmetic inline or on any
+worker.
 
 Platform specs travel as their constructor-field dict (see
 :func:`spec_from_params`); JSON round-trips every field losslessly.

@@ -1,15 +1,15 @@
 """Deterministic builders for the golden regression reports.
 
 One seed-pinned, small-scale configuration drives table1, fig2, fig5,
-fig6, fig8, fig9 and multiflow; the resulting :class:`~repro.obs.report.RunReport` JSON documents are
-committed next to this module and asserted byte-stable (modulo
+fig6, fig8, fig9 and multiflow; the resulting
+:class:`~repro.obs.report.RunReport` JSON documents are committed next to this module and asserted byte-stable (modulo
 timestamp-like keys) by ``test_golden.py``. Regenerate deliberately
 with::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-The builders share one fig2 run (profiles + SYN sweeps) exactly the way
-``benchmarks/record.py`` memoizes prerequisites, so a regen costs a few
+The builders resolve every figure on one cached sweep runner, exactly the
+way ``benchmarks/record.py`` shares prerequisites, so a regen costs a few
 seconds, not a full paper reproduction.
 """
 
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.prediction import ContentionPredictor, sweep_sensitivity
-from repro.core.profiler import profile_apps
+from repro.core.prediction import ContentionPredictor
 from repro.experiments import fig2, fig5, fig6, fig8, fig9, multiflow, table1
 from repro.experiments.common import ExperimentConfig
 from repro.obs.recorder import _jsonable
 from repro.obs.report import RunReport
+from repro.sweep import MemoryCache, SweepOptions, SweepRunner
 
 #: Three apps span the interesting contention range (IP sensitive,
 #: MON aggressive, FW cheap) while keeping the regen to seconds.
@@ -56,26 +56,17 @@ def _report(kind: str, results: dict, spec=None) -> RunReport:
 def build_reports() -> Dict[str, str]:
     """name -> RunReport JSON text for every golden figure."""
     config = GOLDEN_CONFIG
-    spec = config.socket_spec()
-    profiles = profile_apps(GOLDEN_APPS, spec, seed=config.seed,
-                            warmup_packets=config.solo_warmup,
-                            measure_packets=config.solo_measure)
-    f2 = fig2.run(config, apps=GOLDEN_APPS, profiles=profiles)
-    curves = {
-        app: sweep_sensitivity(app, spec, seed=config.seed,
-                               warmup_packets=config.corun_warmup,
-                               measure_packets=config.corun_measure,
-                               solo=profiles[app])
-        for app in GOLDEN_APPS
-    }
-    f5 = fig5.run(config, apps=GOLDEN_APPS, fig2_result=f2, curves=curves)
-    predictor = ContentionPredictor(profiles=profiles, curves=curves)
-    f8 = fig8.run(config, apps=GOLDEN_APPS, fig2_result=f2,
-                  predictor=predictor)
-    t1 = table1.run(config, apps=GOLDEN_APPS)
-    f6 = fig6.run(config, apps=GOLDEN_APPS)
-    f9 = fig9.run(config, predictor, socket_mix=GOLDEN_MIX)
-    mf = multiflow.run(config)
+    # One cached runner: the figures share their solo-profile, co-run and
+    # SYN-curve shards by content key, so each simulation runs once.
+    runner = SweepRunner(SweepOptions(cache=MemoryCache()))
+    t1 = table1.run(config, apps=GOLDEN_APPS, runner=runner)
+    f2 = fig2.run(config, apps=GOLDEN_APPS, runner=runner)
+    f5 = fig5.run(config, apps=GOLDEN_APPS, runner=runner)
+    f6 = fig6.run(config, apps=GOLDEN_APPS, runner=runner)
+    f8 = fig8.run(f2, ContentionPredictor(profiles=f2.profiles,
+                                          curves=f5.curves))
+    f9 = fig9.run(config, socket_mix=GOLDEN_MIX, runner=runner)
+    mf = multiflow.run(config, runner=runner)
 
     reports = {
         "table1": _report("golden-table1", {"profiles": t1.profiles}),

@@ -1,11 +1,12 @@
-"""Determinism tests: sharded sweeps are byte-identical to serial runs.
+"""Determinism tests: a figure's merged result is independent of how
+its shards were executed.
 
-The guarantee under test is the subsystem's contract: for any job count,
-shard completion order, and cache state, the merged figure results — and
-the run reports built from them — serialize to exactly the same bytes as
-a ``--jobs 1`` (or legacy serial) run, on both execution engines. Only
-the ``execution`` key of a report (parallelism, cache counters,
-wall-clock) may differ.
+For any job count, shard completion order, and cache state, the merged
+figure results — and the run reports built from them — serialize to
+exactly the same bytes as the serial run: the inline ``jobs=1`` sweep,
+on both execution engines. Only the ``execution`` key of a report
+(parallelism, cache counters, wall-clock) may differ. The absolute
+numbers are pinned by the golden reports in ``tests/golden``.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 
 import pytest
 
-import repro.fastpath as fastpath
 from repro.experiments import fig2, fig6, multiflow
 from repro.experiments.common import ExperimentConfig
 from repro.obs.recorder import _jsonable
-from repro.sweep import MemoryCache, SweepOptions, SweepRunner, run_figure
+from repro.sweep import MemoryCache, SweepOptions, SweepRunner
 
 pytestmark = pytest.mark.sweep
 
@@ -33,47 +34,27 @@ MIXES = (("MON", "FW"),)
 ENGINES = ("scalar", "batch")
 
 
-def _strip_handles(obj):
-    """Drop the one non-data field of a figure result: the live
-    ``CoRunMeasurement.result`` simulation handle, whose repr embeds a
-    memory address (volatile even between two identical serial runs) and
-    which deliberately does not cross the worker boundary."""
-    if isinstance(obj, dict):
-        return {k: _strip_handles(v) for k, v in obj.items()
-                if k != "result"}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_handles(v) for v in obj]
-    return obj
-
-
 def canon(obj) -> str:
     """Byte-exact serialized form used for equality (sorted, lossless)."""
-    return json.dumps(_strip_handles(_jsonable(obj)), sort_keys=True,
-                      default=str)
+    return json.dumps(_jsonable(obj), sort_keys=True, default=str)
 
 
-def serial_result(name: str, engine: str):
-    with fastpath.use_engine(engine):
-        if name == "fig2":
-            return fig2.run(CONFIG, apps=APPS)
-        if name == "fig6":
-            return fig6.run(CONFIG, apps=APPS)
-        if name == "multiflow":
-            return multiflow.run(CONFIG, mixes=MIXES)
-        raise KeyError(name)
-
-
-def sharded_result(name: str, engine: str, jobs: int, cache=None):
+def figure(name: str, engine: str, jobs: int, cache=None):
     runner = SweepRunner(SweepOptions(jobs=jobs, engine=engine, cache=cache))
-    kwargs = {"mixes": MIXES} if name == "multiflow" else {"apps": APPS}
-    return run_figure(name, CONFIG, runner=runner, **kwargs)
+    if name == "fig2":
+        return fig2.run(CONFIG, apps=APPS, runner=runner)
+    if name == "fig6":
+        return fig6.run(CONFIG, apps=APPS, runner=runner)
+    if name == "multiflow":
+        return multiflow.run(CONFIG, mixes=MIXES, runner=runner)
+    raise KeyError(name)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", ("fig2", "fig6", "multiflow"))
 def test_jobs4_matches_serial(name, engine):
-    serial = canon(serial_result(name, engine))
-    parallel = canon(sharded_result(name, engine, jobs=4))
+    serial = canon(figure(name, engine, jobs=1))
+    parallel = canon(figure(name, engine, jobs=4))
     assert parallel == serial
 
 
@@ -81,18 +62,25 @@ def test_jobs4_matches_serial(name, engine):
 def test_cached_rerun_matches_serial(name):
     """A warm cache changes nothing but the work done."""
     cache = MemoryCache()
-    serial = canon(serial_result(name, "scalar"))
-    cold = canon(sharded_result(name, "scalar", jobs=2, cache=cache))
-    warm = canon(sharded_result(name, "scalar", jobs=2, cache=cache))
+    serial = canon(figure(name, "scalar", jobs=1))
+    cold = canon(figure(name, "scalar", jobs=2, cache=cache))
+    warm = canon(figure(name, "scalar", jobs=2, cache=cache))
     assert cold == serial
     assert warm == serial
     assert cache.stats["hits"] > 0
 
 
 def test_jobs1_sharded_matches_serial():
-    """The inline (no-subprocess) sweep path is the same arithmetic too."""
-    assert canon(sharded_result("fig6", "scalar", jobs=1)) \
-        == canon(serial_result("fig6", "scalar"))
+    """The inline sweep reproduces the committed Figure 6 golden, which
+    was generated by the former serial experiment loop."""
+    from tests.golden import builders
+
+    with open(os.path.join(os.path.dirname(builders.__file__),
+                           "golden_fig6.json")) as fh:
+        golden = json.load(fh)["results"]
+    result = fig6.run(builders.GOLDEN_CONFIG, apps=builders.GOLDEN_APPS)
+    assert _jsonable(result.app_points) == golden["app_points"]
+    assert _jsonable(result.curves) == golden["curves"]
 
 
 def _sweep_report(extra_args) -> dict:

@@ -67,21 +67,18 @@ def test_poison_shard_is_quarantined_not_the_sweep(tmp_path):
         outcome.raise_for_quarantine()
 
 
-def test_inline_jobs1_retries_and_quarantines(tmp_path):
+def test_inline_shard_raises_original_exception(tmp_path):
+    """``jobs=1`` runs shards in-process with no retry: a deterministic
+    shard that raised once would raise again, so the error propagates."""
     shards = [
-        fault_shard("flaky", mode="raise", fail_times=1,
-                    state_dir=tmp_path, value=3),
+        fault_shard("good", value=3),
         fault_shard("poison", mode="raise", fail_times=99,
-                    state_dir=tmp_path / "p"),
+                    state_dir=tmp_path),
     ]
-    outcome = run(shards, jobs=1, retries=1, backoff=0.0)
-    assert outcome.results[0].ok
-    assert outcome.results[0].payload["value"] == 3
-    assert outcome.results[1].status == "quarantined"
-    # One retry for the flaky shard, one burned by the poison shard
-    # before quarantine.
-    assert outcome.stats["retries"] == 2
-    assert outcome.stats["quarantined"] == 1
+    with pytest.raises(RuntimeError, match="injected failure of 'poison'"):
+        run(shards, jobs=1, retries=2, backoff=0.0)
+    # Attempted exactly once.
+    assert (tmp_path / "poison.attempts").read_text() == "x"
 
 
 # -- hanging workers ----------------------------------------------------------
@@ -196,5 +193,6 @@ def test_quarantined_result_is_not_cached(tmp_path):
     cache = ResultCache(str(tmp_path))
     shards = [fault_shard("bad", mode="raise", fail_times=99,
                           state_dir=tmp_path / "state")]
-    run(shards, jobs=1, retries=0, cache=cache)
+    outcome = run(shards, jobs=2, retries=0, backoff=0.0, cache=cache)
+    assert outcome.stats["quarantined"] == 1
     assert len(cache) == 0

@@ -53,3 +53,40 @@ def test_sweep_main_runs(capsys):
     assert "sensitivity curve" in out
     assert "turning point" in out
     assert "drop %" in out
+
+
+# -- value parsing ------------------------------------------------------------
+
+TINY = ["--scale", "64", "--warmup", "100", "--measure", "100", "--json"]
+
+
+def test_hex_seed_matches_decimal(capsys):
+    profile_main(["IP", "--seed", "0x5EED"] + TINY)
+    hex_report = capsys.readouterr().out
+    profile_main(["IP", "--seed", str(0x5EED)] + TINY)
+    assert capsys.readouterr().out == hex_report
+
+
+@pytest.mark.parametrize("main", [profile_main, predict_main, schedule_main])
+@pytest.mark.parametrize("bad, message", [
+    (["--seed", "0xZZ"], "invalid seed"),
+    (["--scale", "0"], "must be >= 1"),
+    (["--scale", "100000"], "collapses"),
+    (["--warmup", "-5"], "must be >= 0"),
+    (["--measure", "0"], "must be >= 1"),
+    (["--jobs", "0"], "must be >= 1"),
+])
+def test_bad_values_exit_2(main, bad, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["FW"] + bad)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_main_rejects_zero_competitors(capsys):
+    from repro.cli import sweep_main
+
+    with pytest.raises(SystemExit) as exc:
+        sweep_main(["FW", "--competitors", "0"])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from repro.core.prediction import ContentionPredictor, SensitivityCurve
 from repro.core.profiler import SoloProfile
 from repro.core.scheduling import PlacementStudy, StudyResult, enumerate_splits
 from repro.hw.topology import PlatformSpec
+from repro.sweep import SweepOptions, SweepRunner
 
 
 def test_enumerate_two_type_splits():
@@ -126,7 +127,7 @@ def test_more_flows_than_cores_rejected():
 def test_oversized_split_group_rejected():
     study = make_study()
     with pytest.raises(ValueError, match="socket"):
-        study.simulate_split((("HOT",) * 7, ("HOT",) * 5))
+        study.grid([(("HOT",) * 7, ("HOT",) * 5)])
 
 
 def test_all_identical_flows_give_zero_scheduling_gain():
@@ -137,7 +138,7 @@ def test_all_identical_flows_give_zero_scheduling_gain():
     assert result.scheduling_gain == 0.0
 
 
-# -- coverage: simulated study, serial vs. sharded ----------------------------
+# -- coverage: simulated study, inline vs. worker pool ------------------------
 
 def simulation_study():
     spec = PlatformSpec.westmere().scaled(64)
@@ -154,7 +155,9 @@ def test_all_identical_flows_simulated_one_split_zero_gain():
 
 def test_sharded_simulation_matches_serial():
     serial = simulation_study().run(["MON"] * 12, method="simulate")
-    sharded = simulation_study().run(["MON"] * 12, method="simulate", jobs=2)
+    sharded = simulation_study().run(
+        ["MON"] * 12, method="simulate",
+        runner=SweepRunner(SweepOptions(jobs=2)))
     assert [o.split for o in sharded.outcomes] \
         == [o.split for o in serial.outcomes]
     assert [o.per_flow_drop for o in sharded.outcomes] \
