@@ -1,5 +1,6 @@
 """Radix trie: LPM correctness against a brute-force reference model."""
 
+import hashlib
 import random
 
 import pytest
@@ -164,3 +165,34 @@ def test_builder_lookup_always_resolves_via_default():
     trie = RouteTableBuilder(rng).build(100)
     for _ in range(100):
         assert trie.lookup_route(rng.getrandbits(32)) is not None
+
+
+def _lookup_digest(trie, seed, addr_bits, n_addrs=512):
+    """Digest of ``lookup(a)`` (hop and probed offsets) for seeded addresses."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(n_addrs):
+        hop, visited = trie.lookup(rng.getrandbits(addr_bits))
+        h.update(repr((hop, visited)).encode())
+    return h.hexdigest()[:16]
+
+
+# (seed, addr_bits, n_entries) -> (total_bytes, n_nodes, lookup digest).
+# Includes the scale-64 (2000 routes, 26-bit universe) and scale-16
+# (8000 routes, 28-bit universe) IP tables. The simulated layout is part
+# of every cached stream and golden, so these values must never drift.
+PINNED_TABLES = {
+    (7, 26, 2000): (83824, 5176, "3137632ddc9b3ed0"),
+    (11, 28, 8000): (327904, 20431, "7f76116ba6719f6e"),
+    (3, 32, 500): (48976, 2998, "08361b7bc8215743"),
+    (0, 24, 16): (2256, 78, "caa9297f7f523f2e"),
+}
+
+
+@pytest.mark.parametrize("seed,addr_bits,n_entries", sorted(PINNED_TABLES))
+def test_built_table_layout_is_pinned(seed, addr_bits, n_entries):
+    trie = RouteTableBuilder(random.Random(seed),
+                             addr_bits=addr_bits).build(n_entries)
+    got = (trie.total_bytes, trie.n_nodes,
+           _lookup_digest(trie, seed + 1000, addr_bits))
+    assert got == PINNED_TABLES[(seed, addr_bits, n_entries)]
