@@ -5,6 +5,7 @@ experiments run on: cache probes, trie lookups, AES blocks, Rabin
 fingerprints, firewall scans, and raw engine event throughput.
 """
 
+import itertools
 import random
 
 import pytest
@@ -52,6 +53,26 @@ def test_trie_lookup_throughput(benchmark):
             lookup(addr)
 
     benchmark(lookup_all)
+
+
+def test_trie_build_throughput(benchmark):
+    """Cold build of a scale-64 IP table (2000 routes, 26-bit universe).
+
+    Every round seeds a fresh RNG, so the process-wide build memo never
+    answers and a regression in the cold build stays visible.
+    """
+    seeds = itertools.count(0x7E1E_0000)
+    built = []
+
+    def fresh_builder():
+        return (RouteTableBuilder(random.Random(next(seeds)), addr_bits=26),), {}
+
+    def build(builder):
+        built.append(builder.build(2000))
+
+    benchmark.pedantic(build, setup=fresh_builder, rounds=5)
+    assert len({id(trie) for trie in built}) == len(built)
+    assert all(trie.n_routes == 2001 for trie in built)
 
 
 def test_aes_block_throughput(benchmark):

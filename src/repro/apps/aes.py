@@ -79,6 +79,14 @@ _TE1 = [((t >> 8) | ((t & 0xFF) << 24)) & 0xFFFFFFFF for t in _TE0]
 _TE2 = [((t >> 8) | ((t & 0xFF) << 24)) & 0xFFFFFFFF for t in _TE1]
 _TE3 = [((t >> 8) | ((t & 0xFF) << 24)) & 0xFFFFFFFF for t in _TE2]
 
+# Final-round S-box tables pre-shifted into each byte lane of a word, so
+# the last SubBytes/ShiftRows step assembles whole words.
+_SB3 = [v << 24 for v in _SBOX]
+_SB2 = [v << 16 for v in _SBOX]
+_SB1 = [v << 8 for v in _SBOX]
+
+_U64 = 0xFFFFFFFFFFFFFFFF
+
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -92,6 +100,8 @@ class AES128:
             raise ValueError("AES-128 requires a 16-byte key")
         self.key = key
         self._rk = self._expand_key(key)
+        # Middle-round keys grouped per round for the encrypt loop.
+        self._mid_rk = [tuple(self._rk[k:k + 4]) for k in range(4, 40, 4)]
 
     @staticmethod
     def _expand_key(key: bytes) -> List[int]:
@@ -117,36 +127,37 @@ class AES128:
         """Encrypt one 16-byte block."""
         if len(block) != 16:
             raise ValueError("block must be 16 bytes")
+        return self._encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
+
+    def _encrypt_int(self, block: int) -> int:
+        """Encrypt one block held as a 128-bit big-endian integer."""
         rk = self._rk
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
+        s0 = (block >> 96) ^ rk[0]
+        s1 = ((block >> 64) & 0xFFFFFFFF) ^ rk[1]
+        s2 = ((block >> 32) & 0xFFFFFFFF) ^ rk[2]
+        s3 = (block & 0xFFFFFFFF) ^ rk[3]
         te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
-        k = 4
-        for _ in range(9):
-            t0 = (te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
-                  ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k])
-            t1 = (te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
-                  ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1])
-            t2 = (te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
-                  ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2])
-            t3 = (te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
-                  ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3])
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            k += 4
-        sbox = _SBOX
-        out = bytearray(16)
-        for i, (a, b, c, d) in enumerate(
-            ((s0, s1, s2, s3), (s1, s2, s3, s0), (s2, s3, s0, s1),
-             (s3, s0, s1, s2))
-        ):
-            w = rk[40 + i]
-            out[4 * i] = sbox[a >> 24] ^ (w >> 24) & 0xFF
-            out[4 * i + 1] = sbox[(b >> 16) & 0xFF] ^ (w >> 16) & 0xFF
-            out[4 * i + 2] = sbox[(c >> 8) & 0xFF] ^ (w >> 8) & 0xFF
-            out[4 * i + 3] = sbox[d & 0xFF] ^ w & 0xFF
-        return bytes(out)
+        for k0, k1, k2, k3 in self._mid_rk:
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+                ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0,
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+                ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1,
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+                ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2,
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+                ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3,
+            )
+        sb3, sb2, sb1, sb0 = _SB3, _SB2, _SB1, _SBOX
+        o0 = (sb3[s0 >> 24] | sb2[(s1 >> 16) & 0xFF]
+              | sb1[(s2 >> 8) & 0xFF] | sb0[s3 & 0xFF]) ^ rk[40]
+        o1 = (sb3[s1 >> 24] | sb2[(s2 >> 16) & 0xFF]
+              | sb1[(s3 >> 8) & 0xFF] | sb0[s0 & 0xFF]) ^ rk[41]
+        o2 = (sb3[s2 >> 24] | sb2[(s3 >> 16) & 0xFF]
+              | sb1[(s0 >> 8) & 0xFF] | sb0[s1 & 0xFF]) ^ rk[42]
+        o3 = (sb3[s3 >> 24] | sb2[(s0 >> 16) & 0xFF]
+              | sb1[(s1 >> 8) & 0xFF] | sb0[s2 & 0xFF]) ^ rk[43]
+        return (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
 
     # -- decryption (straightforward inverse cipher; tests only) ---------------
 
@@ -200,19 +211,26 @@ class AES128:
 
 def aes_ctr_keystream(cipher: AES128, nonce: int, counter0: int,
                       n_bytes: int) -> bytes:
-    """CTR keystream: E(nonce || counter) for as many blocks as needed."""
+    """CTR keystream: E(nonce || counter) for as many blocks as needed.
+
+    The 64-bit counter wraps; a nonce outside 64 bits raises
+    ``OverflowError`` (as soon as any block is needed).
+    """
     if n_bytes < 0:
         raise ValueError("n_bytes must be non-negative")
-    out = bytearray()
-    counter = counter0
-    while len(out) < n_bytes:
-        block = nonce.to_bytes(8, "big") + (counter & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-        out.extend(cipher.encrypt_block(block))
-        counter += 1
-    return bytes(out[:n_bytes])
+    n_blocks = -(-n_bytes // 16)
+    if n_blocks and not 0 <= nonce <= _U64:
+        raise OverflowError(f"nonce {nonce} does not fit in 64 bits")
+    high = nonce << 64
+    encrypt = cipher._encrypt_int
+    return b"".join(
+        encrypt(high | (counter & _U64)).to_bytes(16, "big")
+        for counter in range(counter0, counter0 + n_blocks))[:n_bytes]
 
 
 def ctr_crypt(cipher: AES128, nonce: int, counter0: int, data: bytes) -> bytes:
     """Encrypt/decrypt ``data`` in CTR mode (the operation is symmetric)."""
-    ks = aes_ctr_keystream(cipher, nonce, counter0, len(data))
-    return bytes(a ^ b for a, b in zip(data, ks))
+    n = len(data)
+    ks = aes_ctr_keystream(cipher, nonce, counter0, n)
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(ks, "big")).to_bytes(n, "big")

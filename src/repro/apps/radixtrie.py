@@ -14,11 +14,23 @@ the byte offsets of the probed slots so the wrapper can replay the walk
 against simulated memory. The top levels are small and probed by every
 packet — the "hot spots" of the paper's Figure 7 — while the deep levels
 are large, uniformly accessed, and cache-sensitive.
+
+Storage mirrors that packed layout: the slots of all nodes live in flat
+``array`` buffers, node by node in allocation order, so slot ``i`` is at
+simulated byte offset ``i * SLOT_BYTES`` and a child pointer is the
+child's first-slot index. ``RouteTableBuilder.build`` is a pure function
+of its inputs and the RNG state, so it is memoized process-wide: every
+flow built from the same (seed, core) shares one read-only trie, and the
+RNG is left exactly where a fresh build would leave it. Each flow still
+allocates its own simulated region for the trie; only the host-side
+tables are shared.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 from ..net.addresses import prefix_mask
@@ -32,6 +44,9 @@ DEFAULT_STRIDES = (8,) + (2,) * 12
 #: Packed slot width in the simulated layout (child/route union, Click-style).
 SLOT_BYTES = 4
 
+#: Distinct routing tables :meth:`RouteTableBuilder.build` keeps (LRU).
+BUILD_MEMO_SIZE = 64
+
 
 class RadixTrie:
     """Variable-stride multibit trie mapping IPv4 prefixes to next hops."""
@@ -42,66 +57,72 @@ class RadixTrie:
         if any(s <= 0 for s in strides):
             raise ValueError("every stride must be positive")
         self.strides = tuple(strides)
-        # Parallel per-node arrays; node 0 is the root. ``route_plens``
-        # remembers the originating prefix length of each expanded slot so
-        # that a shorter prefix never overwrites a longer one's expansion.
-        self.children: List[List[int]] = [[-1] * (1 << strides[0])]
-        self.routes: List[List[Optional[int]]] = [[None] * (1 << strides[0])]
-        self.route_plens: List[List[int]] = [[-1] * (1 << strides[0])]
-        self.level: List[int] = [0]
-        self.node_offset: List[int] = [0]
-        self._next_offset = (1 << strides[0]) * SLOT_BYTES
+        # Flat per-slot buffers; the root's slots come first. -1 marks an
+        # empty child or no route. ``route_plens`` remembers the
+        # originating prefix length of each expanded slot so that a
+        # shorter prefix never overwrites a longer one's expansion.
+        self.children = array("i")
+        self.routes = array("i")
+        self.route_plens = array("b")
+        self.n_nodes = 0
+        self._new_node(0)
         self.default_route: Optional[int] = None
         self.n_routes = 0
+        #: Set on tries shared through the build memo: ``insert`` refuses.
+        self.read_only = False
 
     # -- geometry ---------------------------------------------------------------
 
     @property
-    def n_nodes(self) -> int:
-        """Number of allocated trie nodes."""
-        return len(self.children)
-
-    @property
     def total_bytes(self) -> int:
         """Simulated memory footprint of all nodes."""
-        return self._next_offset
+        return len(self.children) * SLOT_BYTES
 
     def _new_node(self, level: int) -> int:
+        """Append a node's empty slots; return its first-slot index."""
+        first = len(self.children)
         slots = 1 << self.strides[level]
-        self.children.append([-1] * slots)
-        self.routes.append([None] * slots)
-        self.route_plens.append([-1] * slots)
-        self.level.append(level)
-        self.node_offset.append(self._next_offset)
-        self._next_offset += slots * SLOT_BYTES
-        return len(self.children) - 1
+        empty = array("i", [-1]) * slots
+        self.children.extend(empty)
+        self.routes.extend(empty)
+        self.route_plens.extend(array("b", [-1]) * slots)
+        self.n_nodes += 1
+        return first
 
     # -- insertion -------------------------------------------------------------
 
     def insert(self, prefix: int, plen: int, next_hop: int) -> None:
         """Install ``prefix/plen -> next_hop`` (later inserts overwrite)."""
+        if self.read_only:
+            raise RuntimeError(
+                "routing table is shared by every flow built from the same "
+                "RNG state; build a private RadixTrie to change routes")
         if not 0 <= plen <= 32:
             raise ValueError(f"bad prefix length {plen}")
         if not 0 <= prefix <= 0xFFFFFFFF:
             raise ValueError("prefix must be a 32-bit value")
         if prefix & ~prefix_mask(plen):
             raise ValueError("prefix has bits set beyond its length")
+        if not 0 <= next_hop <= 0x7FFFFFFF:
+            raise ValueError(
+                f"next_hop must be a non-negative 31-bit value, got {next_hop}")
         if plen == 0:
             self.default_route = next_hop
             self.n_routes += 1
             return
-        node = 0
+        children = self.children
+        base = 0
         level = 0
         consumed = 0
         while plen > consumed + self.strides[level]:
             stride = self.strides[level]
             shift = 32 - consumed - stride
-            slot = (prefix >> shift) & ((1 << stride) - 1)
-            child = self.children[node][slot]
+            slot = base + ((prefix >> shift) & ((1 << stride) - 1))
+            child = children[slot]
             if child < 0:
                 child = self._new_node(level + 1)
-                self.children[node][slot] = child
-            node = child
+                children[slot] = child
+            base = child
             consumed += stride
             level += 1
         # Controlled prefix expansion within the terminal node: a slot is
@@ -110,13 +131,12 @@ class RadixTrie:
         stride = self.strides[level]
         rem = plen - consumed
         shift = 32 - consumed - stride
-        base = (prefix >> shift) & ((1 << stride) - 1)
-        span = 1 << (stride - rem)
-        slots = self.routes[node]
-        plens = self.route_plens[node]
-        for i in range(base, base + span):
+        first = base + ((prefix >> shift) & ((1 << stride) - 1))
+        routes = self.routes
+        plens = self.route_plens
+        for i in range(first, first + (1 << (stride - rem))):
             if plen >= plens[i]:
-                slots[i] = next_hop
+                routes[i] = next_hop
                 plens[i] = plen
         self.n_routes += 1
 
@@ -129,30 +149,30 @@ class RadixTrie:
         the byte offsets of every slot probed, root first.
         """
         best = self.default_route
-        node = 0
+        base = 0
         shift = 32
-        level = 0
         visited: List[int] = []
-        strides = self.strides
         children = self.children
         routes = self.routes
-        offsets = self.node_offset
-        while True:
-            stride = strides[level]
+        for stride in self.strides:
             shift -= stride
-            slot = (addr >> shift) & ((1 << stride) - 1)
-            visited.append(offsets[node] + slot * SLOT_BYTES)
-            route = routes[node][slot]
-            if route is not None:
+            slot = base + ((addr >> shift) & ((1 << stride) - 1))
+            visited.append(slot * SLOT_BYTES)
+            route = routes[slot]
+            if route >= 0:
                 best = route
-            node = children[node][slot]
-            if node < 0 or shift == 0:
-                return best, visited
-            level += 1
+            base = children[slot]
+            if base < 0:
+                break
+        return best, visited
 
     def lookup_route(self, addr: int) -> Optional[int]:
         """Just the next hop (reference-model helper for tests)."""
         return self.lookup(addr)[0]
+
+
+#: ``RouteTableBuilder.build`` memo: key -> (shared trie, RNG state after).
+_BUILD_MEMO: "OrderedDict[tuple, Tuple[RadixTrie, tuple]]" = OrderedDict()
 
 
 class RouteTableBuilder:
@@ -188,9 +208,24 @@ class RouteTableBuilder:
         return prefix, plen
 
     def build(self, n_entries: int, n_next_hops: int = 16) -> RadixTrie:
-        """A trie with ``n_entries`` random routes plus a default route."""
+        """A trie with ``n_entries`` random routes plus a default route.
+
+        The result is a pure function of the builder and RNG classes, the
+        arguments, ``addr_bits`` and the RNG state, so equal inputs share
+        one read-only trie; a memo hit leaves the RNG in the state a fresh
+        build would have left it in.
+        """
         if n_entries <= 0:
             raise ValueError("need at least one route")
+        rng = self.rng
+        key = (type(self), type(rng), n_entries, n_next_hops,
+               self.addr_bits, rng.getstate())
+        hit = _BUILD_MEMO.get(key)
+        if hit is not None:
+            _BUILD_MEMO.move_to_end(key)
+            trie, after = hit
+            rng.setstate(after)
+            return trie
         trie = RadixTrie()
         trie.insert(0, 0, 0)  # default route
         inserted = 0
@@ -200,6 +235,10 @@ class RouteTableBuilder:
             if (prefix, plen) in seen:
                 continue
             seen.add((prefix, plen))
-            trie.insert(prefix, plen, self.rng.randrange(n_next_hops))
+            trie.insert(prefix, plen, rng.randrange(n_next_hops))
             inserted += 1
+        trie.read_only = True
+        _BUILD_MEMO[key] = (trie, rng.getstate())
+        if len(_BUILD_MEMO) > BUILD_MEMO_SIZE:
+            _BUILD_MEMO.popitem(last=False)
         return trie

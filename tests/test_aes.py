@@ -105,3 +105,38 @@ def test_avalanche():
     b = cipher.encrypt_block(b"\x00" * 15 + b"\x01")
     differing = sum(bin(x ^ y).count("1") for x, y in zip(a, b))
     assert differing > 30  # roughly half of 128 bits flip
+
+
+def _blockwise_keystream(cipher, nonce, counter0, n_bytes):
+    """Reference CTR keystream: one ``encrypt_block`` per 16 bytes."""
+    out = b""
+    counter = counter0
+    while len(out) < n_bytes:
+        out += cipher.encrypt_block(
+            nonce.to_bytes(8, "big")
+            + (counter % 2**64).to_bytes(8, "big"))
+        counter += 1
+    return out[:n_bytes]
+
+
+@given(key=st.binary(min_size=16, max_size=16),
+       n_bytes=st.integers(min_value=0, max_value=80),
+       nonce=st.integers(min_value=0, max_value=2**64 - 1),
+       counter0=st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                          st.integers(min_value=2**64 - 3, max_value=2**64 + 3)))
+@settings(max_examples=60, deadline=None)
+def test_property_ctr_matches_blockwise_keystream(key, n_bytes, nonce, counter0):
+    cipher = AES128(key)
+    expected = _blockwise_keystream(cipher, nonce, counter0, n_bytes)
+    assert aes_ctr_keystream(cipher, nonce, counter0, n_bytes) == expected
+    data = bytes(range(n_bytes))
+    assert ctr_crypt(cipher, nonce, counter0, data) == bytes(
+        a ^ b for a, b in zip(data, expected))
+
+
+@pytest.mark.parametrize("nonce", [2**64, -1])
+def test_ctr_rejects_nonce_beyond_64_bits(nonce):
+    cipher = AES128(b"\x00" * 16)
+    with pytest.raises(OverflowError):
+        ctr_crypt(cipher, nonce, 0, b"payload")
+    assert aes_ctr_keystream(cipher, nonce, 0, 0) == b""

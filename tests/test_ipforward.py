@@ -1,9 +1,15 @@
 """IP forwarding elements: lookup and TTL/checksum."""
 
+import random
+
 import pytest
 
 from repro.apps.ipforward import DecIPTTL, RadixIPLookup
 from repro.apps.radixtrie import RadixTrie
+from repro.apps.registry import app_factory
+from repro.fastpath import use_engine
+from repro.hw.machine import Machine
+from repro.hw.topology import PlatformSpec
 from repro.mem.access import AccessContext
 from repro.net.checksum import internet_checksum
 from repro.net.packet import Packet
@@ -94,3 +100,35 @@ def test_dec_ttl_repeated_hops():
         hops += 1
         assert out.ip.is_valid()
     assert hops == 4
+
+
+def _core0_lookup(earlier_apps):
+    """MON on core 0 (seed 3), added after ``earlier_apps`` on cores 1..n."""
+    machine = Machine(PlatformSpec.westmere().scaled(64), seed=3)
+    with use_engine("scalar"):
+        for core, app in enumerate(earlier_apps, start=1):
+            machine.add_flow(app_factory(app), core=core)
+        flow = machine.add_flow(app_factory("MON"), core=0).flow
+    return next(e for e in flow.elements if isinstance(e, RadixIPLookup))
+
+
+def test_shared_trie_on_shifted_layout_differs_only_by_region_base():
+    plain = _core0_lookup([])
+    shifted = _core0_lookup(["FW", "RE"])
+    # Same (seed, core): one routing table, built once and shared.
+    assert shifted.trie is plain.trie
+    delta = shifted.region.base - plain.region.base
+    assert delta > 0 and delta % 64 == 0
+    rng = random.Random(17)
+    for _ in range(64):
+        dst = rng.getrandbits(32)
+        programs = []
+        for element in (plain, shifted):
+            ctx = AccessContext()
+            element.process(ctx, Packet.udp(src=1, dst=dst))
+            programs.append(ctx.program)
+        a, b = programs
+        assert len(a) == len(b) > 0
+        assert a[0::3] == b[0::3]  # gaps
+        assert a[2::3] == b[2::3]  # tags
+        assert [line + (delta >> 6) for line in a[1::3]] == b[1::3]

@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import radixtrie
 from repro.apps.radixtrie import (
+    BUILD_MEMO_SIZE,
     DEFAULT_STRIDES,
     RadixTrie,
     RouteTableBuilder,
@@ -92,6 +94,10 @@ def test_insert_validates():
         trie.insert(1 << 32, 8, 1)
     with pytest.raises(ValueError):
         trie.insert(0x0A000001, 8, 1)  # bits beyond /8
+    for plen in (0, 8, 24):  # -1 is the empty-slot sentinel
+        with pytest.raises(ValueError):
+            trie.insert(0x0A000000 & prefix_mask(plen), plen, -1)
+    assert trie.n_routes == 0
 
 
 def test_visited_offsets_are_slot_aligned():
@@ -196,3 +202,71 @@ def test_built_table_layout_is_pinned(seed, addr_bits, n_entries):
     got = (trie.total_bytes, trie.n_nodes,
            _lookup_digest(trie, seed + 1000, addr_bits))
     assert got == PINNED_TABLES[(seed, addr_bits, n_entries)]
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty build memo, so the first build of each table is cold."""
+    radixtrie._BUILD_MEMO.clear()
+    yield radixtrie._BUILD_MEMO
+    radixtrie._BUILD_MEMO.clear()
+
+
+def test_build_memo_shares_trie_and_replays_rng_state(cold_memo):
+    cold_rng = random.Random(21)
+    cold = RouteTableBuilder(cold_rng, addr_bits=26).build(300)
+    warm_rng = random.Random(21)
+    warm = RouteTableBuilder(warm_rng, addr_bits=26).build(300)
+    assert warm is cold
+    assert warm_rng.getstate() == cold_rng.getstate()
+    # Later draws (traffic, rules, keys) continue identically.
+    assert warm_rng.getrandbits(64) == cold_rng.getrandbits(64)
+    assert len(cold_memo) == 1
+
+
+class SlashTwentyFours(RouteTableBuilder):
+    LENGTH_MIX = ((24, 1),)
+
+
+@pytest.mark.parametrize("builder,seed,addr_bits,n_entries,n_next_hops", [
+    (RouteTableBuilder, 22, 26, 300, 16),   # different RNG state
+    (RouteTableBuilder, 21, 27, 300, 16),   # different address universe
+    (RouteTableBuilder, 21, 26, 301, 16),   # different entry count
+    (RouteTableBuilder, 21, 26, 300, 8),    # different next-hop count
+    (SlashTwentyFours, 21, 26, 300, 16),    # different builder class
+])
+def test_build_memo_misses_on_any_input_change(cold_memo, builder, seed,
+                                                addr_bits, n_entries,
+                                                n_next_hops):
+    base = RouteTableBuilder(random.Random(21), addr_bits=26).build(300, 16)
+    other = builder(random.Random(seed), addr_bits=addr_bits).build(
+        n_entries, n_next_hops)
+    assert other is not base
+    assert len(cold_memo) == 2
+
+
+def test_build_memo_is_bounded_lru(cold_memo):
+    first = RouteTableBuilder(random.Random(0), addr_bits=24).build(16)
+    for seed in range(1, BUILD_MEMO_SIZE + 8):
+        RouteTableBuilder(random.Random(seed), addr_bits=24).build(16)
+        assert len(cold_memo) <= BUILD_MEMO_SIZE
+        # Touching the first table keeps it most recently used.
+        assert RouteTableBuilder(random.Random(0),
+                                 addr_bits=24).build(16) is first
+    assert len(cold_memo) == BUILD_MEMO_SIZE
+    # The least recently used table (seed 1) was evicted.
+    evicted_state = random.Random(1).getstate()
+    assert all(key[-1] != evicted_state for key in cold_memo)
+
+
+def test_built_trie_is_read_only():
+    assert not RadixTrie().read_only  # hand-built tries stay writable
+    trie = RouteTableBuilder(random.Random(8), addr_bits=24).build(32)
+    assert trie.read_only
+    before = _lookup_digest(trie, 1, 24)
+    with pytest.raises(RuntimeError):
+        trie.insert(0x0A0000, 24, 1)
+    with pytest.raises(RuntimeError):
+        trie.insert(0, 0, 3)
+    assert _lookup_digest(trie, 1, 24) == before
+
