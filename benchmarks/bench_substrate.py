@@ -1,8 +1,9 @@
 """Substrate microbenchmarks (classic pytest-benchmark timings).
 
 These are not paper figures; they characterize the building blocks the
-experiments run on: cache probes, trie lookups, AES blocks, Rabin
-fingerprints, firewall scans, and raw engine event throughput.
+experiments run on: cache probes, trie lookups, AES blocks and batched
+CTR keystreams, Rabin fingerprints, firewall scans, per-app functional
+packet generation, and raw engine event throughput.
 """
 
 import itertools
@@ -10,15 +11,16 @@ import random
 
 import pytest
 
-from repro.apps.aes import AES128
+from repro.apps.aes import AES128, ctr_keystreams
 from repro.apps.fingerprint import RabinFingerprinter
 from repro.apps.firewall import Firewall
 from repro.apps.radixtrie import RouteTableBuilder
-from repro.apps.registry import app_factory
+from repro.apps.registry import REALISTIC_APPS, app_factory, make_app
 from repro.hw.cache import SetAssociativeCache
 from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
 from repro.hw.machine import FlowEnv
+from repro.mem.access import AccessContext
 from repro.mem.allocator import AddressSpace
 from repro.net.packet import Packet
 
@@ -88,6 +90,36 @@ def test_aes_block_throughput(benchmark):
 
     out = benchmark(encrypt_64)
     assert len(out) == 16
+
+
+def test_aes_ctr_run_ahead_throughput(benchmark):
+    """One VPN run-ahead refill: 64 packets of 256 bytes in one kernel call."""
+    cipher = AES128(b"\x13" * 16)
+    requests = [(j, 16 * j, 256) for j in range(64)]
+    out = benchmark(ctr_keystreams, cipher, requests)
+    assert [len(ks) for ks in out] == [256] * 64
+    assert out[5] == b"".join(
+        cipher.encrypt_block((5).to_bytes(8, "big")
+                             + (80 + i).to_bytes(8, "big"))
+        for i in range(16))
+
+
+@pytest.mark.parametrize("app", REALISTIC_APPS)
+def test_generate_per_app(benchmark, app):
+    """Functional generation of one flow: 64 ``run_packet`` calls per round
+    at scale 64, the per-app split of the engine's generation time."""
+    flow = make_app(app, make_env(PlatformSpec.westmere().scaled(64)))
+    ctx = AccessContext()
+
+    def generate_64():
+        refs = 0
+        for _ in range(64):
+            flow.run_packet(ctx)
+            refs += ctx.n_references
+            ctx.reset()
+        return refs
+
+    assert benchmark(generate_64) > 0
 
 
 def test_rabin_rolling_throughput(benchmark):

@@ -1,10 +1,14 @@
-"""AES-128 block cipher, pure Python (FIPS-197).
+"""AES-128 block cipher (FIPS-197) with a vectorised CTR keystream kernel.
 
 Used by the VPN application the way IPsec uses it: CTR-mode payload
-encryption. The encrypt path uses the classic four T-table formulation
-for speed; decryption implements the straightforward inverse cipher and
-exists so tests can round-trip. Verified against the FIPS-197 / SP 800-38A
-test vectors in the test suite.
+encryption. Encryption uses the classic four T-table formulation twice
+over: :meth:`AES128.encrypt_block` runs it on one block held as a Python
+integer (the single-block reference), and :func:`ctr_keystreams` runs it
+in NumPy over every block of many CTR requests at once, one table gather
+per T-table and round. Decryption implements the straightforward inverse
+cipher and exists so tests can round-trip and check the kernel against an
+independent oracle. Verified against the FIPS-197 / SP 800-38A test
+vectors in the test suite.
 
 Inside the timing simulation, the AES lookup tables are not emitted as
 individual memory references: at 4 KB they are L1-resident on any
@@ -16,7 +20,9 @@ writes are simulated.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, Tuple
+
+import numpy as np
 
 # -- S-boxes ------------------------------------------------------------------
 
@@ -87,6 +93,14 @@ _SB1 = [v << 8 for v in _SBOX]
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# The kernel reads a state word's bytes through a uint8 view, so its words
+# are little-endian uint32 on every host: lane 0 is the low byte.
+_LE32 = np.dtype("<u4")
+_KT_ROUND = tuple(np.array(t, dtype=_LE32) for t in (_TE0, _TE1, _TE2, _TE3))
+_KT_FINAL = tuple(np.array(t, dtype=_LE32) for t in (_SB3, _SB2, _SB1, _SBOX))
+# ShiftRows: output word i takes byte lane 3-j of state word (i + j) % 4.
+_ROT1, _ROT2, _ROT3 = [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]
+
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
@@ -102,6 +116,8 @@ class AES128:
         self._rk = self._expand_key(key)
         # Middle-round keys grouped per round for the encrypt loop.
         self._mid_rk = [tuple(self._rk[k:k + 4]) for k in range(4, 40, 4)]
+        # Round keys as kernel operands: [round, word, 1] broadcasts over blocks.
+        self._rk_words = np.array(self._rk, dtype=_LE32).reshape(11, 4, 1)
 
     @staticmethod
     def _expand_key(key: bytes) -> List[int]:
@@ -121,7 +137,7 @@ class AES128:
             words.append(words[i - 4] ^ temp)
         return words
 
-    # -- encryption (T-table fast path) ---------------------------------------
+    # -- encryption (T-table rounds: one block, or many in NumPy) ---------------
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -130,7 +146,8 @@ class AES128:
         return self._encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
 
     def _encrypt_int(self, block: int) -> int:
-        """Encrypt one block held as a 128-bit big-endian integer."""
+        """Encrypt one block held as a 128-bit big-endian integer (the
+        scalar reference the vectorised kernel is tested against)."""
         rk = self._rk
         s0 = (block >> 96) ^ rk[0]
         s1 = ((block >> 64) & 0xFFFFFFFF) ^ rk[1]
@@ -158,6 +175,22 @@ class AES128:
         o3 = (sb3[s3 >> 24] | sb2[(s0 >> 16) & 0xFF]
               | sb1[(s1 >> 8) & 0xFF] | sb0[s2 & 0xFF]) ^ rk[43]
         return (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
+
+    def _encrypt_words(self, state: np.ndarray) -> np.ndarray:
+        """Encrypt a ``(4, n)`` little-endian uint32 state: row i is word i
+        of every block. The same rounds as :meth:`_encrypt_int`."""
+        rk = self._rk_words
+        state = state ^ rk[0]
+        n = state.shape[1]
+        for r in range(1, 11):
+            lanes = state.view(np.uint8).reshape(4, n, 4)
+            t0, t1, t2, t3 = _KT_ROUND if r < 10 else _KT_FINAL
+            state = t0.take(lanes[:, :, 3])
+            state ^= t1.take(lanes[_ROT1, :, 2])
+            state ^= t2.take(lanes[_ROT2, :, 1])
+            state ^= t3.take(lanes[_ROT3, :, 0])
+            state ^= rk[r]
+        return state
 
     # -- decryption (straightforward inverse cipher; tests only) ---------------
 
@@ -209,28 +242,69 @@ class AES128:
         return bytes(state[r % 4][r // 4] for r in range(16))
 
 
+def ctr_keystreams(cipher: AES128,
+                   requests: Iterable[Tuple[int, int, int]]) -> List[bytes]:
+    """CTR keystreams for many ``(nonce, counter0, n_bytes)`` requests.
+
+    Request i gets ``E(nonce || counter)`` for counters ``counter0,
+    counter0 + 1, ...``, cut to ``n_bytes``; every block of every request
+    goes through one kernel call. The 64-bit counter wraps; a negative
+    ``counter0`` or ``n_bytes`` raises ``ValueError``, and a nonce outside
+    64 bits raises ``OverflowError`` as soon as its request needs a block.
+    """
+    sizes: List[int] = []
+    counts: List[int] = []
+    nonces: List[int] = []
+    starts: List[int] = []
+    for nonce, counter0, n_bytes in requests:
+        if n_bytes < 0:
+            raise ValueError("n_bytes must be non-negative")
+        if counter0 < 0:
+            raise ValueError("counter0 must be non-negative")
+        n_blocks = -(-n_bytes // 16)
+        if n_blocks and not 0 <= nonce <= _U64:
+            raise OverflowError(f"nonce {nonce} does not fit in 64 bits")
+        sizes.append(n_bytes)
+        counts.append(n_blocks)
+        # A request with no blocks repeats zero times: its values are unused.
+        nonces.append(nonce if n_blocks else 0)
+        starts.append(counter0 & _U64)
+    total = sum(counts)
+    if not total:
+        return [b""] * len(sizes)
+    reps = np.array(counts, dtype=np.intp)
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    nonce_col = np.repeat(np.array(nonces, dtype=np.uint64), reps)
+    counter_col = (np.repeat(np.array(starts, dtype=np.uint64), reps)
+                   + (np.arange(total, dtype=np.intp) - first).astype(np.uint64))
+    state = np.empty((4, total), dtype=_LE32)
+    state[0] = (nonce_col >> np.uint64(32)).astype(np.uint32)
+    state[1] = nonce_col.astype(np.uint32)
+    state[2] = (counter_col >> np.uint64(32)).astype(np.uint32)
+    state[3] = counter_col.astype(np.uint32)
+    blob = cipher._encrypt_words(state).T.astype(">u4", order="C").tobytes()
+    out: List[bytes] = []
+    pos = 0
+    for n_bytes, n_blocks in zip(sizes, counts):
+        out.append(blob[pos:pos + n_bytes])
+        pos += 16 * n_blocks
+    return out
+
+
 def aes_ctr_keystream(cipher: AES128, nonce: int, counter0: int,
                       n_bytes: int) -> bytes:
-    """CTR keystream: E(nonce || counter) for as many blocks as needed.
+    """CTR keystream for one request: see :func:`ctr_keystreams`."""
+    return ctr_keystreams(cipher, [(nonce, counter0, n_bytes)])[0]
 
-    The 64-bit counter wraps; a nonce outside 64 bits raises
-    ``OverflowError`` (as soon as any block is needed).
-    """
-    if n_bytes < 0:
-        raise ValueError("n_bytes must be non-negative")
-    n_blocks = -(-n_bytes // 16)
-    if n_blocks and not 0 <= nonce <= _U64:
-        raise OverflowError(f"nonce {nonce} does not fit in 64 bits")
-    high = nonce << 64
-    encrypt = cipher._encrypt_int
-    return b"".join(
-        encrypt(high | (counter & _U64)).to_bytes(16, "big")
-        for counter in range(counter0, counter0 + n_blocks))[:n_bytes]
+
+def keystream_xor(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR an equally long ``keystream``, on whole integers."""
+    n = len(data)
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
 def ctr_crypt(cipher: AES128, nonce: int, counter0: int, data: bytes) -> bytes:
     """Encrypt/decrypt ``data`` in CTR mode (the operation is symmetric)."""
-    n = len(data)
-    ks = aes_ctr_keystream(cipher, nonce, counter0, n)
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(ks, "big")).to_bytes(n, "big")
+    return keystream_xor(data, aes_ctr_keystream(cipher, nonce, counter0,
+                                                 len(data)))

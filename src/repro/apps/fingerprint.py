@@ -13,6 +13,7 @@ by the unit tests).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterator, List, Tuple
 
 #: Default irreducible-ish polynomial base and modulus for the rolling hash.
@@ -31,8 +32,11 @@ class RabinFingerprinter:
         self.window = window
         self.sample_bits = sample_bits
         self._sample_mask = (1 << sample_bits) - 1
+        # BASE^(window-1-i) mod MOD: byte i's weight in a window's fingerprint.
+        self._weights = tuple(pow(_BASE, window - 1 - i, _MOD)
+                              for i in range(window))
         # BASE^(window-1) mod MOD, for removing the outgoing byte.
-        self._msb_weight = pow(_BASE, window - 1, _MOD)
+        self._msb_weight = self._weights[0]
 
     # -- exact rolling implementation ------------------------------------------
 
@@ -40,10 +44,8 @@ class RabinFingerprinter:
         """Fingerprint of exactly one window (``len(data) == window``)."""
         if len(data) != self.window:
             raise ValueError(f"need exactly {self.window} bytes")
-        fp = 0
-        for byte in data:
-            fp = (fp * _BASE + byte) % _MOD
-        return fp
+        # Horner's rule, reduced once: sum of byte * BASE^(w-1-i), mod MOD.
+        return sum(map(mul, data, self._weights)) % _MOD
 
     def rolling(self, data: bytes) -> Iterator[Tuple[int, int]]:
         """Yield ``(offset, fingerprint)`` for every window of ``data``.

@@ -1,9 +1,10 @@
 """AES-128 against the FIPS-197 / SP 800-38A vectors."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.aes import AES128, aes_ctr_keystream, ctr_crypt
+from repro.apps.aes import AES128, aes_ctr_keystream, ctr_crypt, ctr_keystreams
 
 
 def test_fips197_appendix_b():
@@ -99,6 +100,16 @@ def test_ctr_keystream_rejects_negative():
         aes_ctr_keystream(AES128(b"\x00" * 16), 0, 0, -1)
 
 
+@pytest.mark.parametrize("n_bytes", [0, 16])
+def test_ctr_rejects_negative_counter(n_bytes):
+    # A negative counter is an error, not a wrap to 2**64 - 1.
+    cipher = AES128(b"\x00" * 16)
+    with pytest.raises(ValueError):
+        aes_ctr_keystream(cipher, 0, -1, n_bytes)
+    with pytest.raises(ValueError):
+        ctr_keystreams(cipher, [(0, 0, 16), (1, -1, n_bytes)])
+
+
 def test_avalanche():
     cipher = AES128(b"\x00" * 16)
     a = cipher.encrypt_block(b"\x00" * 16)
@@ -140,3 +151,57 @@ def test_ctr_rejects_nonce_beyond_64_bits(nonce):
     with pytest.raises(OverflowError):
         ctr_crypt(cipher, nonce, 0, b"payload")
     assert aes_ctr_keystream(cipher, nonce, 0, 0) == b""
+
+
+_REQUESTS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+              st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                        st.integers(min_value=2**64 - 3,
+                                    max_value=2**64 + 3)),
+              st.integers(min_value=0, max_value=80)),
+    max_size=12)
+
+
+@given(key=st.binary(min_size=16, max_size=16), requests=_REQUESTS)
+@settings(max_examples=40, deadline=None)
+def test_property_batched_keystreams_match_one_request_calls(key, requests):
+    cipher = AES128(key)
+    assert ctr_keystreams(cipher, requests) == [
+        aes_ctr_keystream(cipher, *request) for request in requests]
+
+
+@given(key=st.binary(min_size=16, max_size=16), requests=_REQUESTS)
+@settings(max_examples=20, deadline=None)
+def test_property_keystream_blocks_decrypt_to_counter_blocks(key, requests):
+    # The textbook inverse cipher shares no tables with the T-table kernel.
+    cipher = AES128(key)
+    for (nonce, counter0, n_bytes), ks in zip(
+            requests, ctr_keystreams(cipher, requests)):
+        assert len(ks) == n_bytes
+        for i in range(n_bytes // 16):
+            counter = (counter0 + i) % 2**64
+            assert cipher.decrypt_block(ks[16 * i:16 * i + 16]) == (
+                nonce.to_bytes(8, "big") + counter.to_bytes(8, "big"))
+
+
+@given(key=st.binary(min_size=16, max_size=16),
+       blocks=st.lists(st.integers(min_value=0, max_value=2**128 - 1),
+                       min_size=1, max_size=40))
+@settings(max_examples=30, deadline=None)
+def test_property_kernel_matches_scalar_rounds(key, blocks):
+    cipher = AES128(key)
+    state = np.array([[(b >> (96 - 32 * w)) & 0xFFFFFFFF for b in blocks]
+                      for w in range(4)], dtype=np.dtype("<u4"))
+    out = cipher._encrypt_words(state)
+    got = [(int(out[0, i]) << 96) | (int(out[1, i]) << 64)
+           | (int(out[2, i]) << 32) | int(out[3, i])
+           for i in range(len(blocks))]
+    assert got == [cipher._encrypt_int(b) for b in blocks]
+
+
+def test_batched_keystreams_empty_and_zero_length():
+    cipher = AES128(b"\x05" * 16)
+    assert ctr_keystreams(cipher, []) == []
+    assert ctr_keystreams(cipher, [(2**64, 0, 0), (-1, 3, 0)]) == [b"", b""]
+    with pytest.raises(OverflowError):
+        ctr_keystreams(cipher, [(0, 0, 16), (2**64, 0, 1)])

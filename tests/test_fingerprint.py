@@ -91,3 +91,18 @@ def test_identical_chunks_share_fingerprints():
     data = chunk * 3
     values = {v for _, v in fp.aligned(data)}
     assert len(values) == 1
+
+
+def _horner(data):
+    fp = 0
+    for byte in data:
+        fp = (fp * (2**8 + 7) + byte) % ((1 << 61) - 1)
+    return fp
+
+
+@given(window=st.integers(min_value=1, max_value=96), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_fingerprint_matches_horner_reference(window, data):
+    chunk = data.draw(st.binary(min_size=window, max_size=window))
+    assert RabinFingerprinter(window=window).fingerprint(chunk) == \
+        _horner(chunk)

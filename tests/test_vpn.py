@@ -1,9 +1,10 @@
 """VPN element: real encryption with simulated payload accesses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.aes import AES128, ctr_crypt
-from repro.apps.vpn import VPNEncrypt
+from repro.apps.vpn import RUN_AHEAD_PACKETS, VPNEncrypt
 from repro.mem.access import AccessContext
 from repro.net.packet import Packet
 from tests.conftest import make_env
@@ -80,3 +81,41 @@ def test_random_key_when_unconfigured():
 def test_requires_initialize():
     with pytest.raises(RuntimeError):
         VPNEncrypt().process(AccessContext(), Packet.udp(src=1, dst=2))
+
+
+def _encrypt_sequence(key, lengths):
+    """Run one element over payloads of ``lengths``; check each ciphertext
+    against encrypting that packet on its own."""
+    element = make_vpn(key)
+    cipher = AES128(key)
+    counter = 0
+    for i, n in enumerate(lengths):
+        payload = bytes((i + k) % 256 for k in range(n))
+        pkt = Packet.udp(src=1, dst=2, payload=payload)
+        element.process(AccessContext(), pkt)
+        assert pkt.payload == ctr_crypt(cipher, nonce=i, counter0=counter,
+                                        data=payload)
+        assert len(element._ahead) <= RUN_AHEAD_PACKETS
+        counter += (n + 15) // 16
+    assert element.packets == len(lengths)
+    assert element.counter == counter
+    return element
+
+
+def test_run_ahead_matches_per_packet_encryption():
+    # 150 packets of one length cross two refills.
+    _encrypt_sequence(b"\x07" * 16, [256] * 150)
+
+
+def test_run_ahead_survives_length_changes_mid_batch():
+    lengths = [256, 256, 20, 48, 0, 256, 17] * 12
+    element = _encrypt_sequence(b"\x09" * 16, lengths)
+    assert element.bytes_encrypted == sum(lengths)
+
+
+@given(key=st.binary(min_size=16, max_size=16),
+       lengths=st.lists(st.sampled_from([0, 1, 16, 17, 48, 256]),
+                        max_size=80))
+@settings(max_examples=15, deadline=None)
+def test_property_run_ahead_is_per_packet_ctr(key, lengths):
+    _encrypt_sequence(key, lengths)
