@@ -96,7 +96,14 @@ def _replay(args) -> int:
     engines = ENGINE_SETS[args.engine]
     failed = 0
     for path in paths:
-        entry = load_repro(path)
+        try:
+            entry = load_repro(path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # One unreadable file must not hide what the others show.
+            failed += 1
+            print(f"repro-check: replay {path}: FAIL (unreadable: "
+                  f"{type(exc).__name__}: {exc})")
+            continue
         violations = run_config(entry.config, engines,
                                 probe_interval=args.probe_interval,
                                 check_occupancy=args.occupancy)

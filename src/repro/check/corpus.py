@@ -57,9 +57,11 @@ class ReproEntry:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ReproEntry":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(
-                f"not a corpus entry (schema={data.get('schema')!r})")
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != SCHEMA:
+            raise ValueError(f"not a corpus entry (schema={schema!r})")
+        if "config" not in data:
+            raise ValueError("corpus entry has no config")
         return cls(
             config=ScenarioConfig.from_dict(data["config"]),
             violations=list(data.get("violations", [])),

@@ -8,8 +8,8 @@ both execution engines. Per scenario it collects:
 * **invariant violations** — conservation/monotonicity/capacity breaches
   observed by the windowed probe and the end-of-run audit;
 * **engine-equality divergences** — when both engines run, their results
-  are compared field-exactly with the differential harness
-  (:func:`repro.fastpath.diff.compare_results`);
+  are compared field-exactly with the engine-equality comparator the
+  differential suite uses (:func:`repro.fastpath.diff.compare_results`);
 * **sweep-equality divergences** (opt-in sample) — the scenario executed
   through the sharded sweep orchestrator (``jobs=2``, worker processes)
   must produce byte-identical payloads to the serial in-process run.

@@ -18,8 +18,8 @@ Public surface:
   default (what ``Machine.run()`` uses when no engine is named).
 * :func:`clear_stream_cache` / :func:`stream_cache_stats` — manage the
   process-wide pregenerated-stream cache.
-* :class:`DifferentialRunner` (in :mod:`repro.fastpath.diff`) — runs a
-  scenario on both engines and asserts equivalent results.
+* :func:`compare_results` (in :mod:`repro.fastpath.diff`) — every
+  divergence between a scalar run and a batch run of one configuration.
 
 This module imports lazily: engine selection is plain bookkeeping, the
 numpy-backed machinery loads on first use.
@@ -94,8 +94,7 @@ def __getattr__(name):  # lazy re-exports (keep numpy off the import path)
         from . import streams
 
         return getattr(streams, name)
-    if name in ("DifferentialRunner", "DifferentialReport", "Scenario",
-                "FlowSpec", "generate_scenarios", "compare_results"):
+    if name == "compare_results":
         from . import diff
 
         return getattr(diff, name)

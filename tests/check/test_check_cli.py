@@ -104,6 +104,28 @@ def test_replay_still_failing_entry_exits_one(tmp_path, capsys):
     assert "1 still failing" in out
 
 
+def test_replay_reports_unreadable_entries_and_keeps_going(tmp_path, capsys):
+    from repro.check.corpus import ReproEntry, save_repro
+    from repro.check.scenarios import FlowConf, ScenarioConfig
+
+    good = ScenarioConfig(seed=1, warmup=1, measure=30,
+                          flows=(FlowConf("app", 0, app="IP"),), name="good")
+    good_path = save_repro(str(tmp_path), ReproEntry(
+        config=good, violations=["[x] once"], engines=["scalar"]))
+    bad = {"repro_schema.json": '{"schema": "nope"}',
+           "repro_noconfig.json": '{"schema": "repro.check_repro/1"}',
+           "repro_notjson.json": "{not json"}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    assert main(["--replay", str(tmp_path), "--engine", "scalar"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in bad:
+        [line] = [ln for ln in lines if name in ln]
+        assert ": FAIL (unreadable: " in line
+    assert f"repro-check: replay {good_path}: ok" in lines
+    assert "replayed 4 corpus entries, 3 still failing" in lines[-1]
+
+
 def test_bad_usage_rejected():
     with pytest.raises(SystemExit):
         main(["--scenarios", "-3"])

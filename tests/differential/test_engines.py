@@ -2,13 +2,17 @@
 
 Both engines share one driver; ``engine="scalar"`` runs every flow on
 the live per-packet loop and is the oracle here (the driver itself is
-pinned by the goldens and the corpus). Every scenario from
-:func:`repro.fastpath.diff.generate_scenarios` runs on the scalar engine
-and on the batch engine twice (cold stream cache, then warm cache — the
-warm pass builds machines under the ambient batch engine, so signatured
-flows exercise the construction-skipped skeleton path too). End-of-run
-CoreCounters, tag breakdowns, clocks, events, and per-flow drop counts
-must match *exactly*; derived rates to 1e-9 relative.
+pinned by the goldens and the corpus). Every
+:class:`~repro.check.scenarios.ScenarioConfig` in
+``tests/differential/scenarios.py`` runs four ways: on the scalar
+engine; on the batch engine twice (cold stream cache, then warm cache —
+machines are built under the ambient batch engine, so signatured flows
+exercise the construction-skipped skeleton path too); and built under
+batch but run with ``engine="scalar"``, so skeleton machines must
+materialize back to real flows losslessly. End-of-run CoreCounters, tag
+breakdowns, clocks, events, per-flow drop counts and cache contents must
+match *exactly*; derived rates to 1e-9 relative
+(:func:`repro.fastpath.diff.compare_results`).
 """
 
 from __future__ import annotations
@@ -16,49 +20,64 @@ from __future__ import annotations
 import pytest
 
 import repro.fastpath as fastpath
-from repro.fastpath.diff import (
-    DifferentialRunner,
-    FlowSpec,
-    Scenario,
-    compare_results,
-    generate_scenarios,
-)
+from repro.apps.registry import APP_NAMES
+from repro.check.scenarios import FLOW_KINDS, ScenarioConfig
+from repro.fastpath.diff import compare_results
+from repro.fastpath.streams import BATCH_PACKETS
+from tests.differential.scenarios import SCENARIOS, app, scenario
 
-SCENARIOS = generate_scenarios()
+#: One IP flow on core 0 (the comparator and cache checks below).
+IP_SOLO = scenario("ip-solo", app("IP", 0))
 
 
 def test_scenario_coverage():
-    """The generator spans the ISSUE's required breadth."""
-    assert len(SCENARIOS) >= 25
-    names = [sc.name for sc in SCENARIOS]
+    """The suite keeps the breadth the engines are held to."""
+    assert len(SCENARIOS) == 29
+    names = [config.name for config in SCENARIOS]
     assert len(set(names)) == len(names), "scenario names must be unique"
-    # Every registry app appears solo.
-    from repro.apps.registry import APP_NAMES
+    digests = [config.digest() for config in SCENARIOS]
+    assert len(set(digests)) == len(digests), "duplicate configurations"
+    for config in SCENARIOS:
+        assert ScenarioConfig.from_dict(config.to_dict()) == config
 
-    for app in APP_NAMES:
-        assert f"solo-{app}" in names
-    # Both topologies are present.
-    assert any(sc.sockets == 2 for sc in SCENARIOS)
-    assert any(sc.sockets == 1 for sc in SCENARIOS)
-    # Throttling configurations are present.
-    assert any("throttled" in n for n in names)
+    flows = [fc for config in SCENARIOS for fc in config.flows]
+    assert {fc.kind for fc in flows} == set(FLOW_KINDS)
+    solo_apps = {config.flows[0].app for config in SCENARIOS
+                 if len(config.flows) == 1 and config.flows[0].kind == "app"}
+    assert solo_apps == set(APP_NAMES)
+
+    assert {config.sockets for config in SCENARIOS} == {1, 2}
+    assert any(fc.data_domain is not None
+               and fc.data_domain != fc.core // config.spec().cores_per_socket
+               for config in SCENARIOS for fc in config.flows), \
+        "no flow with remote data placement"
+    assert any(config.scale == 16 for config in SCENARIOS)
+    measures = [config.measure for config in SCENARIOS]
+    assert min(measures) < BATCH_PACKETS < max(measures)
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
-def test_engines_equivalent(scenario):
-    runner = DifferentialRunner(clear_cache=True, scalar_dispatch=True)
-    report = runner.run(scenario)
-    assert report.ok, "\n" + report.summary()
+@pytest.mark.parametrize("config", SCENARIOS, ids=lambda config: config.name)
+def test_engines_equivalent(config):
+    ref_machine, ref_result = config.run("scalar")
+    fastpath.clear_stream_cache()
+    divergences = []
+    with fastpath.use_engine("batch"):
+        for label in ("batch-cold", "batch-warm"):
+            machine, result = config.run()
+            divergences += compare_results(ref_machine, ref_result,
+                                           machine, result, label)
+        machine = config.build()
+        result = machine.run(warmup_packets=config.warmup,
+                             measure_packets=config.measure, engine="scalar")
+    divergences += compare_results(ref_machine, ref_result, machine, result,
+                                   "batch-scalar-dispatch")
+    assert not divergences, "\n".join([config.describe()] + divergences)
 
 
 def test_compare_results_detects_divergence():
     """The comparator itself must not be a rubber stamp."""
-    scenario = Scenario(
-        name="comparator-check",
-        flows=(FlowSpec(_ip_factory(), core=0),),
-    )
-    ref_machine, ref_result = scenario.run("scalar")
-    alt_machine, alt_result = scenario.run("scalar")
+    ref_machine, ref_result = IP_SOLO.run("scalar")
+    alt_machine, alt_result = IP_SOLO.run("scalar")
     assert not compare_results(ref_machine, ref_result,
                                alt_machine, alt_result)
     alt_machine.flows[0].counters.l3_refs += 1
@@ -75,40 +94,26 @@ def test_compare_results_detects_divergence():
     assert "cache L2.0 set" in divergences[0]
 
 
-def _ip_factory():
-    from repro.apps.registry import app_factory
-
-    return app_factory("IP")
-
-
 def test_warm_pass_hits_cache():
     """The warm pass must actually replay from the stream cache."""
-    scenario = Scenario(
-        name="cache-check",
-        flows=(FlowSpec(_ip_factory(), core=0),),
-    )
     fastpath.clear_stream_cache()
     with fastpath.use_engine("batch"):
-        scenario.run(engine=None)
+        IP_SOLO.run()
         before = fastpath.stream_cache_stats()
-        scenario.run(engine=None)
+        IP_SOLO.run()
         after = fastpath.stream_cache_stats()
     assert after["hits"] > before["hits"]
 
 
 def test_warm_pass_skips_construction():
     """A warm-cache machine built under ambient batch installs stubs."""
-    scenario = Scenario(
-        name="skeleton-check",
-        flows=(FlowSpec(_ip_factory(), core=0),),
-    )
     fastpath.clear_stream_cache()
     with fastpath.use_engine("batch"):
-        scenario.run(engine=None)
-        machine = scenario.build()
+        IP_SOLO.run()
+        machine = IP_SOLO.build()
         assert type(machine.flows[0].flow).__name__ == "StubFlow"
         # The skeleton still produces scalar-exact results.
-        result = machine.run(warmup_packets=scenario.warmup,
-                             measure_packets=scenario.measure)
-    ref_machine, ref_result = scenario.run("scalar")
+        result = machine.run(warmup_packets=IP_SOLO.warmup,
+                             measure_packets=IP_SOLO.measure)
+    ref_machine, ref_result = IP_SOLO.run("scalar")
     assert not compare_results(ref_machine, ref_result, machine, result)

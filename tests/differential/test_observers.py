@@ -1,9 +1,10 @@
 """Observer-axis differential: observing a run never changes it.
 
 The driver runs a machine's observers (guard, checker, metrics sampler)
-as one ordered list, each on per-flow deadlines of its own. Every
-scenario below runs bare and then under each observer set, on both
-engines; the observed runs must match the bare run exactly
+as one ordered list, each on per-flow deadlines of its own. Four
+differential-suite configurations (``tests/differential/scenarios.py``)
+run bare and then under each observer set, on both engines; the
+observed runs must match the bare run exactly
 (:func:`~repro.fastpath.diff.compare_results`). The guard acts on what
 it sees, so its event stream must also be independent of whatever else
 observes the run: a sampler or checker at another cadence leaves it
@@ -20,16 +21,17 @@ import pytest
 
 from repro.check.invariants import InvariantChecker
 from repro.check.scenarios import generate_one
-from repro.fastpath.diff import compare_results, generate_scenarios
+from repro.fastpath.diff import compare_results
 from repro.guard.demo import DemoConfig, run_demo
 from repro.guard.fuzz import run_guarded_scenario
 from repro.obs import ListSink, Tracer, observe
+from tests.differential.scenarios import BY_NAME
 
 ENGINES = ("scalar", "batch")
 
-SCENARIOS = {sc.name: sc for sc in generate_scenarios()
-             if sc.name in ("corun-IP-MON", "dual-remote-domain",
-                            "throttled-aggressor", "twofaced-mid-run")}
+SCENARIOS = {name: BY_NAME[name] for name in (
+    "corun-IP-MON", "dual-remote-domain", "throttled-aggressor",
+    "twofaced-mid-run")}
 
 #: name -> (metrics interval in us, checker interval in cycles, traced)
 OBSERVER_SETS = {

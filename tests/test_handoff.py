@@ -3,8 +3,11 @@
 import pytest
 
 from repro.apps.ipforward import DecIPTTL, RadixIPLookup
+from repro.check.scenarios import FlowConf, ScenarioConfig
 from repro.click.elements.checkipheader import CheckIPHeader
 from repro.click.handoff import HandoffQueue, PipelineStage, build_pipelined_flow
+from repro.fastpath import clear_stream_cache, use_engine
+from repro.fastpath.diff import compare_results
 from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
 from repro.mem.access import AccessContext
@@ -113,3 +116,52 @@ def test_pipelined_flow_validation():
     with pytest.raises(ValueError):
         build_pipelined_flow(machine, "p", lambda env: None,
                              [lambda env: [], lambda env: []], cores=[0])
+
+
+#: The replayable part of the handoff case: one IP flow on core 0.
+HANDOFF = ScenarioConfig(seed=12345, warmup=60, measure=200,
+                         flows=(FlowConf("app", 0, app="IP"),),
+                         name="handoff-pipeline")
+
+
+def _ip_beside_pipeline():
+    """HANDOFF's machine plus a two-stage pipeline on cores 2-3.
+
+    The pipeline's stages are impure (they share handoff queues), so
+    they stay on the live loop under both engines while the IP flow is
+    replayed by the batch engine.
+    """
+    machine = HANDOFF.build()
+
+    def source_factory(env):
+        return UniformRandomTraffic(env.rng, payload_bytes=64,
+                                    addr_bits=env.spec.address_bits)
+
+    def init_all(env, elements):
+        for element in elements:
+            element.initialize(env)
+        return elements
+
+    build_pipelined_flow(
+        machine, "pipe", source_factory,
+        [lambda env: init_all(env, [CheckIPHeader()]),
+         lambda env: init_all(env, [RadixIPLookup(), DecIPTTL()])],
+        cores=[2, 3])
+    return machine
+
+
+def test_pipeline_beside_replayed_flow_is_engine_exact():
+    ref_machine = _ip_beside_pipeline()
+    ref_result = ref_machine.run(warmup_packets=HANDOFF.warmup,
+                                 measure_packets=HANDOFF.measure,
+                                 engine="scalar")
+    assert ref_result["pipe.s1"].packets > 0
+    clear_stream_cache()
+    with use_engine("batch"):
+        for label in ("batch-cold", "batch-warm"):
+            machine = _ip_beside_pipeline()
+            result = machine.run(warmup_packets=HANDOFF.warmup,
+                                 measure_packets=HANDOFF.measure)
+            divergences = compare_results(ref_machine, ref_result,
+                                          machine, result, label)
+            assert not divergences, "\n".join(divergences)
