@@ -196,7 +196,6 @@ def main(argv=None) -> int:
         print(f"sweep: {stats['shards']} shard(s), "
               f"{stats['executed']} executed, "
               f"{stats['cache_hits']} cache hit(s), "
-              f"{stats['retries']} retried, "
               f"{stats['quarantined']} quarantined "
               f"on {stats['jobs']} job(s)", file=sys.stderr)
         return 0

@@ -212,7 +212,7 @@ def sweep_equality_check(config: ScenarioConfig) -> List[str]:
         for engine in ("scalar", "batch")
     ]
     serial = SweepRunner(SweepOptions(jobs=1)).run(shards)
-    sharded = SweepRunner(SweepOptions(jobs=2, shard_timeout=600.0)).run(shards)
+    sharded = SweepRunner(SweepOptions(jobs=2)).run(shards)
     problems: List[str] = []
     serial_payloads = serial.payloads()
     sharded_payloads = sharded.payloads()

@@ -23,7 +23,7 @@ results are bit-identical either way. ``--jobs N`` (N > 1) or
 ``--cache-dir`` also caches shard results (default directory
 ``~/.cache/repro-sweep``, keyed by config + seed + engine + code
 version; ``--no-cache`` disables), and the JSON report then records the
-cache/retry counters under its volatile ``execution`` key.
+cache/quarantine counters under its volatile ``execution`` key.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""repro.sweep — sharded experiment sweeps with caching and fault tolerance.
+"""repro.sweep — sharded experiment sweeps with caching and quarantine.
 
 The repository's one execution path for experiment grids: every solo
 profile set, sensitivity sweep, predictor, placement study and figure is
 a list of independent, content-addressed *shards* plus a merge, resolved
 by :func:`run_grid` on a :class:`SweepRunner` — inline (``jobs=1``, the
-default) or across a ``multiprocessing`` worker pool — and merged
+default) or on a ``ProcessPoolExecutor`` — and merged
 deterministically: the output is bit-identical for any job count, shard
 completion order, or cache state.
 
@@ -16,10 +16,9 @@ Layers:
   or in-memory), hash-validated against truncation/corruption.
 * :mod:`~repro.sweep.tasks` — the executable task registry (what a
   shard *does*); pure functions of the shard params.
-* :mod:`~repro.sweep.worker` — the pool worker loop.
 * :mod:`~repro.sweep.orchestrator` — :class:`SweepRunner`: dedup,
-  cache consult, inline or pool execution, per-shard timeout, retry
-  with bounded backoff, poison-shard quarantine, obs integration; and
+  cache consult, inline or pool execution, quarantine of pooled shards
+  that raise or lose their worker, obs integration; and
   :func:`run_grid`.
 * :mod:`~repro.sweep.parallel` — the shard-block builders grids are
   assembled from (profiles, curves, predictor, co-runs).

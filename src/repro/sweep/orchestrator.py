@@ -16,32 +16,30 @@ Per shard, resolution order is:
    computed once and shared.
 2. **Cache** — a configured result cache is consulted by content key
    (config + seed + engine + code version); hits skip execution.
-3. **Execute** — inline for ``jobs=1``, else on a pool of single-task
-   worker processes.
+3. **Execute** — inline for ``jobs=1``, else on a
+   :class:`concurrent.futures.ProcessPoolExecutor`. Both paths run a
+   shard through :func:`_execute`.
 
-Fault tolerance
-===============
+Failures
+========
 
-``jobs=1`` executes inline: no subprocesses, the same arithmetic, and
-the ambient tracer/metrics session still observes the machines. A shard
-that raises inline propagates its original exception — a deterministic
-simulation that raised once raises again, so there is nothing to retry.
+A shard is a pure function of its params: one that raised once raises
+again, so nothing is retried. ``jobs=1`` executes inline — no
+subprocesses, the same arithmetic, and the ambient tracer/metrics
+session still observes the machines — and a shard that raises there
+propagates its original exception.
 
-With ``jobs > 1`` workers are expendable; shards are not. A worker that
-*raises* reports the traceback and keeps serving; a worker that *hangs*
-past ``shard_timeout`` is SIGKILLed and replaced; a worker that *dies*
-(segfault, OOM-kill, SIGKILL) is detected by exit code and replaced. In
-every case the shard it held is retried with bounded exponential backoff
-up to ``retries`` times, and a shard that keeps failing is *quarantined*
-— recorded with its error, counted, and excluded from payloads — so one
-poison shard fails itself, not the sweep. Callers that need every shard
-call :meth:`SweepOutcome.raise_for_quarantine`; :func:`run_grid` does.
+In the pool, a shard whose future raises — the task raised in its
+worker, or a worker died (segfault, OOM-kill, SIGKILL) and broke the
+pool — is *quarantined*: recorded with its traceback, counted, never
+cached, and excluded from payloads, while the rest of the sweep still
+resolves. Callers that need every shard call
+:meth:`SweepOutcome.raise_for_quarantine`; :func:`run_grid` does. There
+is no shard timeout: a shard that hangs hangs its sweep.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +49,7 @@ from .shard import Shard, ShardResult
 from .tasks import run_task
 
 #: Schema of the execution-stats dict embedded in run reports.
-STATS_SCHEMA = "repro.sweep_stats/1"
+STATS_SCHEMA = "repro.sweep_stats/2"
 
 
 class SweepError(RuntimeError):
@@ -67,26 +65,10 @@ class SweepOptions:
     engine: Optional[str] = None
     #: A ResultCache / MemoryCache, or None (no caching).
     cache: Optional[Any] = None
-    #: Wall-clock seconds a shard may run before its worker is killed
-    #: (None: no timeout; enforced only with ``jobs > 1``).
-    shard_timeout: Optional[float] = None
-    #: Re-executions granted after a worker shard's first failure.
-    retries: int = 2
-    #: Exponential backoff before a retry: ``backoff * 2**(attempt-1)``
-    #: seconds, capped at ``backoff_cap``.
-    backoff: float = 0.1
-    backoff_cap: float = 2.0
-    #: multiprocessing start method (None: fork where available — cheap
-    #: and inherits imports — else spawn).
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
 
 
 @dataclass
@@ -112,28 +94,37 @@ class SweepOutcome:
                 f"{r.shard.tag or r.shard.kind}: {(r.error or '?').splitlines()[-1]}"
                 for r in bad[:5]
             )
-            raise SweepError(
-                f"{len(bad)} shard(s) quarantined after retries: {detail}")
+            raise SweepError(f"{len(bad)} shard(s) quarantined: {detail}")
 
 
-class _Worker:
-    """Bookkeeping for one live worker process."""
+def _execute(kind: str, params: Dict[str, Any],
+             engine: str) -> Tuple[Any, float]:
+    """Run one shard under ``engine``: ``(payload, seconds)``.
 
-    __slots__ = ("wid", "proc", "task_q")
+    The inline and pool paths both land here. ``run_task`` is looked up
+    as this module's global on every call, so a wrapper installed on
+    ``orchestrator.run_task`` sees every shard (forked workers inherit it).
+    """
+    from .. import fastpath
 
-    def __init__(self, wid, proc, task_q):
-        self.wid = wid
-        self.proc = proc
-        self.task_q = task_q
+    start = time.perf_counter()
+    with fastpath.use_engine(engine):
+        payload = run_task(kind, params)
+    return payload, time.perf_counter() - start
+
+
+def _ignore_sigint() -> None:
+    """Pool-worker initializer: the orchestrator owns Ctrl-C handling."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class SweepRunner:
     """Executes shard lists under one :class:`SweepOptions`."""
 
-    def __init__(self, options: Optional[SweepOptions] = None, **overrides):
-        base = options if options is not None else SweepOptions()
-        self.options = (dataclasses.replace(base, **overrides)
-                        if overrides else base)
+    def __init__(self, options: Optional[SweepOptions] = None):
+        self.options = options if options is not None else SweepOptions()
         #: Per-sweep stats dicts, one per :meth:`run`, in call order.
         self.stats_history: List[Dict[str, Any]] = []
 
@@ -150,8 +141,7 @@ class SweepRunner:
         shards = list(shards)
         keys = [s.key(engine, code) for s in shards]
         results: List[Optional[ShardResult]] = [None] * len(shards)
-        counters = {"retries": 0, "quarantined": 0, "workers_killed": 0,
-                    "cache_hits": 0, "cache_misses": 0}
+        cache_hits = cache_misses = 0
         started = time.perf_counter()
         corrupt_before = opts.cache.stats["corrupt"] if opts.cache else 0
 
@@ -167,26 +157,33 @@ class SweepRunner:
         for key, i in first_of.items():
             payload = opts.cache.get(key) if opts.cache is not None else None
             if payload is not None:
-                counters["cache_hits"] += 1
+                cache_hits += 1
                 results[i] = ShardResult(shard=shards[i], key=key,
                                          payload=payload, from_cache=True)
             else:
                 if opts.cache is not None:
-                    counters["cache_misses"] += 1
+                    cache_misses += 1
                 to_run.append(i)
 
         if to_run:
-            if opts.jobs == 1:
-                self._run_inline(shards, keys, results, to_run, engine)
-            else:
-                self._run_pool(shards, keys, results, to_run, engine,
-                               counters)
+            execute = self._run_inline if opts.jobs == 1 else self._run_pool
+            for idx, done, error in execute(shards, to_run, engine):
+                if error is not None:
+                    results[idx] = ShardResult(
+                        shard=shards[idx], key=keys[idx],
+                        status="quarantined", error=error)
+                    continue
+                payload, seconds = done
+                results[idx] = ShardResult(shard=shards[idx], key=keys[idx],
+                                           payload=payload, seconds=seconds)
+                if opts.cache is not None:
+                    opts.cache.put(keys[idx], payload)
 
         for i, j in dup_of.items():
             src = results[j]
             results[i] = ShardResult(
                 shard=shards[i], key=keys[i], status=src.status,
-                payload=src.payload, attempts=0, from_cache=src.from_cache,
+                payload=src.payload, from_cache=src.from_cache,
                 seconds=0.0, error=src.error,
             )
 
@@ -198,14 +195,12 @@ class SweepRunner:
             "unique": len(first_of),
             "executed": len(to_run),
             "cache_enabled": opts.cache is not None,
-            "cache_hits": counters["cache_hits"],
-            "cache_misses": counters["cache_misses"],
+            "cache_hits": cache_hits,
+            "cache_misses": cache_misses,
             "cache_corrupt_detected": (
                 (opts.cache.stats["corrupt"] - corrupt_before)
                 if opts.cache is not None else 0),
-            "retries": counters["retries"],
-            "quarantined": counters["quarantined"],
-            "workers_killed": counters["workers_killed"],
+            "quarantined": sum(not results[i].ok for i in to_run),
             "seconds": time.perf_counter() - started,
         }
         final = [r for r in results if r is not None]
@@ -215,8 +210,8 @@ class SweepRunner:
         return SweepOutcome(results=final, stats=stats)
 
     _SUMMED_STATS = ("shards", "unique", "executed", "cache_hits",
-                     "cache_misses", "cache_corrupt_detected", "retries",
-                     "quarantined", "workers_killed", "seconds")
+                     "cache_misses", "cache_corrupt_detected", "quarantined",
+                     "seconds")
 
     def execution_stats(self) -> Dict[str, Any]:
         """Counters summed over every sweep this runner has executed.
@@ -235,186 +230,39 @@ class SweepRunner:
             merged[key] = sum(s[key] for s in self.stats_history)
         return merged
 
-    # -- inline (jobs=1) ----------------------------------------------------
+    # -- execution: yield (index, (payload, seconds) or None, error) ---------
 
-    def _run_inline(self, shards, keys, results, to_run, engine) -> None:
-        from .. import fastpath
-
-        cache = self.options.cache
+    def _run_inline(self, shards, to_run, engine):
         for idx in to_run:
-            start = time.perf_counter()
-            with fastpath.use_engine(engine):
-                payload = run_task(shards[idx].kind, shards[idx].params)
-            results[idx] = ShardResult(
-                shard=shards[idx], key=keys[idx], payload=payload,
-                attempts=1, seconds=time.perf_counter() - start,
-            )
-            if cache is not None:
-                cache.put(keys[idx], payload)
+            yield idx, _execute(shards[idx].kind, shards[idx].params,
+                                engine), None
 
-    # -- pool (jobs>1) ------------------------------------------------------
-
-    def _backoff_delay(self, attempt: int) -> float:
-        return min(self.options.backoff_cap,
-                   self.options.backoff * (2.0 ** (attempt - 1)))
-
-    def _run_pool(self, shards, keys, results, to_run, engine,
-                  counters) -> None:
+    def _run_pool(self, shards, to_run, engine):
         # Imported here so inline sweeps never load the pool machinery.
         import multiprocessing
-        import queue
+        import traceback
+        from concurrent.futures import ProcessPoolExecutor
 
-        from .worker import worker_main
-
-        opts = self.options
-        method = opts.start_method or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        ctx = multiprocessing.get_context(method)
-        result_q = ctx.Queue()
-        workers: Dict[int, _Worker] = {}
-        next_wid = [0]
-
-        def spawn() -> None:
-            wid = next_wid[0]
-            next_wid[0] += 1
-            task_q = ctx.Queue()
-            proc = ctx.Process(target=worker_main,
-                               args=(wid, task_q, result_q, engine),
-                               daemon=True)
-            proc.start()
-            workers[wid] = _Worker(wid, proc, task_q)
-
-        def retire(worker: _Worker, kill: bool) -> None:
-            if kill and worker.proc.is_alive():
-                worker.proc.kill()
-                counters["workers_killed"] += 1
-            worker.proc.join(timeout=5.0)
-            worker.task_q.close()
-            worker.task_q.cancel_join_thread()
-
-        # Ready heap entries: (not_before, seq, shard_index, attempt).
-        ready: List = []
-        seq = [0]
-
-        def schedule(idx: int, attempt: int, not_before: float) -> None:
-            heapq.heappush(ready, (not_before, seq[0], idx, attempt))
-            seq[0] += 1
-
-        total = len(to_run)
-        done = [0]
-        inflight: Dict[int, tuple] = {}  # wid -> (idx, attempt, deadline)
-
-        def settle_ok(idx: int, attempt: int, payload, seconds: float) -> None:
-            results[idx] = ShardResult(
-                shard=shards[idx], key=keys[idx], payload=payload,
-                attempts=attempt, seconds=seconds,
-            )
-            if opts.cache is not None:
-                opts.cache.put(keys[idx], payload)
-            done[0] += 1
-            # A stale success may race a scheduled retry; drop the retry.
-            stale = [e for e in ready if e[2] == idx]
-            if stale:
-                ready[:] = [e for e in ready if e[2] != idx]
-                heapq.heapify(ready)
-
-        def settle_failure(idx: int, attempt: int, reason: str) -> None:
-            if results[idx] is not None:
-                return
-            if attempt > opts.retries:
-                counters["quarantined"] += 1
-                results[idx] = ShardResult(
-                    shard=shards[idx], key=keys[idx], status="quarantined",
-                    attempts=attempt, error=reason,
-                )
-                done[0] += 1
-            else:
-                counters["retries"] += 1
-                schedule(idx, attempt + 1,
-                         time.monotonic() + self._backoff_delay(attempt))
-
-        for idx in to_run:
-            schedule(idx, 1, 0.0)
-
+        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.options.jobs, len(to_run)),
+            mp_context=multiprocessing.get_context(method),
+            initializer=_ignore_sigint)
         try:
-            while done[0] < total:
-                now = time.monotonic()
-                # Keep the pool at strength (replaces killed/dead workers).
-                target = min(opts.jobs, total - done[0])
-                while len(workers) < target:
-                    spawn()
-                # Hand ripe work to idle workers.
-                idle = [w for w in workers.values()
-                        if w.wid not in inflight and w.proc.is_alive()]
-                while idle and ready and ready[0][0] <= now:
-                    _, _, idx, attempt = heapq.heappop(ready)
-                    if results[idx] is not None:
-                        continue
-                    worker = idle.pop()
-                    worker.task_q.put((idx, shards[idx].kind,
-                                       shards[idx].params))
-                    deadline = (now + opts.shard_timeout
-                                if opts.shard_timeout else None)
-                    inflight[worker.wid] = (idx, attempt, deadline)
-
+            futures = [(idx, pool.submit(_execute, shards[idx].kind,
+                                         shards[idx].params, engine))
+                       for idx in to_run]
+            for idx, future in futures:
                 try:
-                    msg = result_q.get(timeout=0.05)
-                except queue.Empty:
-                    msg = None
-                if msg is not None:
-                    wid, idx, status, data, seconds = msg
-                    held = inflight.get(wid)
-                    if held is not None and held[0] == idx:
-                        attempt = held[1]
-                        del inflight[wid]
-                    else:
-                        attempt = None  # stale: sender was already killed
-                    if results[idx] is None:
-                        if status == "ok":
-                            settle_ok(idx, attempt or 1, data, seconds)
-                        elif attempt is not None:
-                            settle_failure(idx, attempt, data)
-                    continue  # a worker likely freed up; go assign
-
-                now = time.monotonic()
-                # Hung shards: kill past-deadline workers, retry the shard.
-                for wid, (idx, attempt, deadline) in list(inflight.items()):
-                    if deadline is not None and now >= deadline:
-                        worker = workers.pop(wid)
-                        del inflight[wid]
-                        retire(worker, kill=True)
-                        settle_failure(
-                            idx, attempt,
-                            f"shard timed out after {opts.shard_timeout:g}s "
-                            f"(worker killed)")
-                # Dead workers (crash / SIGKILL): fail what they held.
-                for wid, worker in list(workers.items()):
-                    if not worker.proc.is_alive():
-                        del workers[wid]
-                        held = inflight.pop(wid, None)
-                        exitcode = worker.proc.exitcode
-                        retire(worker, kill=False)
-                        if held is not None:
-                            settle_failure(
-                                held[0], held[1],
-                                f"worker died mid-shard "
-                                f"(exitcode {exitcode})")
+                    done = future.result()
+                except Exception as exc:  # raised in the worker, or pool broke
+                    yield idx, None, "".join(traceback.format_exception(
+                        type(exc), exc, exc.__traceback__))
+                else:
+                    yield idx, done, None
         finally:
-            for worker in workers.values():
-                try:
-                    worker.task_q.put(None)
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-            for worker in workers.values():
-                worker.proc.join(timeout=2.0)
-                if worker.proc.is_alive():
-                    worker.proc.kill()
-                    worker.proc.join(timeout=2.0)
-                worker.task_q.close()
-                worker.task_q.cancel_join_thread()
-            result_q.close()
-            result_q.cancel_join_thread()
+            pool.shutdown(cancel_futures=True)
 
     # -- observability ------------------------------------------------------
 
@@ -434,7 +282,6 @@ class SweepRunner:
                     "kind": res.shard.kind,
                     "key": res.key[:16],
                     "status": res.status,
-                    "attempts": res.attempts,
                     "from_cache": res.from_cache,
                     "seconds": res.seconds,
                 },
@@ -450,7 +297,7 @@ def run_grid(grid: Grid, runner: Optional[SweepRunner] = None) -> Any:
 
     The one execution path of every experiment grid. With no runner the
     shards run inline on a fresh :class:`SweepRunner` (``jobs=1``, no
-    cache). Raises :class:`SweepError` if a worker shard was quarantined.
+    cache). Raises :class:`SweepError` if a pooled shard was quarantined.
     """
     shards, merge = grid
     outcome = (runner if runner is not None else SweepRunner()).run(shards)

@@ -71,16 +71,16 @@ class Shard:
 class ShardResult:
     """Outcome of one shard within a sweep.
 
-    ``status`` is ``"ok"`` or ``"quarantined"`` (all retries exhausted).
-    ``attempts`` counts executions (0 for a pure cache hit); ``seconds``
-    is the successful attempt's wall-clock time (0.0 for cache hits).
+    ``status`` is ``"ok"`` or ``"quarantined"`` (a pooled shard that
+    raised or lost its worker; ``error`` holds the traceback).
+    ``seconds`` is the execution's wall-clock time (0.0 for cache hits
+    and duplicates).
     """
 
     shard: Shard
     key: str
     status: str = "ok"
     payload: Optional[Any] = None
-    attempts: int = 0
     from_cache: bool = False
     seconds: float = 0.0
     error: Optional[str] = None

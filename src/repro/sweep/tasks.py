@@ -11,16 +11,14 @@ worker.
 Platform specs travel as their constructor-field dict (see
 :func:`spec_from_params`); JSON round-trips every field losslessly.
 
-The ``fault`` task exists for the orchestrator's fault-injection test
-suite: it misbehaves (raise / hang / SIGKILL) for a configurable number
-of attempts, coordinating across worker processes through marker files.
+The ``fault`` task exists for the orchestrator's failure tests: it
+returns, raises, or SIGKILLs the process running it.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 from dataclasses import asdict
 from typing import Any, Callable, Dict
 
@@ -153,46 +151,18 @@ def _task_guard_scenario(p: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- fault injection (test suite) --------------------------------------------
 
-def _count_attempt(state_dir: str, token: str) -> int:
-    """Record one attempt in a marker file; returns prior attempt count.
-
-    Attempt counting must survive worker death (a SIGKILL'd worker cannot
-    report anything), so it lives on disk, not in memory.
-    """
-    os.makedirs(state_dir, exist_ok=True)
-    marker = os.path.join(state_dir, f"{token}.attempts")
-    with open(marker, "a+") as fh:
-        fh.seek(0)
-        prior = len(fh.read())
-        fh.write("x")
-        fh.flush()
-        os.fsync(fh.fileno())
-    return prior
-
-
 @task("fault")
 def _task_fault(p: Dict[str, Any]) -> Dict[str, Any]:
     """A deliberately faulty shard for orchestrator tests.
 
-    ``mode`` is ``raise`` / ``hang`` / ``sigkill`` / ``ok``; the fault
-    fires on the first ``fail_times`` attempts (counted via marker files
-    in ``state_dir``) and the shard succeeds afterwards — exercising the
-    retry, timeout-kill, and quarantine paths end to end.
+    ``mode`` ``ok`` returns ``{"token", "value"}``; ``raise`` raises a
+    ``RuntimeError``; ``sigkill`` kills the process executing the shard
+    (a pool worker — inline, that is the caller).
     """
     mode = p.get("mode", "ok")
-    fail_times = int(p.get("fail_times", 0))
     token = p.get("token", "shard")
-    attempt = 0
-    if p.get("state_dir"):
-        attempt = _count_attempt(p["state_dir"], token)
-    if attempt < fail_times:
-        if mode == "raise":
-            raise RuntimeError(f"injected failure of {token!r} "
-                               f"(attempt {attempt})")
-        if mode == "hang":
-            time.sleep(float(p.get("hang_seconds", 3600.0)))
-        if mode == "sigkill":
-            os.kill(os.getpid(), signal.SIGKILL)
-    if p.get("sleep"):
-        time.sleep(float(p["sleep"]))
-    return {"token": token, "value": p.get("value"), "attempts_seen": attempt}
+    if mode == "raise":
+        raise RuntimeError(f"injected failure of {token!r}")
+    if mode == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"token": token, "value": p.get("value")}

@@ -1,11 +1,10 @@
-"""Fault-injection tests: the orchestrator survives misbehaving shards.
+"""Failure tests: what the orchestrator does with misbehaving shards.
 
-Every scenario uses the ``fault`` task, which misbehaves (raise / hang /
-SIGKILL) for a configurable number of attempts coordinated through
-on-disk marker files — the only mechanism that survives a SIGKILL'd
-worker process. Assertions cover the merged results (correct payloads in
-input order despite the chaos) and the execution stats (retry / kill /
-quarantine counters).
+Every scenario uses the ``fault`` task, which returns, raises, or
+SIGKILLs the process running it. A shard is deterministic, so nothing is
+retried: inline shards raise their original exception, and a pooled
+shard that raises or loses its worker is quarantined while the sweep
+still resolves every other shard.
 """
 
 from __future__ import annotations
@@ -13,128 +12,79 @@ from __future__ import annotations
 import pytest
 
 from repro.sweep import (MemoryCache, ResultCache, Shard, SweepError,
-                        SweepOptions, SweepRunner)
+                        SweepOptions, SweepRunner, orchestrator, run_grid)
 
 
-def fault_shard(token, mode="ok", fail_times=0, state_dir=None, value=None,
-                **extra):
-    params = {"mode": mode, "fail_times": fail_times, "token": token,
-              "value": value}
-    if state_dir is not None:
-        params["state_dir"] = str(state_dir)
-    params.update(extra)
-    return Shard("fault", params, tag=f"fault:{token}")
+def fault_shard(token, mode="ok", value=None):
+    return Shard("fault", {"mode": mode, "token": token, "value": value},
+                 tag=f"fault:{token}")
 
 
 def run(shards, **options):
     return SweepRunner(SweepOptions(**options)).run(shards)
 
 
-# -- raising workers ----------------------------------------------------------
+# -- raising shards -----------------------------------------------------------
 
-def test_raising_shard_is_retried_to_success(tmp_path):
-    shards = [
-        fault_shard("good", value=1),
-        fault_shard("flaky", mode="raise", fail_times=1,
-                    state_dir=tmp_path, value=2),
-    ]
-    outcome = run(shards, jobs=2, retries=2, backoff=0.01)
-    outcome.raise_for_quarantine()
-    assert [r.payload["value"] for r in outcome.results] == [1, 2]
-    flaky = outcome.results[1]
-    assert flaky.attempts == 2
-    assert outcome.stats["retries"] == 1
-    assert outcome.stats["quarantined"] == 0
-    # A raising worker reports and keeps serving; nobody is killed.
-    assert outcome.stats["workers_killed"] == 0
-
-
-def test_poison_shard_is_quarantined_not_the_sweep(tmp_path):
-    shards = [
-        fault_shard("poison", mode="raise", fail_times=99,
-                    state_dir=tmp_path),
-        fault_shard("good", value=7),
-    ]
-    outcome = run(shards, jobs=2, retries=1, backoff=0.01)
+def test_poison_shard_is_quarantined_not_the_sweep():
+    shards = [fault_shard("poison", mode="raise"),
+              fault_shard("good", value=7)]
+    outcome = run(shards, jobs=2)
     poison, good = outcome.results
     assert poison.status == "quarantined"
     assert poison.payload is None
-    assert "injected failure" in poison.error
-    assert poison.attempts == 2  # first try + 1 retry
+    assert "injected failure of 'poison'" in poison.error
     assert good.ok and good.payload["value"] == 7
+    assert outcome.stats["executed"] == 2
     assert outcome.stats["quarantined"] == 1
+    assert outcome.payloads() == {good.key: good.payload}
     with pytest.raises(SweepError, match="quarantined"):
         outcome.raise_for_quarantine()
 
 
-def test_inline_shard_raises_original_exception(tmp_path):
+def test_run_grid_names_the_quarantined_shard():
+    runner = SweepRunner(SweepOptions(jobs=2))
+    grid = ([fault_shard("good", value=1),
+             fault_shard("poison", mode="raise")],
+            lambda results: [r.payload for r in results])
+    with pytest.raises(SweepError) as info:
+        run_grid(grid, runner)
+    message = str(info.value)
+    assert "1 shard(s) quarantined" in message
+    assert "fault:poison: RuntimeError: injected failure of 'poison'" \
+        in message
+
+
+def test_inline_shard_raises_original_exception(monkeypatch):
     """``jobs=1`` runs shards in-process with no retry: a deterministic
     shard that raised once would raise again, so the error propagates."""
-    shards = [
-        fault_shard("good", value=3),
-        fault_shard("poison", mode="raise", fail_times=99,
-                    state_dir=tmp_path),
-    ]
+    calls = []
+    real = orchestrator.run_task
+
+    def counting(kind, params):
+        calls.append(params["token"])
+        return real(kind, params)
+
+    monkeypatch.setattr(orchestrator, "run_task", counting)
+    shards = [fault_shard("good", value=3),
+              fault_shard("poison", mode="raise")]
     with pytest.raises(RuntimeError, match="injected failure of 'poison'"):
-        run(shards, jobs=1, retries=2, backoff=0.0)
-    # Attempted exactly once.
-    assert (tmp_path / "poison.attempts").read_text() == "x"
-
-
-# -- hanging workers ----------------------------------------------------------
-
-def test_hung_shard_is_killed_and_retried(tmp_path):
-    shards = [
-        fault_shard("hang", mode="hang", fail_times=1,
-                    state_dir=tmp_path, value=5),
-    ]
-    outcome = run(shards, jobs=2, retries=2, backoff=0.01,
-                  shard_timeout=1.5)
-    outcome.raise_for_quarantine()
-    res = outcome.results[0]
-    assert res.payload == {"token": "hang", "value": 5, "attempts_seen": 1}
-    assert res.attempts == 2
-    assert outcome.stats["workers_killed"] >= 1
-    assert outcome.stats["retries"] == 1
-
-
-def test_always_hanging_shard_is_quarantined(tmp_path):
-    shards = [fault_shard("wedge", mode="hang", fail_times=99,
-                          state_dir=tmp_path)]
-    outcome = run(shards, jobs=2, retries=1, backoff=0.01,
-                  shard_timeout=0.8)
-    res = outcome.results[0]
-    assert res.status == "quarantined"
-    assert "timed out" in res.error
-    assert outcome.stats["workers_killed"] >= 2
+        run(shards, jobs=1)
+    # Each shard ran exactly once, through the module-global run_task.
+    assert calls == ["good", "poison"]
 
 
 # -- dying workers ------------------------------------------------------------
 
-def test_sigkilled_worker_is_replaced_and_shard_retried(tmp_path):
-    shards = [
-        fault_shard("victim", mode="sigkill", fail_times=1,
-                    state_dir=tmp_path, value=9),
-        fault_shard("good", value=4),
-    ]
-    outcome = run(shards, jobs=2, retries=2, backoff=0.01)
-    outcome.raise_for_quarantine()
-    victim, good = outcome.results
-    assert victim.payload["value"] == 9
-    assert victim.attempts == 2
-    assert good.payload["value"] == 4
-    assert outcome.stats["retries"] == 1
-
-
-def test_repeatedly_dying_shard_is_quarantined(tmp_path):
-    shards = [fault_shard("crasher", mode="sigkill", fail_times=99,
-                          state_dir=tmp_path)]
-    outcome = run(shards, jobs=2, retries=1, backoff=0.01)
-    res = outcome.results[0]
-    assert res.status == "quarantined"
-    assert "died" in res.error
-    with pytest.raises(SweepError):
-        outcome.raise_for_quarantine()
+def test_sigkilled_worker_fails_the_sweep_without_hanging():
+    shards = [fault_shard("victim", mode="sigkill")]
+    outcome = run(shards, jobs=2)
+    victim, = outcome.results
+    assert victim.status == "quarantined"
+    assert "BrokenProcessPool" in victim.error
+    assert outcome.stats["quarantined"] == 1
+    with pytest.raises(SweepError, match="fault:victim"):
+        run_grid((shards, list), SweepRunner(SweepOptions(jobs=2)))
 
 
 # -- dedupe and cache interaction ---------------------------------------------
@@ -191,8 +141,9 @@ def test_memory_cache_shares_shards_across_sweeps():
 
 def test_quarantined_result_is_not_cached(tmp_path):
     cache = ResultCache(str(tmp_path))
-    shards = [fault_shard("bad", mode="raise", fail_times=99,
-                          state_dir=tmp_path / "state")]
-    outcome = run(shards, jobs=2, retries=0, backoff=0.0, cache=cache)
+    shards = [fault_shard("bad", mode="raise"), fault_shard("fine", value=5)]
+    outcome = run(shards, jobs=2, cache=cache)
     assert outcome.stats["quarantined"] == 1
-    assert len(cache) == 0
+    assert len(cache) == 1
+    assert cache.get(outcome.results[1].key) == outcome.results[1].payload
+    assert cache.get(outcome.results[0].key) is None
