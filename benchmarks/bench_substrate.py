@@ -1,9 +1,11 @@
 """Substrate microbenchmarks (classic pytest-benchmark timings).
 
 These are not paper figures; they characterize the building blocks the
-experiments run on: cache probes, trie lookups, AES blocks and batched
-CTR keystreams, Rabin fingerprints, firewall scans, per-app functional
-packet generation, and raw engine event throughput.
+experiments run on: cache probes, trie lookups (the reference walk and
+the IP lookup element's recorded one), AES blocks and batched CTR
+keystreams, Rabin fingerprints (rolling and RE's aligned chunks),
+firewall scans, per-app functional packet generation, and raw engine
+event throughput.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import pytest
 from repro.apps.aes import AES128, ctr_keystreams
 from repro.apps.fingerprint import RabinFingerprinter
 from repro.apps.firewall import Firewall
+from repro.apps.ipforward import RadixIPLookup
 from repro.apps.radixtrie import RouteTableBuilder
 from repro.apps.registry import REALISTIC_APPS, app_factory, make_app
 from repro.hw.cache import SetAssociativeCache
@@ -55,6 +58,30 @@ def test_trie_lookup_throughput(benchmark):
             lookup(addr)
 
     benchmark(lookup_all)
+
+
+def test_radix_ip_lookup_process_throughput(benchmark):
+    """The hot path's lookup: the element's fused walk on a recording
+    context (``RadixTrie.lookup`` above is its reference)."""
+    env = make_env(PlatformSpec.westmere().scaled(64))
+    element = RadixIPLookup()
+    element.initialize(env)
+    rng = random.Random(2)
+    packets = [Packet.udp(src=1, dst=rng.getrandbits(env.spec.address_bits))
+               for _ in range(2048)]
+    ctx = AccessContext()
+
+    def process_all():
+        process = element.process
+        reset = ctx.reset
+        refs = 0
+        for packet in packets:
+            process(ctx, packet)
+            refs += ctx.n_references
+            reset()
+        return refs
+
+    assert benchmark(process_all) >= len(packets)
 
 
 def test_trie_build_throughput(benchmark):
@@ -127,6 +154,16 @@ def test_rabin_rolling_throughput(benchmark):
     data = bytes((i * 31 + 7) % 256 for i in range(4096))
     result = benchmark(lambda: sum(1 for _ in fp.rolling(data)))
     assert result == 4096 - 64 + 1
+
+
+def test_rabin_aligned_throughput(benchmark):
+    """RE's per-packet fingerprints: eight 64-byte chunks of a 512-byte
+    payload in one NumPy product."""
+    fp = RabinFingerprinter(window=64)
+    data = bytes((i * 31 + 7) % 256 for i in range(512))
+    chunks = benchmark(fp.aligned, data)
+    assert chunks == [(off, fp.fingerprint(data[off:off + 64]))
+                      for off in range(0, 512, 64)]
 
 
 def test_firewall_scan_throughput(benchmark):

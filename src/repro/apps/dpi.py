@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
+from ..constants import CACHE_LINE, CACHE_LINE_BITS
 from ..hw.machine import FlowEnv
 from ..mem.access import AccessContext, TAGS
 from ..click.element import Element
@@ -30,9 +31,12 @@ from .ahocorasick import AhoCorasick, generate_signatures
 #: (gap cycles, instructions) per scanned payload byte.
 COST_DPI_BYTE = (14, 11)
 #: Simulated bytes per automaton state (sparse transition row).
-STATE_BYTES = 64
+STATE_BYTES = CACHE_LINE
 #: Mirror one state reference per this many visited states.
 SAMPLE_STRIDE = 4
+#: Compute charged before each sampled state reference.
+_COST_SAMPLE = (COST_DPI_BYTE[0] * SAMPLE_STRIDE,
+                COST_DPI_BYTE[1] * SAMPLE_STRIDE)
 #: Default signature-set size before platform scaling.
 DEFAULT_SIGNATURES = 8_192
 
@@ -73,15 +77,11 @@ class DPIElement(Element):
             return packet
         matches, path = self.automaton.search_with_path(payload)
         self.bytes_scanned += len(payload)
-        tag = self._tag
-        region = self.region
-        cost = ctx.cost
-        touch = ctx.touch
-        gap = COST_DPI_BYTE[0] * SAMPLE_STRIDE
-        instr = COST_DPI_BYTE[1] * SAMPLE_STRIDE
-        for state in path[::SAMPLE_STRIDE]:
-            cost((gap, instr))
-            touch(region, state * STATE_BYTES, 4, tag)
+        # One line per sampled state (a state is one 64-byte line).
+        first = self.region.base >> CACHE_LINE_BITS
+        ctx.record_each(_COST_SAMPLE,
+                        [first + state for state in path[::SAMPLE_STRIDE]],
+                        self._tag)
         if matches:
             self.alerts += len(matches)
             if self.drop_on_match:

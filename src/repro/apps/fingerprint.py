@@ -9,16 +9,29 @@ bits are zero), plus a fast aligned-chunk mode used by the simulation hot
 path (the traffic generator repeats whole payloads, so chunk-aligned
 fingerprints find the same redundancy; the rolling property is exercised
 by the unit tests).
+
+The aligned mode computes every chunk of a payload in one NumPy product.
+Each weight (below 2**61) is split into three 21-bit limbs, so
+``weight = l0 + l1 * 2**21 + l2 * 2**42``; the ``(n_chunks, window)``
+byte matrix times the ``(window, 3)`` limb matrix gives three int64 sums
+per chunk, each at most ``window * 255 * (2**21 - 1)``, which is exact
+while ``window * 255 * 2**21 < 2**63``. The sums are recombined and
+reduced mod ``2**61 - 1`` in Python ints. Wider windows fall back to
+:meth:`RabinFingerprinter.fingerprint` per chunk.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 #: Default irreducible-ish polynomial base and modulus for the rolling hash.
 _BASE = 2**8 + 7
 _MOD = (1 << 61) - 1  # Mersenne prime: cheap modular reduction
+#: Bits per weight limb in the aligned mode's NumPy product.
+_LIMB_BITS = 21
 
 
 class RabinFingerprinter:
@@ -37,6 +50,15 @@ class RabinFingerprinter:
                               for i in range(window))
         # BASE^(window-1) mod MOD, for removing the outgoing byte.
         self._msb_weight = self._weights[0]
+        # The weights as a (window, 3) matrix of 21-bit limbs, or None when
+        # a limb's column sum could overflow int64.
+        self._limbs: Optional[np.ndarray] = None
+        if (window * 255) << _LIMB_BITS < 1 << 63:
+            mask = (1 << _LIMB_BITS) - 1
+            self._limbs = np.array(
+                [[(wt >> shift) & mask
+                  for shift in (0, _LIMB_BITS, 2 * _LIMB_BITS)]
+                 for wt in self._weights], dtype=np.int64)
 
     # -- exact rolling implementation ------------------------------------------
 
@@ -79,7 +101,15 @@ class RabinFingerprinter:
         the rolling form.
         """
         w = self.window
-        out: List[Tuple[int, int]] = []
-        for off in range(0, len(data) - w + 1, w):
-            out.append((off, self.fingerprint(data[off:off + w])))
-        return out
+        n = len(data) // w
+        limbs = self._limbs
+        if limbs is None:
+            return [(off, self.fingerprint(data[off:off + w]))
+                    for off in range(0, n * w, w)]
+        if not n:
+            return []
+        chunks = np.frombuffer(data, dtype=np.uint8, count=n * w)
+        sums = (chunks.reshape(n, w).astype(np.int64) @ limbs).tolist()
+        return [(i * w,
+                 (s0 + (s1 << _LIMB_BITS) + (s2 << 2 * _LIMB_BITS)) % _MOD)
+                for i, (s0, s1, s2) in enumerate(sums)]

@@ -15,7 +15,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..constants import COST_FW_RULE_LINE, FW_RULES, FW_RULE_BYTES
+from ..constants import (
+    CACHE_LINE_BITS,
+    COST_FW_RULE_LINE,
+    FW_RULES,
+    FW_RULE_BYTES,
+)
 from ..hw.machine import FlowEnv
 from ..mem.access import AccessContext, TAGS
 from ..click.element import Element
@@ -167,19 +172,17 @@ class Firewall(Element):
         # case): one reference per 16-byte-rule cache line plus the
         # per-line compute cost.
         scanned = len(self.rules) if verdict is None else verdict + 1
-        tag = self._tag
         region = self.region
         rule_lines = (scanned + _RULES_PER_LINE - 1) // _RULES_PER_LINE
-        region_lines = region.size >> 6
-        touched = min(rule_lines, region_lines)
-        # Spread the whole scan's compute cost over the touched lines.
-        gap_total = COST_FW_RULE_LINE[0] * rule_lines
-        instr_total = COST_FW_RULE_LINE[1] * rule_lines
-        cost = ctx.cost
-        touch = ctx.touch
-        for i in range(touched):
-            cost((gap_total // touched, instr_total // touched))
-            touch(region, i << 6, 1, tag)
+        touched = min(rule_lines, region.size >> CACHE_LINE_BITS)
+        if touched:
+            # Spread the whole scan's compute cost over the touched lines
+            # (each line's share rounded down).
+            first = region.base >> CACHE_LINE_BITS
+            ctx.record_each(
+                (COST_FW_RULE_LINE[0] * rule_lines // touched,
+                 COST_FW_RULE_LINE[1] * rule_lines // touched),
+                range(first, first + touched), self._tag)
         if verdict is not None:
             self.blocked += 1
             return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..constants import (
+    CACHE_LINE_BITS,
     COST_IP_FINISH,
     COST_TRIE_NODE,
     IP_ROUTING_TABLE_ENTRIES,
@@ -22,6 +23,9 @@ from ..click.element import Element
 from ..net.checksum import incremental_update16
 from ..net.packet import Packet
 from .radixtrie import RadixTrie, RouteTableBuilder, SLOT_BYTES
+
+#: Slot index -> line offset within the trie region (slots never straddle).
+_SLOT_LINE_SHIFT = CACHE_LINE_BITS - (SLOT_BYTES.bit_length() - 1)
 
 
 class RadixIPLookup(Element):
@@ -52,14 +56,27 @@ class RadixIPLookup(Element):
     def process(self, ctx: AccessContext, packet: Packet) -> Optional[Packet]:
         if self.region is None:
             raise RuntimeError("RadixIPLookup used before initialize()")
-        next_hop, visited = self.trie.lookup(packet.ip.dst)
-        tag = self._tag
-        region = self.region
-        cost = ctx.cost
-        touch = ctx.touch
-        for slot_offset in visited:
-            cost(COST_TRIE_NODE)
-            touch(region, slot_offset, SLOT_BYTES, tag)
+        # RadixTrie.lookup's walk, fused with the recording: each probed
+        # slot is one reference to the line holding it.
+        trie = self.trie
+        children = trie.children
+        routes = trie.routes
+        next_hop = trie.default_route
+        addr = packet.ip.dst
+        base_line = self.region.base >> CACHE_LINE_BITS
+        base = 0
+        lines = []
+        append = lines.append
+        for shift, mask in trie.steps:
+            slot = base + ((addr >> shift) & mask)
+            append(base_line + (slot >> _SLOT_LINE_SHIFT))
+            route = routes[slot]
+            if route >= 0:
+                next_hop = route
+            base = children[slot]
+            if base < 0:
+                break
+        ctx.record_each(COST_TRIE_NODE, lines, self._tag)
         self.lookups += 1
         if next_hop is None:
             self.no_route += 1
@@ -78,9 +95,9 @@ class DecIPTTL(Element):
         self._tag = TAGS.register("dec_ttl")
 
     def process(self, ctx: AccessContext, packet: Packet) -> Optional[Packet]:
-        ctx.cost(COST_IP_FINISH)
         ip = packet.ip
         if ip.ttl <= 1:
+            ctx.cost(COST_IP_FINISH)
             self.expired += 1
             return None
         # RFC 1624: the TTL/protocol 16-bit word changes by one TTL step.
@@ -89,7 +106,9 @@ class DecIPTTL(Element):
         new_word = (ip.ttl << 8) | ip.protocol
         if ip.checksum:
             ip.checksum = incremental_update16(ip.checksum, old_word, new_word)
-        if packet.buffer is not None:
-            # The TTL and checksum live in the first header line.
-            ctx.touch(packet.buffer, 0, 4, self._tag)
+        # The TTL and checksum live in the first header line.
+        buf = packet.buffer
+        ctx.record(COST_IP_FINISH,
+                   () if buf is None else (buf.base >> CACHE_LINE_BITS,),
+                   self._tag)
         return packet

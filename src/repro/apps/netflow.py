@@ -15,11 +15,16 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..constants import COST_NETFLOW, NETFLOW_ENTRY_BYTES, NETFLOW_TABLE_ENTRIES
+from ..constants import (
+    CACHE_LINE_BITS,
+    COST_NETFLOW,
+    NETFLOW_ENTRY_BYTES,
+    NETFLOW_TABLE_ENTRIES,
+)
 from ..hw.machine import FlowEnv
 from ..mem.access import AccessContext, TAGS
 from ..click.element import Element
-from ..net.packet import Packet
+from ..net.packet import Packet, five_tuple_hash
 
 
 class FlowRecord:
@@ -78,16 +83,17 @@ class NetFlow(Element):
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:
         if self.region is None:
             raise RuntimeError("NetFlow used before initialize()")
-        ctx.cost(COST_NETFLOW)
         key = packet.five_tuple()
-        h = packet.flow_hash()
+        h = five_tuple_hash(key)
         index = h % self.n_entries
         # Real flow caches resolve hash -> bucket head -> entry: two
-        # dependent references into two large tables.
-        ctx.touch(self.buckets_region, (h % self.n_buckets) * self.BUCKET_BYTES,
-                  self.BUCKET_BYTES, self._tag)
-        ctx.touch(self.region, index * NETFLOW_ENTRY_BYTES,
-                  NETFLOW_ENTRY_BYTES, self._tag)
+        # dependent references into two large tables. Bucket heads and
+        # entries (NETFLOW_ENTRY_BYTES is one line) never straddle a line.
+        ctx.record(COST_NETFLOW, (
+            (self.buckets_region.base
+             + (h % self.n_buckets) * self.BUCKET_BYTES) >> CACHE_LINE_BITS,
+            (self.region.base + index * NETFLOW_ENTRY_BYTES) >> CACHE_LINE_BITS,
+        ), self._tag)
         self.packets += 1
         record = self.slots[index]
         if record is not None and record.key == key:

@@ -8,12 +8,13 @@ prefix expansion at the terminal level; each slot packs its child pointer
 and route into one 4-byte entry, so one slot probe is one 4-byte memory
 reference.
 
-The trie is purely functional here; the ``RadixIPLookup`` element wraps it
-with access recording. ``lookup`` returns the matched route together with
-the byte offsets of the probed slots so the wrapper can replay the walk
-against simulated memory. The top levels are small and probed by every
-packet — the "hot spots" of the paper's Figure 7 — while the deep levels
-are large, uniformly accessed, and cache-sensitive.
+The trie is purely functional here. ``lookup`` returns the matched route
+together with the byte offsets of the probed slots; it is the reference
+for the ``RadixIPLookup`` element, which walks the same ``steps`` itself
+and records each probed slot's cache line as it goes. The top levels are
+small and probed by every packet — the "hot spots" of the paper's
+Figure 7 — while the deep levels are large, uniformly accessed, and
+cache-sensitive.
 
 Storage mirrors that packed layout: the slots of all nodes live in flat
 ``array`` buffers, node by node in allocation order, so slot ``i`` is at
@@ -57,6 +58,11 @@ class RadixTrie:
         if any(s <= 0 for s in strides):
             raise ValueError("every stride must be positive")
         self.strides = tuple(strides)
+        #: ``(shift, mask)`` per level: level ``i``'s slot index within its
+        #: node is ``(addr >> shift) & mask``.
+        self.steps = tuple(
+            (32 - sum(self.strides[:i + 1]), (1 << stride) - 1)
+            for i, stride in enumerate(self.strides))
         # Flat per-slot buffers; the root's slots come first. -1 marks an
         # empty child or no route. ``route_plens`` remembers the
         # originating prefix length of each expanded slot so that a

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..constants import (
+    CACHE_LINE_BITS,
     COST_RE_STORE_LINE,
     COST_RE_WINDOW,
     RE_FINGERPRINT_ENTRIES,
@@ -60,14 +61,14 @@ class REEncoder:
         """
         window = self.fingerprinter.window
         chunks = self.fingerprinter.aligned(payload)
+        n_entries = self.n_table_entries
+        touched = [fp % n_entries for _, fp in chunks]
+        self.chunks_seen += len(chunks)
+        table = self.table
         tokens: List[Token] = []
-        touched: List[int] = []
         lit_start = 0
-        for off, fp in chunks:
-            index = fp % self.n_table_entries
-            touched.append(index)
-            self.chunks_seen += 1
-            entry = self.table.get(index)
+        for (off, fp), index in zip(chunks, touched):
+            entry = table.get(index)
             if entry is not None and entry[0] == fp:
                 stored = self.store.get(entry[1], window)
                 if stored is not None and stored == payload[off:off + window]:
@@ -80,8 +81,8 @@ class REEncoder:
             tokens.append(("lit", payload[lit_start:]))
         # Store the original payload and index its chunks for the future.
         base = self.store.append(payload)
-        for off, fp in chunks:
-            self.table[fp % self.n_table_entries] = (fp, base + off)
+        for (off, fp), index in zip(chunks, touched):
+            table[index] = (fp, base + off)
         return tokens, touched
 
     @staticmethod
@@ -167,30 +168,33 @@ class REElement(Element):
         if packet.buffer is not None and payload:
             ctx.touch(packet.buffer, packet.header_bytes, len(payload),
                       self._tag_payload)
+        capacity = self.encoder.store.capacity
         store_base = self.encoder.store.total_written
         tokens, touched = self.encoder.encode(payload)
-        # Fingerprint computation + one table probe per chunk.
-        entry_bytes = RE_FINGERPRINT_ENTRY_BYTES
-        for index in touched:
-            ctx.cost(COST_RE_WINDOW)
-            ctx.touch(self.table_region, index * entry_bytes, entry_bytes,
-                      self._tag_fp)
+        # Fingerprint computation + one table probe per chunk (an entry
+        # never straddles a line).
+        table = self.table_region.base
+        ctx.record_each(
+            COST_RE_WINDOW,
+            [(table + index * RE_FINGERPRINT_ENTRY_BYTES) >> CACHE_LINE_BITS
+             for index in touched],
+            self._tag_fp)
         # Matched references read the stored content.
         for token in tokens:
             if token[0] == "ref":
-                ctx.touch(self.store_region, token[1] % self.encoder.store.capacity,
-                          token[2], self._tag_store)
+                ctx.touch(self.store_region, token[1] % capacity, token[2],
+                          self._tag_store)
         # Appending the payload writes it into the (circular) store.
         if payload:
-            pos = store_base % self.encoder.store.capacity
-            first = min(len(payload), self.encoder.store.capacity - pos)
+            pos = store_base % capacity
+            first = min(len(payload), capacity - pos)
             n_lines = 0
             for length, offset in ((first, pos), (len(payload) - first, 0)):
                 if length > 0:
                     ctx.touch(self.store_region, offset, length, self._tag_store)
                     n_lines += (length + 63) // 64
-            for _ in range(n_lines):
-                ctx.cost(COST_RE_STORE_LINE)
+            ctx.compute(n_lines * COST_RE_STORE_LINE[0],
+                        n_lines * COST_RE_STORE_LINE[1])
         self.packets += 1
         self.bytes_in += len(payload)
         self.bytes_out += REEncoder.encoded_length(tokens)

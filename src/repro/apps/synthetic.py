@@ -48,8 +48,9 @@ class SynApp:
         self.counter = 0
         self._base_line = self.region.base >> 6
         self._tag = TAGS.register("syn")
-        self._gap = COST_SYN_CPU_OP[0] * cpu_ops_per_ref
-        self._instr = COST_SYN_CPU_OP[1] * cpu_ops_per_ref + COST_SYN_REF[1]
+        #: (gap, instructions) before each reference.
+        self._cost = (COST_SYN_CPU_OP[0] * cpu_ops_per_ref,
+                      COST_SYN_CPU_OP[1] * cpu_ops_per_ref + COST_SYN_REF[1])
         #: Together with (machine seed, core, spec) this pins the whole
         #: generated access stream (see repro.fastpath.streams). Uses the
         #: *parameter* ``array_bytes`` (None means "L3-sized", which the
@@ -64,14 +65,9 @@ class SynApp:
         randrange = self.rng.randrange
         base = self._base_line
         n = self.n_lines
-        gap = self._gap
-        instr = self._instr
-        touch = ctx.touch_line
-        compute = ctx.compute
-        tag = self._tag
-        for _ in range(self.refs_per_packet):
-            compute(gap, instr)
-            touch(base + randrange(n), tag)
+        ctx.record_each(self._cost, [base + randrange(n)
+                                     for _ in range(self.refs_per_packet)],
+                        self._tag)
         self.counter += self.cpu_ops_per_ref * self.refs_per_packet
         return None
 

@@ -68,8 +68,8 @@ class VPNEncrypt(Element):
             if packet.buffer is not None:
                 ctx.touch(packet.buffer, packet.header_bytes, len(payload),
                           self._tag)
-            for _ in range(n_blocks):
-                ctx.cost(COST_AES_BLOCK)
+            ctx.compute(n_blocks * COST_AES_BLOCK[0],
+                        n_blocks * COST_AES_BLOCK[1])
             packet.payload = keystream_xor(
                 payload, self._keystream(len(payload), n_blocks))
             self.counter += n_blocks

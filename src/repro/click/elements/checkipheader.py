@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...constants import COST_CHECK_IP
+from ...constants import CACHE_LINE_BITS, COST_CHECK_IP
 from ...mem.access import AccessContext, TAGS
 from ...net.headers import IPv4Header
 from ...net.packet import Packet
@@ -27,9 +27,11 @@ class CheckIPHeader(Element):
         self._tag = TAGS.register("check_ip_header")
 
     def process(self, ctx: AccessContext, packet: Packet) -> Optional[Packet]:
-        ctx.cost(COST_CHECK_IP)
-        if packet.buffer is not None:
-            ctx.touch(packet.buffer, 0, packet.header_bytes, self._tag)
+        # The headers (at most 54 bytes) fill part of the buffer's first line.
+        buf = packet.buffer
+        ctx.record(COST_CHECK_IP,
+                   () if buf is None else (buf.base >> CACHE_LINE_BITS,),
+                   self._tag)
         ip = packet.ip
         if ip.ttl <= 0 or ip.total_length < IPv4Header.LENGTH:
             self.dropped += 1

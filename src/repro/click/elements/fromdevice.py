@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from ...constants import (
+    CACHE_LINE_BITS,
     COST_PACKET_BASE,
     PACKET_BUFFER_BYTES,
     RX_RING_ENTRIES,
@@ -65,15 +66,17 @@ class FromDevice(Element):
         i = self._index
         self._index = (i + 1) % self.n_buffers
         self.received += 1
-        ctx.cost(COST_PACKET_BASE)
-        tag = self._tag_skb
-        ctx.touch(self.ring, i * _DESCRIPTOR_BYTES, _DESCRIPTOR_BYTES, tag)
-        ctx.touch(self.skb_pool, i * _SKB_BYTES, _SKB_BYTES, tag)
+        # One descriptor line and one skb line (both regions line-aligned;
+        # descriptors never straddle a line).
+        ctx.record(COST_PACKET_BASE, (
+            (self.ring.base + i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS,
+            (self.skb_pool.base + i * _SKB_BYTES) >> CACHE_LINE_BITS,
+        ), self._tag_skb)
         buf = self.buffers[i]
         packet.buffer = buf
         length = min(packet.wire_length, buf.size)
-        first = buf.base >> 6
-        last = (buf.base + length - 1) >> 6
+        first = buf.base >> CACHE_LINE_BITS
+        last = (buf.base + length - 1) >> CACHE_LINE_BITS
         return list(range(first, last + 1))
 
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ...constants import COST_TX, RX_RING_ENTRIES
+from ...constants import CACHE_LINE_BITS, COST_TX, RX_RING_ENTRIES
 from ...hw.machine import FlowEnv
 from ...mem.access import AccessContext, TAGS
 from ...mem.region import Region
@@ -38,9 +38,9 @@ class ToDevice(Element):
             raise RuntimeError("ToDevice used before initialize()")
         i = self._index
         self._index = (i + 1) % self.ring_entries
-        ctx.cost(COST_TX)
-        ctx.touch(self.ring, i * _DESCRIPTOR_BYTES, _DESCRIPTOR_BYTES,
-                  self._tag_skb)
+        ctx.record(COST_TX, (
+            (self.ring.base + i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS,
+        ), self._tag_skb)
         self.sent += 1
         self.bytes_sent += packet.wire_length
 

@@ -12,11 +12,27 @@ shared-cache and memory-controller contention.
 Tags label references with the function that issued them (for example
 ``radix_ip_lookup`` or ``flow_statistics``), enabling the per-function
 hit-to-miss conversion breakdown of the paper's Figure 7.
+
+``compute``/``cost`` and ``touch`` are the generic API: one call per
+compute charge or per byte range. The per-packet elements of the
+paper's flows record through two bulk primitives instead, one call per
+element and step, with line numbers they compute from their regions'
+line-aligned bases:
+
+* :meth:`AccessContext.record` -- a compute cost, then a run of lines
+  (the receive/transmit descriptors, the IP header, NetFlow's bucket and
+  entry);
+* :meth:`AccessContext.record_each` -- the same cost before each of a
+  run of lines (a radix-trie walk, RE's fingerprint-table probes, the
+  firewall and DPI scans, SYN's random reads).
+
+Both produce exactly the program the equivalent ``cost``/``touch_line``
+calls would (property-tested), carried pending gap included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..constants import CACHE_LINE_BITS
 from .region import Region
@@ -92,6 +108,39 @@ class AccessContext:
         self.program.extend((self._pending_gap, line, tag))
         self._pending_gap = 0
 
+    def record(self, cost: tuple, lines: Sequence[int],
+               tag: int = TAG_OTHER) -> None:
+        """Record ``cost``, then one reference to each of ``lines`` in order.
+
+        Same program as ``cost(cost)`` followed by ``touch_line(line, tag)``
+        per line; with no lines it is just ``cost(cost)``.
+        """
+        self.instructions += cost[1]
+        gap = self._pending_gap + cost[0]
+        program = self.program
+        for line in lines:
+            program += (gap, line, tag)
+            gap = 0
+        self._pending_gap = gap
+
+    def record_each(self, cost: tuple, lines: Sequence[int],
+                    tag: int = TAG_OTHER) -> None:
+        """Record ``cost`` before each of ``lines``: a ``(cost, touch)`` pair per line.
+
+        Same program as ``cost(cost); touch_line(line, tag)`` per line, so
+        no lines record nothing. ``lines`` must be a sized sequence.
+        """
+        n = len(lines)
+        if not n:
+            return
+        program = self.program
+        start = len(program)
+        program += (cost[0], 0, tag) * n
+        program[start + 1::3] = lines
+        program[start] += self._pending_gap
+        self._pending_gap = 0
+        self.instructions += cost[1] * n
+
     def touch(
         self,
         region: Region,
@@ -104,8 +153,10 @@ class AccessContext:
         Hot path: bounds are the region's responsibility (regions are sized
         at allocation time and validated by the substrate tests), so this
         computes line indices directly instead of going through
-        :meth:`Region.lines`.
+        :meth:`Region.lines`. ``length`` must be positive.
         """
+        if length <= 0:
+            raise ValueError(f"touch length must be positive, got {length}")
         base = region.base + offset
         first = base >> CACHE_LINE_BITS
         last = (base + length - 1) >> CACHE_LINE_BITS

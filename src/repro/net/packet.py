@@ -89,16 +89,7 @@ class Packet:
 
     def flow_hash(self) -> int:
         """Deterministic hash of the 5-tuple (used by RSS and NetFlow)."""
-        src, dst, proto, sport, dport = self.five_tuple()
-        h = (src * 0x9E3779B1) & 0xFFFFFFFF
-        h ^= (dst * 0x85EBCA77) & 0xFFFFFFFF
-        h ^= (((sport << 16) | dport) * 0xC2B2AE3D) & 0xFFFFFFFF
-        h ^= proto * 0x27D4EB2F
-        h &= 0xFFFFFFFF
-        h ^= h >> 15
-        h = (h * 0x2545F491) & 0xFFFFFFFF
-        h ^= h >> 13
-        return h
+        return five_tuple_hash(self.five_tuple())
 
     # -- serialization ------------------------------------------------------------
 
@@ -131,3 +122,17 @@ class Packet:
             f"{int_to_ip(self.ip.dst)}:{self.l4.dport}, "
             f"proto={self.ip.protocol}, len={self.wire_length})"
         )
+
+
+def five_tuple_hash(key: tuple) -> int:
+    """:meth:`Packet.flow_hash` of a packet whose 5-tuple is ``key``."""
+    src, dst, proto, sport, dport = key
+    h = (src * 0x9E3779B1) & 0xFFFFFFFF
+    h ^= (dst * 0x85EBCA77) & 0xFFFFFFFF
+    h ^= (((sport << 16) | dport) * 0xC2B2AE3D) & 0xFFFFFFFF
+    h ^= proto * 0x27D4EB2F
+    h &= 0xFFFFFFFF
+    h ^= h >> 15
+    h = (h * 0x2545F491) & 0xFFFFFFFF
+    h ^= h >> 13
+    return h

@@ -104,3 +104,17 @@ def test_program_layout_is_flat_ints():
     ctx.compute(9, 1)
     ctx.touch_line(123, 0)
     assert ctx.program == [9, 123, 0]
+
+
+@pytest.mark.parametrize("offset", [0, 64, 5, 70])
+@pytest.mark.parametrize("length", [0, -1])
+def test_touch_rejects_empty_range(offset, length):
+    # Zero bytes used to record one reference at an unaligned offset and
+    # none at an aligned one; both now raise and record nothing.
+    ctx = AccessContext()
+    ctx.compute(11, 1)
+    with pytest.raises(ValueError, match="positive"):
+        ctx.touch(region(), offset, length)
+    ctx.finish_packet()
+    assert ctx.program == []
+    assert ctx.trailing_gap == 11
