@@ -108,8 +108,9 @@ class RabinFingerprinter:
                     for off in range(0, n * w, w)]
         if not n:
             return []
+        # uint8 @ int64 promotes to int64.
         chunks = np.frombuffer(data, dtype=np.uint8, count=n * w)
-        sums = (chunks.reshape(n, w).astype(np.int64) @ limbs).tolist()
+        sums = (chunks.reshape(n, w) @ limbs).tolist()
         return [(i * w,
                  (s0 + (s1 << _LIMB_BITS) + (s2 << 2 * _LIMB_BITS)) % _MOD)
                 for i, (s0, s1, s2) in enumerate(sums)]

@@ -37,6 +37,7 @@ class RadixIPLookup(Element):
         self._cfg_trie = trie
         self.trie: RadixTrie = None  # type: ignore[assignment]
         self.region = None
+        self._region_line = 0
         self.lookups = 0
         self.no_route = 0
         self._tag = TAGS.register("radix_ip_lookup")
@@ -52,6 +53,7 @@ class RadixIPLookup(Element):
         self.region = env.space.domain(env.domain).alloc(
             self.trie.total_bytes, "ip.trie"
         )
+        self._region_line = self.region.base >> CACHE_LINE_BITS
 
     def process(self, ctx: AccessContext, packet: Packet) -> Optional[Packet]:
         if self.region is None:
@@ -63,7 +65,7 @@ class RadixIPLookup(Element):
         routes = trie.routes
         next_hop = trie.default_route
         addr = packet.ip.dst
-        base_line = self.region.base >> CACHE_LINE_BITS
+        base_line = self._region_line
         base = 0
         lines = []
         append = lines.append

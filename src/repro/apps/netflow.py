@@ -63,6 +63,8 @@ class NetFlow(Element):
         self.slots: List[Optional[FlowRecord]] = []
         self.buckets_region = None
         self.region = None
+        self._buckets_line = 0
+        self._entries_line = 0
         self.packets = 0
         self.evictions = 0
         self._tag = TAGS.register("flow_statistics")
@@ -79,6 +81,8 @@ class NetFlow(Element):
         self.region = alloc.alloc(
             self.n_entries * NETFLOW_ENTRY_BYTES, "netflow.table"
         )
+        self._buckets_line = self.buckets_region.base >> CACHE_LINE_BITS
+        self._entries_line = self.region.base >> CACHE_LINE_BITS
 
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:
         if self.region is None:
@@ -90,9 +94,10 @@ class NetFlow(Element):
         # dependent references into two large tables. Bucket heads and
         # entries (NETFLOW_ENTRY_BYTES is one line) never straddle a line.
         ctx.record(COST_NETFLOW, (
-            (self.buckets_region.base
-             + (h % self.n_buckets) * self.BUCKET_BYTES) >> CACHE_LINE_BITS,
-            (self.region.base + index * NETFLOW_ENTRY_BYTES) >> CACHE_LINE_BITS,
+            self._buckets_line
+            + (((h % self.n_buckets) * self.BUCKET_BYTES) >> CACHE_LINE_BITS),
+            self._entries_line
+            + ((index * NETFLOW_ENTRY_BYTES) >> CACHE_LINE_BITS),
         ), self._tag)
         self.packets += 1
         record = self.slots[index]

@@ -42,6 +42,8 @@ class FromDevice(Element):
         self._index = 0
         self.ring: Region = None  # type: ignore[assignment]
         self.skb_pool: Region = None  # type: ignore[assignment]
+        self._ring_line = 0
+        self._skb_line = 0
         self.buffers: List[Region] = []
         self._tag_skb = TAGS.register("skb_recycle")
 
@@ -52,6 +54,8 @@ class FromDevice(Element):
         alloc = env.space.domain(env.domain)
         self.ring = alloc.alloc(self.n_buffers * _DESCRIPTOR_BYTES, "rx.ring")
         self.skb_pool = alloc.alloc(self.n_buffers * _SKB_BYTES, "rx.skbs")
+        self._ring_line = self.ring.base >> CACHE_LINE_BITS
+        self._skb_line = self.skb_pool.base >> CACHE_LINE_BITS
         data = alloc.alloc(self.n_buffers * self.buffer_bytes, "rx.buffers")
         self.buffers = [
             Region(name=f"rx.buf{i}", base=data.base + i * self.buffer_bytes,
@@ -66,11 +70,11 @@ class FromDevice(Element):
         i = self._index
         self._index = (i + 1) % self.n_buffers
         self.received += 1
-        # One descriptor line and one skb line (both regions line-aligned;
-        # descriptors never straddle a line).
+        # One descriptor line (descriptors never straddle a line) and one
+        # skb line.
         ctx.record(COST_PACKET_BASE, (
-            (self.ring.base + i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS,
-            (self.skb_pool.base + i * _SKB_BYTES) >> CACHE_LINE_BITS,
+            self._ring_line + ((i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS),
+            self._skb_line + ((i * _SKB_BYTES) >> CACHE_LINE_BITS),
         ), self._tag_skb)
         buf = self.buffers[i]
         packet.buffer = buf

@@ -21,6 +21,7 @@ class ToDevice(Element):
         self._cfg_entries = ring_entries
         self.ring_entries = 0
         self.ring: Region = None  # type: ignore[assignment]
+        self._ring_line = 0
         self.sent = 0
         self.bytes_sent = 0
         self._index = 0
@@ -31,6 +32,7 @@ class ToDevice(Element):
         self.ring = env.space.domain(env.domain).alloc(
             self.ring_entries * _DESCRIPTOR_BYTES, "tx.ring"
         )
+        self._ring_line = self.ring.base >> CACHE_LINE_BITS
 
     def send(self, ctx: AccessContext, packet: Packet) -> None:
         """Queue one packet for transmission."""
@@ -39,7 +41,7 @@ class ToDevice(Element):
         i = self._index
         self._index = (i + 1) % self.ring_entries
         ctx.record(COST_TX, (
-            (self.ring.base + i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS,
+            self._ring_line + ((i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS),
         ), self._tag_skb)
         self.sent += 1
         self.bytes_sent += packet.wire_length

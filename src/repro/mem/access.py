@@ -160,14 +160,15 @@ class AccessContext:
         base = region.base + offset
         first = base >> CACHE_LINE_BITS
         last = (base + length - 1) >> CACHE_LINE_BITS
+        program = self.program
         if first == last:
-            self.program.extend((self._pending_gap, first, tag))
-            self._pending_gap = 0
-            return
-        extend = self.program.extend
-        for line in range(first, last + 1):
-            extend((self._pending_gap, line, tag))
-            self._pending_gap = 0
+            program += (self._pending_gap, first, tag)
+        else:
+            start = len(program)
+            program += (0, 0, tag) * (last - first + 1)
+            program[start + 1::3] = range(first, last + 1)
+            program[start] = self._pending_gap
+        self._pending_gap = 0
 
     def touch_entry(
         self, region: Region, index: int, entry_bytes: int, tag: int = TAG_OTHER
