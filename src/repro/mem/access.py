@@ -125,10 +125,11 @@ class AccessContext:
 
     def record_each(self, cost: tuple, lines: Sequence[int],
                     tag: int = TAG_OTHER) -> None:
-        """Record ``cost`` before each of ``lines``: a ``(cost, touch)`` pair per line.
+        """Record ``cost`` before each of ``lines``.
 
-        Same program as ``cost(cost); touch_line(line, tag)`` per line, so
-        no lines record nothing. ``lines`` must be a sized sequence.
+        Same program as ``cost(cost)`` then ``touch_line(line, tag)`` per
+        line, so no lines record nothing. ``lines`` must be a sized
+        sequence.
         """
         n = len(lines)
         if not n:

@@ -50,7 +50,7 @@ def _state(ctx: AccessContext) -> tuple:
     return list(ctx.program), ctx.instructions, ctx.trailing_gap
 
 
-# -- the recording primitives --------------------------------------------------
+# -- the recording primitives ---------------------------------------------
 
 def check_primitives(seed: int) -> None:
     rng = random.Random(seed)
@@ -106,7 +106,7 @@ def test_empty_runs():
     assert _state(ctx) == ([], 4, 15)
 
 
-# -- the fused radix-trie walk -------------------------------------------------
+# -- the fused radix-trie walk --------------------------------------------
 
 def _random_strides(rng: random.Random) -> tuple:
     if rng.random() < 0.5:
@@ -163,7 +163,7 @@ def test_fused_walk_equals_lookup_replay(seed):
     check_fused_walk(seed)
 
 
-# -- limb-split aligned fingerprints -------------------------------------------
+# -- limb-split aligned fingerprints ----------------------------------------
 
 def check_aligned(data: bytes, window: int) -> None:
     fp = RabinFingerprinter(window=window)
