@@ -11,7 +11,8 @@ in the private caches, out of reach of L3 contention).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from ..mem.access import AccessContext, TAGS
 from ..click.element import Element
 from ..net.addresses import prefix_mask
 from ..net.packet import Packet
+from ..rngmemo import rng_memo
 
 #: Rules per cache line (16-byte rules, 64-byte lines).
 _RULES_PER_LINE = 64 // FW_RULE_BYTES
@@ -62,13 +64,30 @@ class Rule:
         return True
 
 
+#: Distinct rule sets :func:`generate_unmatchable_rules` keeps (LRU).
+RULES_MEMO_SIZE = 16
+
+#: ``generate_unmatchable_rules`` memo: key -> (shared rules, RNG state).
+_RULES_MEMO: "OrderedDict[tuple, Tuple[Tuple[Rule, ...], tuple]]" = (
+    OrderedDict())
+
+
 def generate_unmatchable_rules(rng: random.Random, n_rules: int) -> List[Rule]:
     """Rules that can never match the generated traffic.
 
     All rules require sources in 240.0.0.0/4 (reserved space the traffic
     generators never emit... except by the source masking below), so every
     packet is checked against every rule — the paper's worst case.
+
+    The rules are a pure function of ``n_rules`` and the RNG state, so
+    they are memoized (:func:`~repro.rngmemo.rng_memo`): equal inputs get
+    a fresh list of the same shared, read-only :class:`Rule` objects.
     """
+    return list(rng_memo(_RULES_MEMO, RULES_MEMO_SIZE, (n_rules,), rng,
+                         lambda: _unmatchable_rules(rng, n_rules)))
+
+
+def _unmatchable_rules(rng: random.Random, n_rules: int) -> Tuple[Rule, ...]:
     rules: List[Rule] = []
     for _ in range(n_rules):
         src_mask = prefix_mask(rng.randrange(8, 25))
@@ -85,7 +104,7 @@ def generate_unmatchable_rules(rng: random.Random, n_rules: int) -> List[Rule]:
             dst_mask=dst_mask, dport_lo=lo, dport_hi=lo + rng.randrange(1, 500),
             protocol=rng.choice([None, 6, 17]),
         ))
-    return rules
+    return tuple(rules)
 
 
 class Firewall(Element):
@@ -128,7 +147,9 @@ class Firewall(Element):
         ``first_match`` evaluates every rule exactly as ``Rule.matches``
         does (the equivalence is property-tested), but across the whole
         rule set at once — the sequential scan's cycle cost is modeled by
-        the per-line cost constants, not by Python-loop time.
+        the per-line cost constants, not by Python-loop time. It tests
+        the source column first and the other columns only on the rules
+        that survive it (none, for the evaluation traffic).
         """
         rules = self.rules
         self._vec = {
@@ -150,17 +171,20 @@ class Firewall(Element):
             return None
         v = self._vec
         src = np.uint32(packet.ip.src)
+        cand = np.flatnonzero((src & v["src_mask"]) == v["src_net"])
+        if not len(cand):
+            return None
         dst = np.uint32(packet.ip.dst)
         dport = np.uint32(packet.l4.dport)
         proto = np.int32(packet.ip.protocol)
+        protocol = v["protocol"][cand]
         match = (
-            ((src & v["src_mask"]) == v["src_net"])
-            & ((dst & v["dst_mask"]) == v["dst_net"])
-            & (v["dport_lo"] <= dport) & (dport <= v["dport_hi"])
-            & ((v["protocol"] < 0) | (v["protocol"] == proto))
+            ((dst & v["dst_mask"][cand]) == v["dst_net"][cand])
+            & (v["dport_lo"][cand] <= dport) & (dport <= v["dport_hi"][cand])
+            & ((protocol < 0) | (protocol == proto))
         )
         index = int(match.argmax())
-        return index if match[index] else None
+        return int(cand[index]) if match[index] else None
 
     def process(self, ctx: AccessContext, packet: Packet) -> Optional[Packet]:
         if self.region is None:

@@ -35,6 +35,7 @@ from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 from ..net.addresses import prefix_mask
+from ..rngmemo import rng_memo
 
 #: Default strides: 8-bit root, then 2-bit levels (sums to 32). The fine
 #: strides give lookups the deep pointer-chasing walk of Click's radix
@@ -223,15 +224,12 @@ class RouteTableBuilder:
         """
         if n_entries <= 0:
             raise ValueError("need at least one route")
+        return rng_memo(_BUILD_MEMO, BUILD_MEMO_SIZE,
+                        (type(self), n_entries, n_next_hops, self.addr_bits),
+                        self.rng, lambda: self._build(n_entries, n_next_hops))
+
+    def _build(self, n_entries: int, n_next_hops: int) -> RadixTrie:
         rng = self.rng
-        key = (type(self), type(rng), n_entries, n_next_hops,
-               self.addr_bits, rng.getstate())
-        hit = _BUILD_MEMO.get(key)
-        if hit is not None:
-            _BUILD_MEMO.move_to_end(key)
-            trie, after = hit
-            rng.setstate(after)
-            return trie
         trie = RadixTrie()
         trie.insert(0, 0, 0)  # default route
         inserted = 0
@@ -244,7 +242,4 @@ class RouteTableBuilder:
             trie.insert(prefix, plen, rng.randrange(n_next_hops))
             inserted += 1
         trie.read_only = True
-        _BUILD_MEMO[key] = (trie, rng.getstate())
-        if len(_BUILD_MEMO) > BUILD_MEMO_SIZE:
-            _BUILD_MEMO.popitem(last=False)
         return trie

@@ -72,12 +72,17 @@ def clear_stream_cache() -> None:
 
 
 def stream_cache_stats() -> dict:
-    """Hit/miss/occupancy statistics of the process-wide stream cache."""
+    """Hit/miss/occupancy statistics of the process-wide stream cache.
+
+    ``refs`` counts stored references; ``bytes`` is the stored arrays'
+    size (blocks, level codes and checkpoints).
+    """
     from .streams import STREAM_CACHE
 
     return {
         "streams": len(STREAM_CACHE),
         "refs": STREAM_CACHE.total_refs,
+        "bytes": STREAM_CACHE.total_bytes,
         "hits": STREAM_CACHE.hits,
         "misses": STREAM_CACHE.misses,
     }

@@ -28,13 +28,18 @@ Pure flows additionally declare a ``stream_signature``: a hashable value
 that, together with the machine seed, core, and platform spec, fully
 determines the generated stream. Streams of signatured flows are stored
 in a process-wide :class:`StreamCache` in *region-relative* form — each
-referenced line is re-expressed as (region index, line offset) against
-the flow's allocation list — so a later machine that builds the same
-flow (possibly at different absolute addresses, because other flows
-were allocated first) can rebase and replay the stream without paying
-generation again. That is the dominant cost of dense experiment sweeps
-(Figure 2's 25 co-runs re-generate the same five flow types over and
-over), and the reason ``engine="batch"`` is fast. Level codes and
+referenced line is re-expressed as its offset into the concatenation of
+the flow's regions in allocation order (:meth:`RegionTable.pack`) — so a
+later machine that builds the same flow (possibly at different absolute
+addresses, because other flows were allocated first) can rebase and
+replay the stream without paying generation again. That is the
+dominant cost of dense experiment sweeps (Figure 2's 25 co-runs
+re-generate the same five flow types over and over), and the reason
+``engine="batch"`` is fast. Stored blocks are compact: every field is a
+NumPy array in the narrowest integer dtype that holds the block's values
+(about 8 bytes per reference in all, where a Python int takes 28), and
+one NumPy pass rebases the packed lines into absolute lines, L3 set
+indices and home domains. Level codes and
 checkpoints are cached with the stream, keyed by the layout's region-base
 residues (:meth:`RegionTable.residues`), the only part of a layout that
 private outcomes depend on; warm machines reuse them and never probe
@@ -49,7 +54,6 @@ engine-visible equivalence.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
@@ -60,11 +64,37 @@ from ..constants import CACHE_LINE
 #: Default pregeneration block size (packets per block).
 BATCH_PACKETS = 256
 
-#: Default cache capacity in stored memory references. One ref costs
-#: ~40 bytes across the arrays, so the default is on the order of
-#: 150 MB — far more than the experiment suites need, small enough to
-#: never matter on a development machine.
+#: Default cache capacity in stored memory references. A stored reference
+#: costs about 8 bytes (packed line, gap, tag and level code, plus its
+#: share of the per-packet fields and private-state checkpoints), so the
+#: default is on the order of 32 MB — far more than the experiment suites
+#: need, small enough to never matter on a development machine.
 DEFAULT_CACHE_REFS = 4_000_000
+
+#: Integer dtypes a stored field may take, narrowest first, with bounds.
+_NARROW = tuple((np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+                for t in (np.uint8, np.int8, np.uint16, np.int16,
+                          np.uint32, np.int32, np.int64))
+
+
+def _narrow(values) -> Optional[np.ndarray]:
+    """``values`` as an array of the narrowest integer dtype holding them.
+
+    Booleans stay boolean. None when the values are not all integers or
+    exceed int64: such a block is not cached.
+    """
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.uint8)
+    if arr.dtype.kind == "b":
+        return arr
+    if arr.dtype.kind not in "iu":
+        return None
+    lo, hi = int(arr.min()), int(arr.max())
+    for dtype, dmin, dmax in _NARROW:
+        if dmin <= lo and hi <= dmax:
+            return arr.astype(dtype, copy=False)
+    return None
 
 
 def is_timing_pure(flow) -> bool:
@@ -81,8 +111,8 @@ class PacketBlock:
     """One block of pregenerated packets, flattened for the replay loop.
 
     All per-reference sequences are plain Python lists (fastest to index
-    from the interpreter loop); the numpy round-trip happens once per
-    block to precompute L3 set indices and home domains. ``codes`` holds
+    from the interpreter loop); one numpy pass per block precomputes L3
+    set indices and home domains. ``codes`` holds
     each reference's private-cache outcome (see :func:`prefilter`): the
     supplier attaches it, and the replay loop touches shared state only
     for L3-bound references.
@@ -117,16 +147,19 @@ class PacketBlock:
     def n_refs(self) -> int:
         return len(self.lines)
 
-    def finalize(self, l3_nsets: int, domain_shift: int) -> None:
+    def finalize(self, l3_nsets: int, domain_shift: int,
+                 lines: Optional[np.ndarray] = None) -> None:
         """Precompute per-reference L3 set indices and home domains.
 
         This is the vectorized part of the batch engine's address path:
         one numpy pass per block replaces a modulo and a shift per
-        L3-bound reference in the interpreter loop.
+        L3-bound reference in the interpreter loop. ``lines`` is
+        ``self.lines`` as an int64 array when the caller already has it.
         """
-        arr = np.asarray(self.lines, dtype=np.int64)
-        self.l3i = (arr % l3_nsets).tolist()
-        self.doms = (arr >> domain_shift).tolist()
+        if lines is None:
+            lines = np.asarray(self.lines, dtype=np.int64)
+        self.l3i = (lines % l3_nsets).tolist()
+        self.doms = (lines >> domain_shift).tolist()
 
 
 #: Level codes :func:`prefilter` assigns to references.
@@ -198,27 +231,30 @@ class PrivateCodes:
     every layout of the residue class can restore them.
     """
 
-    __slots__ = ("codes", "spacing", "ck_lines", "ck_packed", "ck_bounds")
+    __slots__ = ("codes", "spacing", "ck_lines", "ck_packed", "ck_bounds",
+                 "nbytes")
 
     def __init__(self, codes: bytes, spacing: int, marks, table):
         self.codes = codes
         self.spacing = spacing
         flat: List[int] = []
-        self.ck_bounds: List[Tuple[int, int, int]] = []
+        ck_bounds: List[Tuple[int, int, int]] = []
         for lines, n_l1 in marks:
             lo = len(flat)
             flat.extend(lines)
-            self.ck_bounds.append((lo, lo + n_l1, len(flat)))
+            ck_bounds.append((lo, lo + n_l1, len(flat)))
+        self.ck_bounds = _narrow(ck_bounds)
         lines = np.asarray(flat, dtype=np.int64)
         packed = table.pack(lines)
         # A flow touching lines outside its regions is never cached
         # (StreamSupplier._store), so its checkpoints stay absolute.
         self.ck_packed = packed is not None
         self.ck_lines = packed if self.ck_packed else lines
+        self.nbytes = len(codes) + self.ck_lines.nbytes + self.ck_bounds.nbytes
 
     def checkpoint(self, c: int, table: "RegionTable"):
         """Checkpoint ``c`` as (L1 lines, L2 lines), absolute for ``table``."""
-        lo, mid, hi = self.ck_bounds[c]
+        lo, mid, hi = self.ck_bounds[c].tolist()
         lines = self.ck_lines[lo:hi]
         if self.ck_packed:
             lines = table.unpack(lines)
@@ -270,59 +306,70 @@ def restore_private(rec: PrivateCodes, block: PacketBlock,
 
 
 class _RelativeBlock:
-    """A PacketBlock in region-relative, numpy form (the cached shape)."""
+    """A PacketBlock in compact, region-relative form (the cached shape).
 
-    __slots__ = ("start", "n_packets", "gaps", "ridx", "rdelta", "tags",
-                 "bounds", "trailing", "instr", "idle",
-                 "dma_ridx", "dma_rdelta", "dma_bounds", "dropped")
+    Reference and DMA lines are packed offsets (:meth:`RegionTable.pack`);
+    they and every other field are NumPy arrays in the narrowest integer
+    dtype that holds this block's values. Build one with :meth:`compact`.
+    """
 
-    def __init__(self, block: PacketBlock, region_table):
-        self.start = block.start
-        self.n_packets = block.n_packets
-        self.gaps = np.asarray(block.gaps, dtype=np.int64)
-        self.tags = np.asarray(block.tags, dtype=np.int64)
-        self.bounds = list(block.bounds)
-        self.trailing = list(block.trailing)
-        self.instr = list(block.instr)
-        self.idle = list(block.idle)
-        self.dropped = list(block.dropped)
-        lines = np.asarray(block.lines, dtype=np.int64)
-        self.ridx, self.rdelta = region_table.relativize(lines)
-        # DMA lines, flattened with per-packet bounds.
+    __slots__ = ("start", "n_packets", "n_refs", "nbytes", "lines", "dma",
+                 "gaps", "tags", "bounds", "trailing", "instr", "idle",
+                 "dropped", "dma_bounds")
+
+    @classmethod
+    def compact(cls, block: PacketBlock,
+                table: "RegionTable") -> Optional["_RelativeBlock"]:
+        """``block`` in cached form, or None when it cannot be cached: a
+        line lies outside the flow's regions (not rebasable) or a field
+        holds a value that is not an int64 integer."""
         flat: List[int] = []
         dma_bounds = [0]
         for dma in block.dma:
             if dma:
                 flat.extend(dma)
             dma_bounds.append(len(flat))
-        dlines = np.asarray(flat, dtype=np.int64)
-        self.dma_ridx, self.dma_rdelta = region_table.relativize(dlines)
-        self.dma_bounds = dma_bounds
+        arrays = [table.pack(np.asarray(block.lines, dtype=np.int64)),
+                  table.pack(np.asarray(flat, dtype=np.int64))]
+        arrays += [_narrow(values) for values in (
+            block.gaps, block.tags, block.bounds, block.trailing,
+            block.instr, block.idle, block.dropped, dma_bounds)]
+        if any(a is None for a in arrays):
+            return None
+        rel = cls()
+        (rel.lines, rel.dma, rel.gaps, rel.tags, rel.bounds, rel.trailing,
+         rel.instr, rel.idle, rel.dropped, rel.dma_bounds) = arrays
+        rel.start = block.start
+        rel.n_packets = block.n_packets
+        rel.n_refs = block.n_refs
+        rel.nbytes = sum(a.nbytes for a in arrays)
+        return rel
 
-    @property
-    def n_refs(self) -> int:
-        return len(self.gaps)
+    def rebase(self, table: "RegionTable", l3_nsets: int,
+               domain_shift: int) -> PacketBlock:
+        """Materialize a finalized PacketBlock against ``table``'s regions.
 
-    def rebase(self, region_table: "RegionTable") -> PacketBlock:
-        """Materialize a PacketBlock against another machine's regions."""
-        lines = region_table.absolutize(self.ridx, self.rdelta)
-        dlines = region_table.absolutize(self.dma_ridx, self.dma_rdelta)
-        dlist = dlines.tolist()
-        dma: List[Optional[Tuple[int, ...]]] = []
-        bounds = self.dma_bounds
-        for k in range(self.n_packets):
-            lo, hi = bounds[k], bounds[k + 1]
-            dma.append(tuple(dlist[lo:hi]) if hi > lo else None)
-        return PacketBlock(
+        One NumPy pass over the packed lines yields the absolute lines,
+        the L3 set indices and the home domains.
+        """
+        lines = table.unpack(self.lines)
+        dlist = table.unpack(self.dma).tolist()
+        dbounds = self.dma_bounds.tolist()
+        dma: List[Optional[Tuple[int, ...]]] = [
+            tuple(dlist[lo:hi]) if hi > lo else None
+            for lo, hi in zip(dbounds, dbounds[1:])]
+        block = PacketBlock(
             self.start, self.n_packets,
             self.gaps.tolist(), lines.tolist(), self.tags.tolist(),
-            list(self.bounds), list(self.trailing), list(self.instr),
-            list(self.idle), dma, list(self.dropped),
+            self.bounds.tolist(), self.trailing.tolist(), self.instr.tolist(),
+            self.idle.tolist(), dma, self.dropped.tolist(),
         )
+        block.finalize(l3_nsets, domain_shift, lines)
+        return block
 
 
 class RegionTable:
-    """A flow's allocated regions, indexable for relativize/absolutize.
+    """A flow's allocated regions, indexable for pack/unpack.
 
     Regions are listed in allocation order (which is deterministic for a
     given factory, seed, core, and spec), so region *index* is the stable
@@ -338,14 +385,18 @@ class RegionTable:
             [self.regions[i].base >> 6 for i in order], dtype=np.int64)
         self._ends = np.asarray(
             [(self.regions[i].end + 63) >> 6 for i in order], dtype=np.int64)
-        self._order = np.asarray(order, dtype=np.int64)
         self._bases_by_index = np.asarray(
             [r.base >> 6 for r in self.regions], dtype=np.int64)
-        # Start of each region in the regions' concatenated line space.
+        # Start of each region in the regions' concatenated line space,
+        # and what packing adds to a line of each region (in base order)
+        # and unpacking to an offset of each region (in allocation order).
         sizes = [((r.end + 63) >> 6) - (r.base >> 6) for r in self.regions]
         self._packed_starts = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-        self._packed_dtype = (np.int32 if sum(sizes) <= np.iinfo(np.int32).max
-                              else np.int64)
+        self._pack_shift = (
+            self._packed_starts[np.asarray(order, dtype=np.int64)]
+            - self._starts)
+        self._unpack_shift = self._bases_by_index - self._packed_starts[
+            :len(self.regions)]
 
     def fingerprint(self) -> Tuple:
         """Shape check for cache hits: sizes/names in allocation order."""
@@ -355,18 +406,26 @@ class RegionTable:
         """Lines as offsets into the concatenation of the regions (in
         allocation order), or None when one lies outside them all.
 
-        Like :meth:`relativize`, the form holds across layouts; it takes
-        a quarter of the space (int32, unless the regions are too large).
+        The form holds across layouts. It is one array in the narrowest
+        integer dtype holding the offsets (uint16 or int32, int64 only
+        when the regions are too large). A signatured flow touches only
+        its own regions; None marks a stream that is never cached.
         """
-        ridx, rdelta = self.relativize(lines)
-        if len(ridx) and ridx.min() < 0:
+        if not len(lines):
+            return _narrow(lines)
+        if not self.regions:
             return None
-        return (self._packed_starts[ridx] + rdelta).astype(self._packed_dtype)
+        pos = np.searchsorted(self._starts, lines, side="right") - 1
+        pos = np.clip(pos, 0, len(self._starts) - 1)
+        if not bool(((lines >= self._starts[pos])
+                     & (lines < self._ends[pos])).all()):
+            return None
+        return _narrow(lines + self._pack_shift[pos])
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`pack` against *this* machine's bases."""
+        """Inverse of :meth:`pack` against *this* machine's bases (int64)."""
         ridx = np.searchsorted(self._packed_starts, packed, side="right") - 1
-        return self._bases_by_index[ridx] + (packed - self._packed_starts[ridx])
+        return self._unpack_shift[ridx] + packed
 
     def residues(self, modulus: int) -> Tuple[int, ...]:
         """Region-base lines relative to the first region, mod ``modulus``.
@@ -378,34 +437,6 @@ class RegionTable:
         """
         bases = self._bases_by_index
         return tuple(((bases - bases[:1]) % modulus).tolist())
-
-    def relativize(self, lines: np.ndarray):
-        """Map absolute lines to (region index, line offset).
-
-        Lines outside every region get index -1 and keep their absolute
-        value in the offset — they rebase only onto machines where the
-        address happens to be identical, which the cache key guarantees
-        never to rely on (a signatured flow touches only its own
-        regions; the -1 path is a defensive escape hatch, and any -1
-        entry disqualifies the stream from cache storage).
-        """
-        if len(lines) == 0 or not self.regions:
-            return (np.full(len(lines), -1, dtype=np.int64),
-                    np.asarray(lines, dtype=np.int64))
-        pos = np.searchsorted(self._starts, lines, side="right") - 1
-        pos = np.clip(pos, 0, len(self._starts) - 1)
-        inside = (lines >= self._starts[pos]) & (lines < self._ends[pos])
-        ridx = np.where(inside, self._order[pos], -1)
-        rdelta = np.where(inside, lines - self._starts[pos], lines)
-        return ridx, rdelta
-
-    def absolutize(self, ridx: np.ndarray, rdelta: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`relativize` against *this* machine's bases."""
-        if len(ridx) == 0:
-            return np.zeros(0, dtype=np.int64)
-        bases = self._bases_by_index
-        return np.where(ridx >= 0, bases[np.clip(ridx, 0, None)] + rdelta,
-                        rdelta)
 
 
 class StreamMeta:
@@ -643,11 +674,14 @@ class StubFlow:
 class CachedStream:
     """All blocks generated so far for one (signature, seed, core, spec)."""
 
-    def __init__(self, fingerprint: Tuple):
+    def __init__(self, key: Tuple, fingerprint: Tuple):
+        self.key = key
         self.fingerprint = fingerprint
         self.blocks: List[_RelativeBlock] = []
         self.n_packets = 0
         self.n_refs = 0
+        #: Bytes of stored arrays: blocks plus private codes.
+        self.nbytes = 0
         #: Construction metadata enabling skeleton (construction-free)
         #: flow builds; set on the first successful block store.
         self.meta: Optional[StreamMeta] = None
@@ -658,11 +692,6 @@ class CachedStream:
         #: Per-block :class:`PrivateCodes`, keyed by the layout's region
         #: residues (see :meth:`RegionTable.residues`).
         self.private: Dict[Tuple, List["PrivateCodes"]] = {}
-
-    def append(self, rel: _RelativeBlock) -> None:
-        self.blocks.append(rel)
-        self.n_packets += rel.n_packets
-        self.n_refs += rel.n_refs
 
     def block_at(self, packet_index: int) -> Optional[_RelativeBlock]:
         """The cached block starting exactly at ``packet_index``."""
@@ -677,25 +706,48 @@ class CachedStream:
 
 
 class StreamCache:
-    """Process-wide LRU cache of region-relative packet streams."""
+    """Process-wide LRU cache of region-relative packet streams.
+
+    ``total_refs`` (what capacity counts) and ``total_bytes`` are running
+    totals over the resident streams.
+    """
 
     def __init__(self, max_refs: int = DEFAULT_CACHE_REFS):
         self.max_refs = max_refs
         self._streams: Dict[Tuple, CachedStream] = {}
+        self.total_refs = 0
+        self.total_bytes = 0
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._streams)
 
-    @property
-    def total_refs(self) -> int:
-        return sum(s.n_refs for s in self._streams.values())
-
     def clear(self) -> None:
         self._streams.clear()
+        self.total_refs = 0
+        self.total_bytes = 0
         self.hits = 0
         self.misses = 0
+
+    def _drop(self, key: Tuple) -> None:
+        stream = self._streams.pop(key)
+        self.total_refs -= stream.n_refs
+        self.total_bytes -= stream.nbytes
+
+    def grow(self, stream: CachedStream, n_refs: int, nbytes: int) -> None:
+        """Account ``n_refs`` references and ``nbytes`` bytes newly stored
+        in ``stream`` (in the totals only while it is resident)."""
+        stream.n_refs += n_refs
+        stream.nbytes += nbytes
+        if self._streams.get(stream.key) is stream:
+            self.total_refs += n_refs
+            self.total_bytes += nbytes
+
+    def append(self, stream: CachedStream, rel: _RelativeBlock) -> None:
+        stream.blocks.append(rel)
+        stream.n_packets += rel.n_packets
+        self.grow(stream, rel.n_refs, rel.nbytes)
 
     def lookup(self, key: Tuple, fingerprint: Tuple) -> Optional[CachedStream]:
         stream = self._streams.get(key)
@@ -706,7 +758,7 @@ class StreamCache:
             # Same signature but different allocation shape: treat as a
             # miss and drop the stale entry (defensive; signatures are
             # supposed to pin the shape).
-            del self._streams[key]
+            self._drop(key)
             self.misses += 1
             return None
         # LRU touch: move to the end of the (insertion-ordered) dict.
@@ -719,7 +771,9 @@ class StreamCache:
         """The stream to append generated blocks to (created on demand)."""
         stream = self._streams.get(key)
         if stream is None or stream.fingerprint != fingerprint:
-            stream = CachedStream(fingerprint)
+            if stream is not None:
+                self._drop(key)
+            stream = CachedStream(key, fingerprint)
             self._streams[key] = stream
         return stream
 
@@ -736,8 +790,7 @@ class StreamCache:
 
     def evict_to_capacity(self) -> None:
         while self.total_refs > self.max_refs and len(self._streams) > 1:
-            oldest = next(iter(self._streams))
-            del self._streams[oldest]
+            self._drop(next(iter(self._streams)))
 
 
 #: The process-wide cache instance (cleared via repro.fastpath).
@@ -745,8 +798,12 @@ STREAM_CACHE = StreamCache()
 
 
 def key_for_signature(sig, seed: int, core: int, spec) -> Tuple:
-    """The cache key pinning a signatured stream (see :func:`stream_key`)."""
-    return (sig, seed, core, dataclasses.astuple(spec))
+    """The cache key pinning a signatured stream (see :func:`stream_key`).
+
+    ``spec`` is a frozen, hashable :class:`~repro.hw.topology.PlatformSpec`
+    and keys by value.
+    """
+    return (sig, seed, core, spec)
 
 
 def stream_key(flow, seed: int, core: int, spec) -> Optional[Tuple]:
@@ -809,6 +866,8 @@ class StreamSupplier:
                 self._cached = stream
                 self.from_cache = True
         self._residues = self._regions.residues(math.lcm(l1_nsets, l2_nsets))
+        # The stream holding ``_records`` (its bytes count in the cache).
+        self._owner: Optional[CachedStream] = self._cached
         self._records: List[PrivateCodes] = (
             self._cached.private.setdefault(self._residues, [])
             if self._cached is not None else [])
@@ -878,18 +937,18 @@ class StreamSupplier:
                 return
             stream.poisoned = True
             return
-        rel = _RelativeBlock(block, self._regions)
-        if len(rel.ridx) and bool(np.any(rel.ridx < 0)):
-            # The flow touched a line outside its own regions: not
+        rel = _RelativeBlock.compact(block, self._regions)
+        if rel is None:
+            # E.g. the flow touched a line outside its own regions: not
             # rebasable, so never serve this stream to other machines.
             stream.poisoned = True
             return
-        if len(rel.dma_ridx) and bool(np.any(rel.dma_ridx < 0)):
-            stream.poisoned = True
-            return
-        stream.append(rel)
+        self.cache.append(stream, rel)
         # The first stored block hands this layout's codes to the stream.
-        stream.private.setdefault(self._residues, self._records)
+        records = stream.private.setdefault(self._residues, self._records)
+        if records is self._records and self._owner is not stream:
+            self._owner = stream
+            self.cache.grow(stream, 0, sum(r.nbytes for r in records))
         if stream.meta is None:
             stream.meta = build_meta(self.flow, self._regions.regions,
                                      self.fr.data_domain)
@@ -914,7 +973,7 @@ class StreamSupplier:
         if self._cached is not None:
             rel = self._cached.block_at(start)
             if rel is not None:
-                block = rel.rebase(self._regions)
+                block = rel.rebase(self._regions, *self._geom)
             else:
                 # Cache exhausted: catch the fresh flow instance up to the
                 # replayed prefix, then continue generating (and extending
@@ -924,8 +983,8 @@ class StreamSupplier:
         if block is None:
             block = self._generate_block(start)
             self._store(block)
+            block.finalize(*self._geom)
         self._attach_codes(block)
-        block.finalize(*self._geom)
         self._next_packet = start + block.n_packets
         return block
 
@@ -949,6 +1008,8 @@ class StreamSupplier:
                 self._private_live = True
             rec = prefilter(l1, w1, l2, w2, block, self._regions)
             records.append(rec)
+            if self._owner is not None:
+                self.cache.grow(self._owner, 0, rec.nbytes)
         block.codes = rec.codes
         self._last = (block, rec)
 

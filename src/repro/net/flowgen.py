@@ -13,9 +13,11 @@ input classes.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence
+from collections import OrderedDict
+from typing import Iterable, List, Sequence, Tuple
 
 from ..constants import DEFAULT_PAYLOAD_BYTES
+from ..rngmemo import rng_memo
 from .packet import Packet
 
 
@@ -60,12 +62,23 @@ class UniformRandomTraffic(TrafficSource):
         )
 
 
+#: Distinct populations :class:`FlowPopulationTraffic` keeps (LRU).
+POPULATION_MEMO_SIZE = 16
+
+#: Population memo: key -> (shared population, RNG state after).
+_POPULATION_MEMO: "OrderedDict[tuple, Tuple[Tuple[tuple, ...], tuple]]" = (
+    OrderedDict())
+
+
 class FlowPopulationTraffic(TrafficSource):
     """Random draws from a fixed population of 5-tuples.
 
     The paper sizes NetFlow's input "such that the NetFlow hash table
     contains 100000 entries"; a fixed population of that size reproduces
     a live table of exactly that many flows, each accessed uniformly.
+    The population is a pure function of ``n_flows``, ``addr_bits`` and
+    the RNG state, so it is memoized (:func:`~repro.rngmemo.rng_memo`)
+    as one shared, read-only tuple per distinct input.
     """
 
     def __init__(self, rng: random.Random, n_flows: int,
@@ -76,11 +89,12 @@ class FlowPopulationTraffic(TrafficSource):
         self.rng = rng
         self.payload = b"\x5a" * payload_bytes
         self.addr_bits = addr_bits
-        self.population: List[tuple] = [
-            (rng.getrandbits(addr_bits), rng.getrandbits(addr_bits),
-             rng.randrange(1024, 65536), rng.randrange(1, 1024))
-            for _ in range(n_flows)
-        ]
+        self.population: Tuple[tuple, ...] = rng_memo(
+            _POPULATION_MEMO, POPULATION_MEMO_SIZE, (n_flows, addr_bits), rng,
+            lambda: tuple(
+                (rng.getrandbits(addr_bits), rng.getrandbits(addr_bits),
+                 rng.randrange(1024, 65536), rng.randrange(1, 1024))
+                for _ in range(n_flows)))
 
     def next_packet(self) -> Packet:
         src, dst, sport, dport = self.rng.choice(self.population)

@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.firewall import Firewall, Rule, generate_unmatchable_rules
+from repro.apps import firewall
+from repro.apps.firewall import (
+    RULES_MEMO_SIZE,
+    Firewall,
+    Rule,
+    generate_unmatchable_rules,
+)
 from repro.mem.access import AccessContext
 from repro.net.addresses import prefix_mask
 from repro.net.packet import Packet
@@ -43,6 +49,43 @@ def test_unmatchable_rules_require_class_e_sources():
         # covers the top nibble.
         if rule.src_mask & 0xF0000000 == 0xF0000000:
             assert rule.src_net >> 28 == 0xF
+
+
+@pytest.fixture
+def cold_rules_memo():
+    firewall._RULES_MEMO.clear()
+    yield firewall._RULES_MEMO
+    firewall._RULES_MEMO.clear()
+
+
+def _fields(rules):
+    return [(r.src_net, r.src_mask, r.dst_net, r.dst_mask, r.dport_lo,
+             r.dport_hi, r.protocol) for r in rules]
+
+
+def test_rules_memo_shares_rules_and_replays_rng_state(cold_rules_memo):
+    cold_rng = random.Random(5)
+    cold = generate_unmatchable_rules(cold_rng, 120)
+    warm_rng = random.Random(5)
+    warm = generate_unmatchable_rules(warm_rng, 120)
+    assert warm is not cold                  # callers get their own list
+    assert all(a is b for a, b in zip(warm, cold))
+    assert warm_rng.getstate() == cold_rng.getstate()
+    assert len(cold_rules_memo) == 1
+    # A memo hit builds exactly what a cold build does.
+    cold_rules_memo.clear()
+    assert _fields(generate_unmatchable_rules(random.Random(5), 120)) \
+        == _fields(cold)
+
+
+def test_rules_memo_misses_on_input_change_and_is_bounded(cold_rules_memo):
+    base = generate_unmatchable_rules(random.Random(5), 120)
+    assert generate_unmatchable_rules(random.Random(5), 121)[0] is not base[0]
+    assert generate_unmatchable_rules(random.Random(6), 120)[0] is not base[0]
+    assert len(cold_rules_memo) == 3
+    for seed in range(RULES_MEMO_SIZE + 4):
+        generate_unmatchable_rules(random.Random(100 + seed), 4)
+    assert len(cold_rules_memo) == RULES_MEMO_SIZE
 
 
 def make_firewall(n_rules=100, seed=1):
@@ -107,6 +150,58 @@ def test_property_vectorized_equals_reference(src, dst, dport, seed):
         if rule.matches(pkt):
             expected = i
             break
+    assert fw.first_match(pkt) == expected
+
+
+def _near_miss_rules(rng, pkt, n_rules):
+    """Rules whose sources mostly match ``pkt`` while each other field
+    matches or misses at random, so the source test leaves candidates
+    that the remaining columns must still filter in rule order."""
+    rules = []
+    for _ in range(n_rules):
+        src_mask = prefix_mask(rng.randrange(33))
+        src_net = (pkt.ip.src if rng.random() < 0.8
+                   else rng.getrandbits(32)) & src_mask
+        dst_mask = prefix_mask(rng.randrange(33))
+        dst_net = (pkt.ip.dst if rng.random() < 0.6
+                   else rng.getrandbits(32)) & dst_mask
+        if rng.random() < 0.6:
+            lo = rng.randrange(pkt.l4.dport + 1)
+            hi = rng.randrange(pkt.l4.dport, 65536)
+        else:
+            lo = rng.randrange(65536)
+            hi = lo + rng.randrange(500)
+        rules.append(Rule(src_net=src_net, src_mask=src_mask,
+                          dst_net=dst_net, dst_mask=dst_mask,
+                          dport_lo=lo, dport_hi=hi,
+                          protocol=rng.choice([None, 6, 17])))
+    return rules
+
+
+@given(
+    src=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    dst=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    dport=st.integers(min_value=0, max_value=0xFFFF),
+    proto_tcp=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_rules=st.integers(min_value=1, max_value=40),
+    n_unmatchable=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_source_survivors_keep_first_match(src, dst, dport,
+                                                     proto_tcp, seed,
+                                                     n_rules, n_unmatchable):
+    """With sources that match, first_match still returns the first rule
+    Rule.matches accepts (or None), wherever it sits in the rule set."""
+    rng = random.Random(seed)
+    pkt = packet(src=src, dst=dst, dport=dport, proto_tcp=proto_tcp)
+    rules = _near_miss_rules(rng, pkt, n_rules)
+    for rule in generate_unmatchable_rules(rng, n_unmatchable):
+        rules.insert(rng.randrange(len(rules) + 1), rule)
+    fw = Firewall(rules=rules)
+    fw.initialize(make_env(seed=1))
+    expected = next((i for i, rule in enumerate(rules) if rule.matches(pkt)),
+                    None)
     assert fw.first_match(pkt) == expected
 
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from repro.net import flowgen
 from repro.net.flowgen import (
+    POPULATION_MEMO_SIZE,
     FlowPopulationTraffic,
     RedundantTraffic,
     ReplaySource,
@@ -31,6 +33,41 @@ def test_population_draws_from_fixed_set(rng):
     tuples = {p.five_tuple() for p in src.take(500)}
     assert len(tuples) <= 10
     assert len(tuples) >= 8  # nearly all flows seen
+
+
+@pytest.fixture
+def cold_population_memo():
+    flowgen._POPULATION_MEMO.clear()
+    yield flowgen._POPULATION_MEMO
+    flowgen._POPULATION_MEMO.clear()
+
+
+def test_population_memo_shares_and_replays_rng_state(cold_population_memo):
+    cold_rng = random.Random(3)
+    cold = FlowPopulationTraffic(cold_rng, n_flows=50, addr_bits=24)
+    warm_rng = random.Random(3)
+    warm = FlowPopulationTraffic(warm_rng, n_flows=50, addr_bits=24)
+    assert warm.population is cold.population
+    assert warm_rng.getstate() == cold_rng.getstate()
+    assert [p.five_tuple() for p in warm.take(40)] \
+        == [p.five_tuple() for p in cold.take(40)]
+    cold_population_memo.clear()
+    fresh = FlowPopulationTraffic(random.Random(3), n_flows=50, addr_bits=24)
+    assert fresh.population == cold.population
+
+
+def test_population_memo_misses_on_input_change_and_is_bounded(
+        cold_population_memo):
+    base = FlowPopulationTraffic(random.Random(3), n_flows=50, addr_bits=24)
+    for rng, n_flows, bits in ((random.Random(4), 50, 24),
+                               (random.Random(3), 51, 24),
+                               (random.Random(3), 50, 25)):
+        other = FlowPopulationTraffic(rng, n_flows=n_flows, addr_bits=bits)
+        assert other.population is not base.population
+    assert len(cold_population_memo) == 4
+    for seed in range(POPULATION_MEMO_SIZE + 4):
+        FlowPopulationTraffic(random.Random(100 + seed), n_flows=4)
+    assert len(cold_population_memo) == POPULATION_MEMO_SIZE
 
 
 def test_population_rejects_empty(rng):
