@@ -147,9 +147,7 @@ class Firewall(Element):
         ``first_match`` evaluates every rule exactly as ``Rule.matches``
         does (the equivalence is property-tested), but across the whole
         rule set at once — the sequential scan's cycle cost is modeled by
-        the per-line cost constants, not by Python-loop time. It tests
-        the source column first and the other columns only on the rules
-        that survive it (none, for the evaluation traffic).
+        the per-line cost constants, not by Python-loop time.
         """
         rules = self.rules
         self._vec = {
@@ -166,7 +164,12 @@ class Firewall(Element):
         }
 
     def first_match(self, packet: Packet) -> Optional[int]:
-        """Index of the first matching rule, or None."""
+        """Index of the first matching rule, or None.
+
+        The source column is tested over every rule, the other columns
+        only over the rules whose source matches (none, for the
+        evaluation traffic).
+        """
         if not self.rules:
             return None
         v = self._vec

@@ -407,7 +407,7 @@ class RegionTable:
         allocation order), or None when one lies outside them all.
 
         The form holds across layouts. It is one array in the narrowest
-        integer dtype holding the offsets (uint16 or int32, int64 only
+        integer dtype holding the offsets (uint16 at scale 64, int64 only
         when the regions are too large). A signatured flow touches only
         its own regions; None marks a stream that is never cached.
         """

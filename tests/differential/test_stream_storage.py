@@ -9,8 +9,10 @@ would have generated, field for field and as the same Python types,
 including its L3 set indices and home domains. The cases cover field
 values that need wider dtypes (gaps of 2**15 and 2**31 and more, tag ids
 above 127, a packed line space larger than int32), idle packets, packets
-with no references and packets without DMA. The cache's stored bytes
-per reference are bounded for real IP and RE flows at scale 64.
+with no references and packets without DMA. The cache's running
+reference and byte totals must equal a fresh count after stores and
+evictions, and its stored bytes per reference are bounded for real IP
+and RE flows at scale 64.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import pytest
 import repro.fastpath as fastpath
 from repro.hw.machine import _DOMAIN_LINE_SHIFT
 from repro.fastpath.streams import (
+    DEFAULT_CACHE_REFS,
+    STREAM_CACHE,
     PacketBlock,
     RegionTable,
     _narrow,
@@ -221,6 +225,41 @@ def test_uncacheable_blocks_are_refused():
     assert _narrow([2**63]) is None
     assert _narrow([-1, 2**31]).dtype == np.int64
     assert _narrow([-1, 200]).dtype == np.int16
+
+
+def _recount(cache):
+    """(references, bytes) of the resident streams, summed afresh."""
+    streams = list(cache._streams.values())
+    blocks = [rel for stream in streams for rel in stream.blocks]
+    records = [rec for stream in streams
+               for recs in stream.private.values() for rec in recs]
+    nbytes = sum(getattr(rel, name).nbytes for rel in blocks
+                 for name in ("lines", "dma", "gaps", "tags", "bounds",
+                              "trailing", "instr", "idle", "dropped",
+                              "dma_bounds"))
+    nbytes += sum(len(rec.codes) + rec.ck_lines.nbytes + rec.ck_bounds.nbytes
+                  for rec in records)
+    return sum(rel.n_refs for rel in blocks), nbytes
+
+
+def test_running_totals_track_stores_and_evictions():
+    cache = STREAM_CACHE
+    fastpath.clear_stream_cache()
+    try:
+        for name in ("IP", "RE"):
+            scenario(f"totals-{name}", app(name, 0), scale=64, warmup=50,
+                     measure=300).run(engine="batch")
+        assert len(cache) == 2
+        assert (cache.total_refs, cache.total_bytes) == _recount(cache)
+        cache.max_refs = 1              # evicts all but the newest stream
+        cache.evict_to_capacity()
+        assert len(cache) == 1
+        assert (cache.total_refs, cache.total_bytes) == _recount(cache)
+        stats = fastpath.stream_cache_stats()
+        assert (stats["refs"], stats["bytes"]) == _recount(cache)
+    finally:
+        cache.max_refs = DEFAULT_CACHE_REFS
+        fastpath.clear_stream_cache()
 
 
 #: Stored bytes per cached reference (blocks, level codes, checkpoints):
