@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,9 +67,9 @@ class Rule:
 #: Distinct rule sets :func:`generate_unmatchable_rules` keeps (LRU).
 RULES_MEMO_SIZE = 16
 
-#: ``generate_unmatchable_rules`` memo: key -> (shared rules, RNG state).
-_RULES_MEMO: "OrderedDict[tuple, Tuple[Tuple[Rule, ...], tuple]]" = (
-    OrderedDict())
+#: ``generate_unmatchable_rules`` memo: key -> ((shared rules, their
+#: columns), RNG state).
+_RULES_MEMO: "OrderedDict[tuple, Tuple[tuple, tuple]]" = OrderedDict()
 
 
 def generate_unmatchable_rules(rng: random.Random, n_rules: int) -> List[Rule]:
@@ -83,8 +83,42 @@ def generate_unmatchable_rules(rng: random.Random, n_rules: int) -> List[Rule]:
     they are memoized (:func:`~repro.rngmemo.rng_memo`): equal inputs get
     a fresh list of the same shared, read-only :class:`Rule` objects.
     """
-    return list(rng_memo(_RULES_MEMO, RULES_MEMO_SIZE, (n_rules,), rng,
-                         lambda: _unmatchable_rules(rng, n_rules)))
+    return list(_unmatchable_rule_set(rng, n_rules)[0])
+
+
+def _unmatchable_rule_set(rng: random.Random, n_rules: int):
+    """The memoized ``(rules, rule_columns(rules))`` pair."""
+    def build():
+        rules = _unmatchable_rules(rng, n_rules)
+        return rules, rule_columns(rules)
+
+    return rng_memo(_RULES_MEMO, RULES_MEMO_SIZE, (n_rules,), rng, build)
+
+
+def rule_columns(rules) -> Dict[str, np.ndarray]:
+    """Read-only columnar copies of the rule fields.
+
+    :meth:`Firewall.first_match` evaluates every rule exactly as
+    ``Rule.matches`` does (the equivalence is property-tested), but
+    across the whole rule set at once — the sequential scan's cycle cost
+    is modeled by the per-line cost constants, not by Python-loop time.
+    Firewalls over one memoized rule set share its columns.
+    """
+    columns = {
+        "src_net": np.array([r.src_net for r in rules], dtype=np.uint32),
+        "src_mask": np.array([r.src_mask for r in rules], dtype=np.uint32),
+        "dst_net": np.array([r.dst_net for r in rules], dtype=np.uint32),
+        "dst_mask": np.array([r.dst_mask for r in rules], dtype=np.uint32),
+        "dport_lo": np.array([r.dport_lo for r in rules], dtype=np.uint32),
+        "dport_hi": np.array([r.dport_hi for r in rules], dtype=np.uint32),
+        "protocol": np.array(
+            [-1 if r.protocol is None else r.protocol for r in rules],
+            dtype=np.int32,
+        ),
+    }
+    for column in columns.values():
+        column.flags.writeable = False
+    return columns
 
 
 def _unmatchable_rules(rng: random.Random, n_rules: int) -> Tuple[Rule, ...]:
@@ -124,6 +158,7 @@ class Firewall(Element):
     def initialize(self, env: FlowEnv) -> None:
         if self._preset_rules is not None:
             self.rules = self._preset_rules
+            self._vec = rule_columns(self.rules)
         else:
             # The rule set is deliberately NOT scaled with the platform: its
             # size defines FW's compute weight (the paper's slowest flow),
@@ -131,7 +166,8 @@ class Firewall(Element):
             # every scale — which is what makes FW contention-insensitive.
             n_rules = (self._cfg_rules if self._cfg_rules is not None
                        else FW_RULES)
-            self.rules = generate_unmatchable_rules(env.rng, n_rules)
+            rules, self._vec = _unmatchable_rule_set(env.rng, n_rules)
+            self.rules = list(rules)
         # The *memory footprint* of the rule array scales with the platform
         # (preserving its residency in the private caches), while the
         # *compute cost* covers every rule actually evaluated.
@@ -139,29 +175,6 @@ class Firewall(Element):
             max(1, len(self.rules)) * FW_RULE_BYTES
         )
         self.region = env.space.domain(env.domain).alloc(footprint, "fw.rules")
-        self._build_vectors()
-
-    def _build_vectors(self) -> None:
-        """Columnar copies of the rule fields for vectorized evaluation.
-
-        ``first_match`` evaluates every rule exactly as ``Rule.matches``
-        does (the equivalence is property-tested), but across the whole
-        rule set at once — the sequential scan's cycle cost is modeled by
-        the per-line cost constants, not by Python-loop time.
-        """
-        rules = self.rules
-        self._vec = {
-            "src_net": np.array([r.src_net for r in rules], dtype=np.uint32),
-            "src_mask": np.array([r.src_mask for r in rules], dtype=np.uint32),
-            "dst_net": np.array([r.dst_net for r in rules], dtype=np.uint32),
-            "dst_mask": np.array([r.dst_mask for r in rules], dtype=np.uint32),
-            "dport_lo": np.array([r.dport_lo for r in rules], dtype=np.uint32),
-            "dport_hi": np.array([r.dport_hi for r in rules], dtype=np.uint32),
-            "protocol": np.array(
-                [-1 if r.protocol is None else r.protocol for r in rules],
-                dtype=np.int32,
-            ),
-        }
 
     def first_match(self, packet: Packet) -> Optional[int]:
         """Index of the first matching rule, or None.

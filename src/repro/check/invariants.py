@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..hw.machine import flow_layers
+
 #: Window cadence of the mid-run checks (simulated cycles).
 DEFAULT_PROBE_INTERVAL = 100_000.0
 
@@ -265,11 +267,22 @@ class InvariantChecker:
     def check_flow_protocol(self, fr) -> None:
         """Packet conservation of the flow-protocol state.
 
-        Generation runs at most one packet ahead of the engine's
-        completed-packet count (the in-flight packet at the instant the
-        run stopped), hence the ``{0, 1}`` slack.
+        Every layer of the flow is checked: the flow itself and, through
+        the throttle and guard wrappers, the flow they wrap
+        (:func:`~repro.hw.machine.flow_layers`). Generation runs at most
+        one packet ahead of the engine's completed-packet count (the
+        in-flight packet at the instant the run stopped), hence the
+        ``{0, 1}`` slack. A quarantined flow's idle packets are not
+        counted by the engine and never reach the inner flow.
         """
-        flow = fr.flow
+        for flow in flow_layers(fr.flow):
+            self._check_protocol_layer(fr, flow)
+            if not getattr(flow, "timing_pure", False):
+                # A timing-pure layer has no control loop; probing one
+                # would materialize a construction-free skeleton.
+                self.check_guard_state(fr, flow)
+
+    def _check_protocol_layer(self, fr, flow) -> None:
         c = fr.counters
         forwarded = getattr(flow, "forwarded", None)
         dropped = getattr(flow, "dropped", None)
@@ -281,7 +294,7 @@ class InvariantChecker:
                     f"forwarded={forwarded} + dropped={dropped} vs "
                     f"packets={c.packets} (generation ahead by {ahead})")
         turns = getattr(flow, "turns", None)
-        if turns is not None and getattr(flow, "flows", None):
+        if turns:
             total = sum(turns)
             ahead = total - c.packets
             if getattr(flow, "timing_pure", False):
@@ -306,18 +319,17 @@ class InvariantChecker:
                     "trigger-state", fr.label,
                     f"triggered={flow.triggered} but packets="
                     f"{flow.packets} vs trigger={flow.trigger_packets}")
-        self.check_guard_state(fr)
 
-    def check_guard_state(self, fr) -> None:
-        """Sanity of throttle/guard control state on wrapper flows.
+    def check_guard_state(self, fr, flow) -> None:
+        """Sanity of throttle/guard control state on a wrapper flow.
 
-        Throttle loops must never produce a negative inserted gap or a
-        negative adjustment count; guard-controllable flows additionally
-        keep their escalation bookkeeping consistent (an active throttle
-        limit implies the supervisor reached at least the first
-        tightening rung — rung 2 of the warn→tighten→quarantine ladder).
+        ``flow`` is one layer of ``fr``'s flow. Throttle loops must never
+        produce a negative inserted gap or a negative adjustment count;
+        guard-controllable flows additionally keep their escalation
+        bookkeeping consistent (an active throttle limit implies the
+        supervisor reached at least the first tightening rung — rung 2
+        of the warn→tighten→quarantine ladder).
         """
-        flow = fr.flow
         if hasattr(flow, "extra_gap"):
             if flow.extra_gap < 0:
                 self._report(

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..apps.registry import APP_NAMES, REALISTIC_APPS, app_factory
 from ..apps.synthetic import syn_factory, syn_max_factory
 from ..click.multiflow import shared_core_factory
-from ..core.throttling import TwoFacedFlow, throttled_factory
+from ..core.throttling import throttled_factory, two_faced_factory
 from ..hw.machine import Machine
 from ..hw.topology import PlatformSpec
 from ..sweep.shard import canonical_json
@@ -69,14 +69,8 @@ class FlowConf:
         if self.kind == "throttled":
             return throttled_factory(app_factory(self.app), self.rate)
         if self.kind == "twofaced":
-            trigger = self.trigger
-
-            def build(env, app=self.app):
-                return TwoFacedFlow(app_factory(app)(env),
-                                    syn_max_factory()(env),
-                                    trigger_packets=trigger)
-
-            return build
+            return two_faced_factory(app_factory(self.app), syn_max_factory(),
+                                     self.trigger)
         raise ValueError(f"unknown flow kind {self.kind!r}")
 
     def to_dict(self) -> Dict[str, Any]:

@@ -7,7 +7,15 @@ flow's memory-access rate with hardware counters and slow the flow down
 through its control element whenever it exceeds its profiled rate.
 
 :class:`ThrottledFlow` wraps any flow with that closed loop (it reads the
-flow's live simulated counters). :class:`TwoFacedFlow` is the adversary.
+flow's live simulated counters); :class:`RateThrottle` is the loop itself,
+shared with the guard's :class:`~repro.guard.wrappers.GuardedFlow`.
+:class:`TwoFacedFlow` is the adversary.
+
+As in the paper's control element, the throttle acts on timing only: it
+inserts compute before a packet and never changes which references the
+inner flow makes. So the batch engine replays a throttled flow from its
+inner flow's pregenerated (or cached) stream and runs only the wrapper's
+control decisions live, at packet boundaries (:mod:`repro.fastpath.engine`).
 """
 
 from __future__ import annotations
@@ -17,29 +25,43 @@ from typing import Any, Dict
 from ..mem.access import AccessContext
 
 
-class ThrottledFlow:
-    """Wrap a flow; bound its L3 refs/sec at ``target_refs_per_sec``."""
+class RateThrottle:
+    """The closed loop shared by every timing-only flow wrapper.
 
-    #: The throttle loop reads live counters during generation, so its
-    #: packet stream cannot be pregenerated (batch engine runs it live).
+    Every ``adjust_every`` packets the loop compares the wrapped flow's
+    L3 refs/sec since the last adjustment (from its live counters) with
+    ``target_refs_per_sec`` and grows or shrinks ``extra_gap``, the
+    compute inserted before each packet. A target of None disengages the
+    loop. Subclasses decide where the target comes from.
+
+    The wrapper changes *when* its inner flow's references happen, never
+    *which* ones: ``timing_only`` declares that, and :meth:`wrap_packet`
+    is the wrapper's whole per-packet behaviour around a call to the
+    inner flow. The batch engine relies on both: it replays the inner
+    flow's fixed reference stream and runs :meth:`wrap_packet` at every
+    packet boundary around a stand-in for the inner call.
+    """
+
+    #: The loop reads live counters, so the packet *timing* depends on
+    #: run state: never pregenerated as a whole.
     timing_pure = False
-    #: Never cached: the closed loop makes the stream feedback-dependent,
-    #: and the batch engine's skeleton cache must not alias the wrapper
-    #: with its (possibly cacheable) inner flow.
+    #: Never cached: the batch engine's skeleton cache must not alias
+    #: the wrapper with its (possibly cacheable) inner flow.
     stream_signature = None
+    #: Only timing changes; the inner flow's reference sequence does not.
+    timing_only = True
 
-    def __init__(self, inner, target_refs_per_sec: float,
-                 adjust_every: int = 32, gain: float = 0.6):
-        if target_refs_per_sec <= 0:
-            raise ValueError("target rate must be positive")
+    def __init__(self, inner, target_refs_per_sec, adjust_every: int,
+                 gain: float, kind: str):
         if adjust_every <= 0:
             raise ValueError("adjust_every must be positive")
         self.inner = inner
-        self.name = f"throttled({getattr(inner, 'name', '?')})"
+        self.name = f"{kind}({getattr(inner, 'name', '?')})"
         self.measure_weight = getattr(inner, "measure_weight", 1.0)
         self.target_refs_per_sec = target_refs_per_sec
         self.adjust_every = adjust_every
         self.gain = gain
+        #: Extra inter-packet gap the throttle currently inserts.
         self.extra_gap = 0.0
         self.adjustments = 0
         self._count = 0
@@ -58,17 +80,24 @@ class ThrottledFlow:
             inner_attach(machine, flow_run)
 
     def run_packet(self, ctx: AccessContext):
-        """Insert the current throttle delay, then run the inner flow."""
+        """One packet of the inner flow, wrapped."""
+        return self.wrap_packet(ctx, self.inner.run_packet)
+
+    def wrap_packet(self, ctx, run_inner):
+        """Insert the current throttle delay, run ``run_inner(ctx)``, and
+        take a closed-loop step every ``adjust_every`` packets."""
         gap = int(self.extra_gap)
         if gap > 0:
             ctx.compute(gap, max(2, gap // 2))
-        dma = self.inner.run_packet(ctx)
+        dma = run_inner(ctx)
         self._count += 1
-        if self._fr is not None and self._count % self.adjust_every == 0:
-            self._adjust(self.adjust_every)
+        if (self._fr is not None and self.target_refs_per_sec is not None
+                and self._count % self.adjust_every == 0):
+            self._adjust(self._count - self._last_count)
         return dma
 
     def _adjust(self, span: int) -> None:
+        """One closed-loop step over the last ``span`` packets."""
         fr = self._fr
         d_refs = fr.counters.l3_refs - self._last_refs
         d_clock = fr.clock - self._last_clock
@@ -77,8 +106,9 @@ class ThrottledFlow:
         self._last_count = self._count
         if d_clock <= 0 or span <= 0:
             return
+        target = self.target_refs_per_sec
         rate = d_refs * self._freq / d_clock
-        error = (rate - self.target_refs_per_sec) / self.target_refs_per_sec
+        error = (rate - target) / target
         cycles_per_packet = d_clock / span
         if error > 0:
             self.extra_gap += self.gain * error * cycles_per_packet
@@ -99,11 +129,23 @@ class ThrottledFlow:
         the control loop sees every run at least once (``stats()``
         surfaces ``engaged`` either way).
         """
-        if self._fr is not None and self._count > self._last_count:
+        if (self._fr is not None and self.target_refs_per_sec is not None
+                and self._count > self._last_count):
             self._adjust(self._count - self._last_count)
         hook = getattr(self.inner, "finish_run", None)
         if hook is not None:
             hook()
+
+
+class ThrottledFlow(RateThrottle):
+    """Wrap a flow; bound its L3 refs/sec at a fixed target rate."""
+
+    def __init__(self, inner, target_refs_per_sec: float,
+                 adjust_every: int = 32, gain: float = 0.6):
+        if target_refs_per_sec <= 0:
+            raise ValueError("target rate must be positive")
+        super().__init__(inner, target_refs_per_sec, adjust_every, gain,
+                         "throttled")
 
     def stats(self) -> Dict[str, Any]:
         """Throttle-loop statistics (``engaged`` flags a dead loop)."""
@@ -165,12 +207,43 @@ class TwoFacedFlow:
         return active.run_packet(ctx)
 
 
+def two_faced_factory(innocent_factory, aggressive_factory,
+                      trigger_packets: int):
+    """Machine-compatible factory of a :class:`TwoFacedFlow`.
+
+    Signatured like the flow it builds when both personas' factories
+    are, so the batch engine can skip constructing it on a warm cache.
+    """
+
+    def build(env):
+        return TwoFacedFlow(innocent_factory(env), aggressive_factory(env),
+                            trigger_packets=trigger_packets)
+
+    inn = getattr(innocent_factory, "stream_signature", None)
+    agg = getattr(aggressive_factory, "stream_signature", None)
+    if inn is not None and agg is not None:
+        build.stream_signature = ("twofaced", trigger_packets, inn, agg)
+    return build
+
+
+def wrapper_factory(inner_factory, wrap):
+    """A Machine-compatible factory building ``wrap(inner_factory(env))``.
+
+    ``inner_factory`` and ``wrap`` stay readable on the factory, so
+    :meth:`~repro.hw.machine.Machine.add_flow` can wrap a construction-free
+    skeleton of the inner flow when the batch engine has its stream cached.
+    """
+
+    def build(env):
+        return wrap(inner_factory(env))
+
+    build.inner_factory = inner_factory
+    build.wrap = wrap
+    return build
+
+
 def throttled_factory(inner_factory, target_refs_per_sec: float,
                       adjust_every: int = 32, gain: float = 0.6):
     """Machine-compatible factory wrapping ``inner_factory`` with throttling."""
-
-    def build(env):
-        return ThrottledFlow(inner_factory(env), target_refs_per_sec,
-                             adjust_every=adjust_every, gain=gain)
-
-    return build
+    return wrapper_factory(inner_factory, lambda inner: ThrottledFlow(
+        inner, target_refs_per_sec, adjust_every=adjust_every, gain=gain))

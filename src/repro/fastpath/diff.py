@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..hw.machine import flow_layers
+
 #: CoreCounters fields compared exactly (integers and — because the batch
 #: engine preserves float operation order — accumulated cycle floats).
 COUNTER_FIELDS = (
@@ -46,17 +48,27 @@ def _caches(machine) -> List:
 
 
 def _flow_state(fr) -> Dict[str, object]:
-    """Engine-visible end-of-run flow state, beyond the counters."""
-    flow = fr.flow
+    """Engine-visible end-of-run flow state, beyond the counters.
+
+    Covers every layer of the flow: a throttle or guard wrapper's
+    control statistics and the wrapped flow's state (keys prefixed
+    ``inner.`` once per level).
+    """
     state: Dict[str, object] = {"clock": fr.clock}
-    state["dropped"] = getattr(flow, "dropped", None)
-    state["forwarded"] = getattr(flow, "forwarded", None)
+    *wrappers, flow = flow_layers(fr.flow)
+    for depth, wrapper in enumerate(wrappers):
+        stats = getattr(wrapper, "stats", None)
+        if stats is not None:
+            state["inner." * depth + "control"] = stats()
+    at = "inner." * len(wrappers)
+    state[at + "dropped"] = getattr(flow, "dropped", None)
+    state[at + "forwarded"] = getattr(flow, "forwarded", None)
     turns = getattr(flow, "turns", None)
     if turns is not None:
-        state["turns"] = list(turns)
+        state[at + "turns"] = list(turns)
     if hasattr(flow, "triggered"):
-        state["triggered"] = flow.triggered
-        state["packets"] = flow.packets
+        state[at + "triggered"] = flow.triggered
+        state[at + "packets"] = flow.packets
     return state
 
 

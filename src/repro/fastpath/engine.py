@@ -18,9 +18,21 @@ loop a flow gets:
   reference's L1/L2 outcome already resolved, so the replay loop probes
   no private cache and touches the socket's L3, the memory controllers
   and the QPI link only for L3-bound references.
-* Flows that are *not* timing-pure (throttled flows, control elements,
-  pipeline handoff stages), skeletons touched before the run, and all
-  flows of a traced run stay on the live loop.
+* **Timing-only wrappers** (:func:`~repro.fastpath.streams.stream_pure`):
+  a throttled or guarded flow is not timing-pure, since its closed loop
+  reads live counters, but it changes only *when* its inner flow's
+  references happen. Over a timing-pure inner flow the loop replays the
+  inner stream (cached, and construction-free on a warm cache) and runs
+  the wrappers' ``wrap_packet`` at each packet boundary, where the live
+  loop would call ``run_packet``: their leading compute joins the
+  packet's first gap, and a quarantine's idle packet consumes no stream
+  packet. The wrappers' counts, feedback windows and quarantine state
+  run exactly as they do live.
+* Flows whose reference sequence depends on run state (control
+  elements inside a pipeline, pipeline handoff stages, wrappers over
+  either) and all flows of a traced run stay on the live loop. A
+  skeleton touched before the run is materialized and generates its
+  stream afresh, without the cache.
 
 Exactness rules the replay loop follows to the letter:
 
@@ -34,6 +46,9 @@ Exactness rules the replay loop follows to the letter:
   order with exactly its arguments;
 * DMA invalidations, counter snapshots, observer windows, and the
   max-events guard happen at the same points of the global interleaving;
+  at a suspension point mid-packet the flow's ``clock`` and ``l3_refs``
+  are current, as on the live loop, because an observer of another flow
+  may retarget this flow's throttle there;
 * a core's private L1/L2 sees only its own flow's references and DMA
   invalidations, so for a timing-pure flow every private outcome is a
   function of the flow's stream alone and is resolved ahead of the run
@@ -47,24 +62,76 @@ Exactness rules the replay loop follows to the letter:
 
 ``tests/differential`` asserts the equivalence of replay and the live
 loop across every registered application, topologies, and throttling
-configurations.
+and guard configurations (``test_wrapper_replay.py``).
 """
 
 from __future__ import annotations
 
 from ..hw.machine import MAX_EVENTS, _DOMAIN_LINE_SHIFT, _event_limit_error
-from .streams import BATCH_PACKETS, StreamSupplier, StubFlow, is_timing_pure
+from .streams import (BATCH_PACKETS, StreamSupplier, StubFlow,
+                      materialize_stub, stream_pure)
 
 
-def _replay_gen(fr, sup, shared, env):
-    """Window loop of one pregenerated (timing-pure) flow.
+class _Lead:
+    """What timing-only wrappers do to one packet before their inner flow.
+
+    The context their :meth:`~repro.core.throttling.RateThrottle.wrap_packet`
+    records into during replay: leading compute, or an idle stall.
+    """
+
+    __slots__ = ("gap", "instructions", "idle")
+
+    def compute(self, gap_cycles, instructions) -> None:
+        self.gap += gap_cycles
+        self.instructions += instructions
+
+    def mark_idle(self, stall_cycles) -> None:
+        self.idle = True
+        self.gap += stall_cycles
+
+
+def _control_hook(wrappers):
+    """The packet-boundary hook running ``wrappers`` (outermost first).
+
+    Each call runs every wrapper's ``wrap_packet`` as the live loop's
+    ``run_packet`` would, with the inner flow's packet replaced by a
+    no-op (its references come from the stream), and returns the
+    :class:`_Lead`: the summed leading compute, or an idle stall that
+    consumes no stream packet.
+    """
+    lead = _Lead()
+
+    def step(ctx):
+        return None
+
+    for wrapper in reversed(wrappers):
+        step = (lambda ctx, wrap=wrapper.wrap_packet, inner=step:
+                wrap(ctx, inner))
+
+    def control():
+        lead.gap = 0
+        lead.instructions = 0
+        lead.idle = False
+        step(lead)
+        return lead
+
+    return control
+
+
+def _replay_gen(fr, sup, shared, env, control=None):
+    """Window loop of one pregenerated (stream-pure) flow.
 
     Yields the flow's clock whenever it passes ``limit`` (the next
     core's clock, received via ``send``). Private-cache outcomes come
-    precomputed as the block's level codes. On ``close()`` the
-    ``finally`` block flushes counter accumulators, installs the core's
-    L1/L2 contents, and pins flow-protocol state to the consumed packet
-    count.
+    precomputed as the block's level codes. ``control`` (see
+    :func:`_control_hook`) runs a wrapped flow's wrappers at every
+    packet boundary, where the live loop calls ``run_packet``: their
+    leading compute joins the packet's first gap (its trailing gap when
+    it has no references), and an idle stall is replayed without
+    consuming a stream packet. On ``close()`` the ``finally`` block
+    flushes counter accumulators, installs the core's L1/L2 contents,
+    and pins the inner flow's protocol state to the consumed stream
+    packet count.
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
@@ -95,7 +162,9 @@ def _replay_gen(fr, sup, shared, env):
     pkt_end = 0
     k = 0
     loaded = False       # a packet is loaded (live loop: prog_len >= 0)
-    steps = 0            # packets loaded so far (== generation calls)
+    trailing = 0         # the loaded packet's trailing gap ...
+    idle = False         # ... and whether it is an idle step
+    steps = 0            # stream packets loaded so far (== generation calls)
     dropped_last = 0
 
     limit = yield        # primed; first send() starts the first window
@@ -106,7 +175,6 @@ def _replay_gen(fr, sup, shared, env):
             if j >= pkt_end:
                 # -- packet boundary --------------------------------------
                 if loaded:
-                    trailing = block.trailing[k]
                     clock += trailing
                     g += trailing
                     c.l1_hits = l1h
@@ -117,7 +185,7 @@ def _replay_gen(fr, sup, shared, env):
                     c.remote_refs = rr
                     c.gap_cycles = g
                     c.mc_wait_cycles = mcw
-                    if not block.idle[k]:
+                    if not idle:
                         c.packets += 1
                         if (fr.latencies is not None
                                 and fr.snap_start is not None
@@ -143,6 +211,24 @@ def _replay_gen(fr, sup, shared, env):
                 if events > max_events:
                     ev[0] = events
                     raise _event_limit_error(max_events)
+                fr.clock = clock
+                fr.packet_start = clock
+                lead_gap = 0
+                if control is not None:
+                    lead = control()
+                    c.instructions += lead.instructions
+                    if lead.idle:
+                        # No references: j stays at the end of the last
+                        # stream packet, so the boundary comes next.
+                        trailing = lead.gap
+                        idle = True
+                        loaded = True
+                        if clock > limit:
+                            ev[0] = events
+                            limit = yield clock
+                            events = ev[0]
+                        continue
+                    lead_gap = lead.gap
                 if block is None or steps - block.start >= block.n_packets:
                     block = sup.next_block()
                     gaps = block.gaps
@@ -154,8 +240,6 @@ def _replay_gen(fr, sup, shared, env):
                     bounds = block.bounds
                 k = steps - block.start
                 steps += 1
-                fr.clock = clock
-                fr.packet_start = clock
                 c.instructions += block.instr[k]
                 dropped_last = block.dropped[k]
                 dma = block.dma[k]
@@ -167,6 +251,14 @@ def _replay_gen(fr, sup, shared, env):
                             s.remove(line)
                 j = bounds[k]
                 pkt_end = bounds[k + 1]
+                trailing = block.trailing[k]
+                idle = block.idle[k]
+                if lead_gap:
+                    # Served blocks are private copies: safe to edit.
+                    if j < pkt_end:
+                        gaps[j] += lead_gap
+                    else:
+                        trailing += lead_gap
                 loaded = True
                 if clock > limit:
                     ev[0] = events
@@ -217,6 +309,10 @@ def _replay_gen(fr, sup, shared, env):
             if clock > limit:
                 ev[0] = events
                 fr.clock = clock
+                # Another flow's observer may retarget this flow's
+                # throttle while it is suspended here, and the guard's
+                # set_limit reads l3_refs as the live loop leaves it.
+                c.l3_refs = l3r
                 limit = yield clock
                 events = ev[0]
     finally:
@@ -247,26 +343,29 @@ def run_batch(machine, warmup_packets: int = 200,
 
     def replay(fr, shared, env):
         """The replay loop of ``fr``, or None to run it live."""
-        cacheable = True
-        if isinstance(fr.flow, StubFlow) and fr.flow.touched:
-            # Something reached through the stub before the run (and may
-            # have mutated the real flow): the cached stream can no
-            # longer be trusted. Run the materialized flow live without
-            # reading or extending the cache.
-            fr.flow = fr.flow.materialize()
-            cacheable = False
         # A traced run keeps every flow on the live loop so per-packet
         # marks and sampled miss events stay byte-equal.
         # Prefiltering starts from empty private caches.
-        if (machine.tracer.active or not is_timing_pure(fr.flow)
+        pure = stream_pure(fr.flow)
+        if (pure is None or machine.tracer.active
                 or any(env[0]) or any(env[2])):
             return None
+        wrappers, core = pure
+        cacheable = True
+        if isinstance(core, StubFlow) and core.touched:
+            # Something reached through the stub before the run (and may
+            # have mutated the real flow): the cached stream can no
+            # longer be trusted. Generate from the materialized flow
+            # without reading or extending the cache.
+            materialize_stub(fr)
+            cacheable = False
         sup = StreamSupplier(
             fr, machine.seed, machine.spec, env[1], env[3], env[5],
             _DOMAIN_LINE_SHIFT, batch=batch, cacheable=cacheable,
         )
         machine.prefiltered_cores.add(fr.core)
-        return _replay_gen(fr, sup, shared, env)
+        control = _control_hook(wrappers) if wrappers else None
+        return _replay_gen(fr, sup, shared, env, control)
 
     return machine._drive(warmup_packets, measure_packets, max_events,
                           replay)

@@ -13,7 +13,9 @@ Pregeneration is *exactly* equivalent because for a timing-pure flow the
 k-th call to ``run_packet`` produces the same program no matter when it
 is issued; the engine still applies every per-packet side effect (DMA
 invalidation, counter updates, snapshots) at the same point of the
-global interleaving as the live loop.
+global interleaving as the live loop. A throttle or guard wrapper over
+such a flow changes only timing (:func:`stream_pure`), so the supplier
+serves the *inner* flow's stream and the engine applies the wrapper.
 
 The same argument covers the core's private caches. L1/L2 see only the
 flow's own references and DMA invalidations, so :func:`prefilter` runs
@@ -60,6 +62,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..constants import CACHE_LINE
+from ..hw.machine import flow_layers
 
 #: Default pregeneration block size (packets per block).
 BATCH_PACKETS = 256
@@ -105,6 +108,37 @@ def is_timing_pure(flow) -> bool:
 def stream_signature(flow):
     """The flow's stream signature, or None when it cannot be cached."""
     return getattr(flow, "stream_signature", None)
+
+
+def stream_pure(flow):
+    """``(wrappers, core)`` when ``flow``'s reference *sequence* is fixed.
+
+    A timing-pure flow is its own core, with no wrappers. So is a chain
+    of wrappers that each change only their inner flow's timing
+    (``timing_only``: the throttle and the guard) over a timing-pure
+    flow, a two-faced flow with two pure personas included: the
+    wrappers are listed outermost first, and only ``core`` is
+    pregenerated. None when some layer may change what is referenced.
+    """
+    *wrappers, core = flow_layers(flow)
+    if not is_timing_pure(core) or not all(
+            getattr(w, "timing_only", False) for w in wrappers):
+        return None
+    return wrappers, core
+
+
+def materialize_stub(fr) -> None:
+    """Replace a skeleton at the core of ``fr``'s flow with the real flow.
+
+    The skeleton is ``fr.flow`` itself or the innermost flow under its
+    timing-only wrappers; anything else is left alone.
+    """
+    *wrappers, core = flow_layers(fr.flow)
+    if isinstance(core, StubFlow):
+        if wrappers:
+            wrappers[-1].inner = core.materialize()
+        else:
+            fr.flow = core.materialize()
 
 
 class PacketBlock:
@@ -839,7 +873,9 @@ class StreamSupplier:
                  batch: int = BATCH_PACKETS, cache: StreamCache = None,
                  cacheable: bool = True):
         self.fr = fr
-        self.flow = fr.flow
+        #: The flow generated, cached and pinned: the one under any
+        #: timing-only wrappers (see :func:`stream_pure`).
+        self.flow = flow_layers(fr.flow)[-1]
         self.batch = batch
         self.cache = cache if cache is not None else STREAM_CACHE
         self._geom = (l3_nsets, domain_shift)
@@ -881,12 +917,10 @@ class StreamSupplier:
 
     def _materialize(self):
         """Ensure self.flow is a real (non-stub) flow before generating."""
-        flow = self.flow
-        if isinstance(flow, StubFlow):
-            flow = flow.materialize()
-            self.flow = flow
-            self.fr.flow = flow
-        return flow
+        if isinstance(self.flow, StubFlow):
+            materialize_stub(self.fr)
+            self.flow = flow_layers(self.fr.flow)[-1]
+        return self.flow
 
     def _generate_block(self, start: int) -> PacketBlock:
         """Run the flow ``batch`` times, recording a flattened block."""
@@ -1022,6 +1056,9 @@ class StreamSupplier:
 
     def patch_flow_state(self, consumed_packets: int, dropped_cum: int) -> None:
         """Pin engine-visible flow state to the *consumed* packet count.
+
+        Under timing-only wrappers that is the inner flow's state and the
+        count of stream packets (a quarantine's idle steps are not).
 
         Pregeneration always runs the functional layer in 256-packet
         blocks, so at the end of a run the flow may have generated ahead

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .. import fastpath
 from ..apps.registry import app_factory
 from ..apps.synthetic import syn_max_factory
 from ..constants import DEFAULT_SEED
 from ..core.prediction import ContentionPredictor
-from ..core.throttling import TwoFacedFlow
+from ..core.throttling import two_faced_factory
 from ..hw.machine import Machine
 from ..hw.topology import PlatformSpec
 from .admission import AdmissionController, FlowRequest
@@ -94,13 +95,8 @@ def build_demo_predictor(config: DemoConfig) -> ContentionPredictor:
 
 
 def _aggressor_factory(config: DemoConfig):
-    def build(env):
-        return TwoFacedFlow(
-            app_factory(config.innocent_app)(env),
-            syn_max_factory()(env),
-            trigger_packets=config.trigger_packets)
-
-    return build
+    return two_faced_factory(app_factory(config.innocent_app),
+                             syn_max_factory(), config.trigger_packets)
 
 
 def run_demo(config: Optional[DemoConfig] = None,
@@ -145,11 +141,14 @@ def run_demo(config: Optional[DemoConfig] = None,
     )
 
     machine = Machine(spec, seed=config.seed, guard=guard, tracer=tracer)
-    machine.add_flow(guarded_factory(app_factory(config.victim_app)),
-                     core=0, label=config.victim_label)
-    for core, label in enumerate(config.aggressor_labels, start=1):
-        machine.add_flow(guarded_factory(_aggressor_factory(config)),
-                         core=core, label=label, measured=False)
+    # Built under the run's engine: the batch engine wraps skeletons of
+    # cached flows instead of constructing them.
+    with fastpath.use_engine(config.engine or fastpath.default_engine()):
+        machine.add_flow(guarded_factory(app_factory(config.victim_app)),
+                         core=0, label=config.victim_label)
+        for core, label in enumerate(config.aggressor_labels, start=1):
+            machine.add_flow(guarded_factory(_aggressor_factory(config)),
+                             core=core, label=label, measured=False)
     result = machine.run(warmup_packets=config.warmup,
                          measure_packets=config.measure,
                          engine=config.engine)

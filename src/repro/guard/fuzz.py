@@ -25,6 +25,7 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import fastpath
 from ..check.invariants import InvariantChecker
 from ..check.runner import DEFAULT_SEED
 from ..check.scenarios import ScenarioConfig, generate_one
@@ -150,12 +151,18 @@ def assign_slos(config: ScenarioConfig,
     return slos
 
 
-def _build_guarded(config: ScenarioConfig, checker=None) -> Machine:
-    """The scenario's machine with every flow wrapped for the guard."""
+def _build_guarded(config: ScenarioConfig, checker=None,
+                   engine: Optional[str] = None) -> Machine:
+    """The scenario's machine with every flow wrapped for the guard.
+
+    Built under ``engine`` (default: the ambient one), so the batch
+    engine wraps construction-free skeletons of cached inner flows.
+    """
     machine = Machine(config.spec(), seed=config.seed, checker=checker)
-    for fc in config.flows:
-        machine.add_flow(guarded_factory(fc.factory()), core=fc.core,
-                         data_domain=fc.data_domain)
+    with fastpath.use_engine(engine or fastpath.default_engine()):
+        for fc in config.flows:
+            machine.add_flow(guarded_factory(fc.factory()), core=fc.core,
+                             data_domain=fc.data_domain)
     return machine
 
 
@@ -170,7 +177,7 @@ def run_guarded_scenario(config: ScenarioConfig,
     ``slos`` defaults to the fuzzer's deterministic assignment. The
     guard self-calibrates baselines from each flow's first window.
     """
-    machine = _build_guarded(config, checker=checker)
+    machine = _build_guarded(config, checker=checker, engine=engine)
     if slos is None:
         slos = assign_slos(config, [fr.label for fr in machine.flows])
     guard = SLOGuard(

@@ -1,73 +1,54 @@
 """The guard's control element: a wrapper flow the supervisor can steer.
 
 :class:`GuardedFlow` is the runtime analogue of
-:class:`~repro.core.throttling.ThrottledFlow`, with two differences: the
+:class:`~repro.core.throttling.ThrottledFlow` and shares its closed loop
+(:class:`~repro.core.throttling.RateThrottle`), with two differences: the
 throttle target is *externally set* (and re-set) by the
 :class:`~repro.guard.supervisor.SLOGuard` escalation ladder instead of
 fixed at construction, and the flow supports *quarantine* — a bounded
 suspension during which it emits only idle packets (time advances, no
 work is done, no packets are counted).
 
-Like every flow with live counter feedback the wrapper is not
-timing-pure: both engines run it on the scalar-identical live path, so
-the guard's closed loop is deterministic and bit-equal across engines.
+The wrapper reads live counters, so it is not timing-pure, but it changes
+only its inner flow's timing: a quarantine adds idle packets and a
+throttle adds leading compute, while the inner flow's reference sequence
+stays fixed. Over a timing-pure inner flow the batch engine therefore
+replays the inner stream (from the stream cache when warm) and runs the
+wrapper's control decisions live at every packet boundary, so the
+guard's closed loop stays deterministic and bit-equal across engines.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..mem.access import AccessContext
+from ..core.throttling import RateThrottle, wrapper_factory
 
 
-class GuardedFlow:
+class GuardedFlow(RateThrottle):
     """Wrap a flow with a supervisor-steerable throttle and quarantine."""
 
-    #: Reads live counters during generation; never pregenerated.
-    timing_pure = False
-    #: Never cached: the guard may alter behaviour mid-run.
-    stream_signature = None
     #: Marker the supervisor uses to discover its control surface.
     guard_controllable = True
 
     def __init__(self, inner, adjust_every: int = 16, gain: float = 0.6,
                  idle_stall: float = 512.0):
-        if adjust_every <= 0:
-            raise ValueError("adjust_every must be positive")
+        super().__init__(inner, None, adjust_every, gain, "guarded")
         if idle_stall <= 0:
             raise ValueError("idle_stall must be positive")
-        self.inner = inner
-        self.name = f"guarded({getattr(inner, 'name', '?')})"
-        self.measure_weight = getattr(inner, "measure_weight", 1.0)
-        self.adjust_every = adjust_every
-        self.gain = gain
         self.idle_stall = float(idle_stall)
-        #: Current throttle target (None: unthrottled).
-        self.limit_refs_per_sec: Optional[float] = None
-        #: Extra inter-reference gap the throttle currently inserts.
-        self.extra_gap = 0.0
         #: Absolute clock until which the flow is quarantined.
         self.suspended_until = 0.0
         #: Escalation rung the supervisor has this flow on (0 = clean).
         self.rung = 0
-        self.adjustments = 0
         self.limit_changes = 0
         self.suspensions = 0
         self.idle_packets = 0
-        self._count = 0
-        self._last_count = 0
-        self._last_refs = 0
-        self._last_clock = 0.0
-        self._fr = None
-        self._freq = 0.0
 
-    def attach_run(self, machine, flow_run) -> None:
-        """Bind to the live run state (counter feedback loop)."""
-        self._fr = flow_run
-        self._freq = machine.spec.freq_hz
-        inner_attach = getattr(self.inner, "attach_run", None)
-        if inner_attach is not None:
-            inner_attach(machine, flow_run)
+    @property
+    def limit_refs_per_sec(self) -> Optional[float]:
+        """Current throttle target (None: unthrottled)."""
+        return self.target_refs_per_sec
 
     # -- supervisor control surface -----------------------------------------
 
@@ -75,7 +56,7 @@ class GuardedFlow:
         """(Re-)target the throttle; resets the feedback window to now."""
         if refs_per_sec <= 0:
             raise ValueError("throttle target must be positive")
-        self.limit_refs_per_sec = float(refs_per_sec)
+        self.target_refs_per_sec = float(refs_per_sec)
         self.limit_changes += 1
         if self._fr is not None:
             self._last_refs = self._fr.counters.l3_refs
@@ -91,61 +72,21 @@ class GuardedFlow:
 
     def release(self) -> None:
         """Drop every restriction (throttle and quarantine)."""
-        self.limit_refs_per_sec = None
+        self.target_refs_per_sec = None
         self.extra_gap = 0.0
         self.suspended_until = 0.0
 
     # -- flow protocol -------------------------------------------------------
 
-    def run_packet(self, ctx: AccessContext):
-        """Quarantine stall, throttle delay, then the inner flow."""
+    def wrap_packet(self, ctx, run_inner):
+        """Quarantine stall, or the throttled inner packet."""
         fr = self._fr
         if fr is not None and fr.clock < self.suspended_until:
             # Quarantined: advance time without doing (or counting) work.
             self.idle_packets += 1
             ctx.mark_idle(self.idle_stall)
             return None
-        gap = int(self.extra_gap)
-        if gap > 0:
-            ctx.compute(gap, max(2, gap // 2))
-        dma = self.inner.run_packet(ctx)
-        self._count += 1
-        if (fr is not None and self.limit_refs_per_sec is not None
-                and self._count % self.adjust_every == 0):
-            self._adjust(self._count - self._last_count)
-        return dma
-
-    def _adjust(self, span: int) -> None:
-        """One closed-loop step over the last ``span`` packets."""
-        fr = self._fr
-        d_refs = fr.counters.l3_refs - self._last_refs
-        d_clock = fr.clock - self._last_clock
-        self._last_refs = fr.counters.l3_refs
-        self._last_clock = fr.clock
-        self._last_count = self._count
-        if d_clock <= 0 or span <= 0:
-            return
-        target = self.limit_refs_per_sec
-        rate = d_refs * self._freq / d_clock
-        error = (rate - target) / target
-        cycles_per_packet = d_clock / span
-        if error > 0:
-            self.extra_gap += self.gain * error * cycles_per_packet
-        else:
-            self.extra_gap = max(
-                0.0,
-                self.extra_gap + 0.25 * self.gain * error * cycles_per_packet,
-            )
-        self.adjustments += 1
-
-    def finish_run(self) -> None:
-        """End-of-run flush: engage the loop over the final partial window."""
-        if (self._fr is not None and self.limit_refs_per_sec is not None
-                and self._count > self._last_count):
-            self._adjust(self._count - self._last_count)
-        hook = getattr(self.inner, "finish_run", None)
-        if hook is not None:
-            hook()
+        return super().wrap_packet(ctx, run_inner)
 
     def stats(self) -> Dict[str, Any]:
         """Control-surface statistics for reports and invariant checks."""
@@ -164,9 +105,5 @@ class GuardedFlow:
 def guarded_factory(inner_factory, adjust_every: int = 16, gain: float = 0.6,
                     idle_stall: float = 512.0):
     """Machine-compatible factory wrapping ``inner_factory`` for the guard."""
-
-    def build(env):
-        return GuardedFlow(inner_factory(env), adjust_every=adjust_every,
-                           gain=gain, idle_stall=idle_stall)
-
-    return build
+    return wrapper_factory(inner_factory, lambda inner: GuardedFlow(
+        inner, adjust_every=adjust_every, gain=gain, idle_stall=idle_stall))

@@ -155,6 +155,24 @@ class RunResult:
         return report
 
 
+def flow_layers(flow) -> List:
+    """``flow`` and the flows it wraps through ``inner``, outermost first.
+
+    The walk descends only through layers that are not timing-pure (the
+    throttle and guard wrappers) and stops at the first timing-pure one,
+    so it never probes a construction-free skeleton
+    (:class:`~repro.fastpath.streams.StubFlow`), which stands for a
+    timing-pure flow and would materialize on an unknown attribute.
+    """
+    layers = [flow]
+    while not getattr(flow, "timing_pure", False):
+        flow = getattr(flow, "inner", None)
+        if flow is None:
+            break
+        layers.append(flow)
+    return layers
+
+
 def _audit_wrapper_identity(flow) -> None:
     """Reject wrapper flows that alias their wrapped flow's identity.
 
@@ -263,14 +281,21 @@ class Machine:
             data_domain = socket
         if not 0 <= data_domain < self.spec.n_sockets:
             raise ValueError(f"no such NUMA domain: {data_domain}")
-        flow = None
+        flow = stub = None
         regions = None
         # Skeleton fast path: under the ambient batch engine, a factory
         # that declares its stream signature and whose stream (plus
         # construction metadata) is already cached gets a construction-free
         # StubFlow over the recorded region layout — the replay engine
         # never needs the real flow object (see repro.fastpath.streams).
-        factory_sig = getattr(factory, "stream_signature", None)
+        # A wrapper factory (throttle, guard) exposes its inner factory;
+        # the wrappers are then built around the inner flow's stub.
+        wraps = []
+        inner_factory = factory
+        while getattr(inner_factory, "inner_factory", None) is not None:
+            wraps.append(inner_factory.wrap)
+            inner_factory = inner_factory.inner_factory
+        factory_sig = getattr(inner_factory, "stream_signature", None)
         if factory_sig is not None and not self.tracer.active:
             from ..fastpath import default_engine
 
@@ -287,9 +312,13 @@ class Machine:
                             data_domain if is_data_rel else abs_dom)
                         for rname, size, is_data_rel, abs_dom in meta.layout
                     ]
-                    flow = _fastpath.StubFlow(
-                        factory, meta, factory_sig, regions,
+                    flow = stub = _fastpath.StubFlow(
+                        inner_factory, meta, factory_sig, regions,
                         self.seed, core, data_domain, self.spec)
+                    # Wrappers allocate nothing and draw no randomness,
+                    # so the layout and the stream are the inner flow's.
+                    for wrap in reversed(wraps):
+                        flow = wrap(flow)
         if flow is None:
             rng = random.Random(
                 (self.seed * 1_000_003 + core * 7919) & 0xFFFFFFFF)
@@ -329,14 +358,14 @@ class Machine:
         attach = getattr(flow, "attach_run", None)
         if attach is not None:
             attach(self, fr)
-        elif type(flow).__name__ == "StubFlow":
+        if stub is not None:
             # Forward the attach hook when/if the stub materializes.
             def _attach_real(real, machine=self, flow_run=fr):
                 hook = getattr(real, "attach_run", None)
                 if hook is not None:
                     hook(machine, flow_run)
 
-            flow._attach = _attach_real
+            stub._attach = _attach_real
         return fr
 
     def invalidate_private(self, lines, core: int) -> None:
@@ -462,9 +491,8 @@ class Machine:
                    fr.socket)
             gen = replay(fr, shared, env) if replay is not None else None
             if gen is None:
-                if (_fastpath is not None
-                        and isinstance(fr.flow, _fastpath.StubFlow)):
-                    fr.flow = fr.flow.materialize()
+                if _fastpath is not None:
+                    _fastpath.materialize_stub(fr)
                 gen = _live_loop(fr, shared, env, tracer, trace_on, mem_sample)
             gen.send(None)
             gens.append(gen)

@@ -292,3 +292,30 @@ def test_violation_str_includes_clock():
 def test_checker_rejects_bad_interval():
     with pytest.raises(ValueError):
         InvariantChecker(interval_cycles=0.0)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+def test_flow_protocol_sees_through_guard_and_throttle(engine):
+    # Packet conservation is checked on the flow a GuardedFlow wraps,
+    # through a ThrottledFlow too, and guard state on every layer.
+    from repro.guard.fuzz import run_guarded_scenario
+
+    config = ScenarioConfig(
+        seed=424242, scale=64, sockets=1, warmup=20, measure=80,
+        flows=(FlowConf("app", 0, app="IP"),
+               FlowConf("throttled", 2, app="MON", rate=2.0e7)),
+        name="unit-guarded")
+    checker = InvariantChecker()
+    machine, _, _ = run_guarded_scenario(config, engine=engine, slos={},
+                                         checker=checker)
+    assert checker.ok
+    ip = machine.flows[0].flow.inner
+    ip.dropped += 2
+    checker.check_flow_protocol(machine.flows[0])
+    assert [v.invariant for v in checker.violations] == [
+        "packet-conservation"]
+    throttle = machine.flows[1].flow.inner
+    assert throttle.timing_only and throttle.inner.forwarded > 0
+    throttle.extra_gap = -1.0
+    checker.check_flow_protocol(machine.flows[1])
+    assert checker.violations[-1].invariant == "guard-state"

@@ -88,6 +88,28 @@ def test_rules_memo_misses_on_input_change_and_is_bounded(cold_rules_memo):
     assert len(cold_rules_memo) == RULES_MEMO_SIZE
 
 
+def test_firewalls_share_memoized_rule_columns(cold_rules_memo):
+    # Two FW flows built from the same RNG state share the rule set and
+    # its columns, which stay read-only and evaluate as Rule.matches.
+    first = Firewall(n_rules=200)
+    first.initialize(make_env(seed=3))
+    second = Firewall(n_rules=200)
+    second.initialize(make_env(seed=3))
+    assert len(cold_rules_memo) == 1
+    assert second.rules is not first.rules
+    assert all(a is b for a, b in zip(first.rules, second.rules))
+    assert second._vec is first._vec
+    assert not first._vec["src_mask"].flags.writeable
+    rng = random.Random(11)
+    for _ in range(50):
+        pkt = packet(src=rng.choice((rng.getrandbits(32),
+                                     first.rules[rng.randrange(200)].src_net)),
+                     dst=rng.getrandbits(32), dport=rng.randrange(65536))
+        expected = next((i for i, rule in enumerate(first.rules)
+                         if rule.matches(pkt)), None)
+        assert first.first_match(pkt) == second.first_match(pkt) == expected
+
+
 def make_firewall(n_rules=100, seed=1):
     fw = Firewall(n_rules=n_rules)
     fw.initialize(make_env(seed=seed))
