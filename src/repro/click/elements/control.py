@@ -19,6 +19,35 @@ from ...net.packet import Packet
 from ..element import Element
 
 
+def adjust_step(loop, span: int) -> None:
+    """One proportional step of ``loop`` over its last ``span`` packets.
+
+    Shared by :class:`ControlElement` and
+    :class:`~repro.core.throttling.RateThrottle`. ``extra_gap`` grows
+    with the L3 refs/sec excess over the target and is released at a
+    quarter of the gain, so transient dips do not unthrottle a flow.
+    """
+    fr = loop._fr
+    d_refs = fr.counters.l3_refs - loop._last_refs
+    d_clock = fr.clock - loop._last_clock
+    loop._last_refs = fr.counters.l3_refs
+    loop._last_clock = fr.clock
+    if d_clock <= 0 or span <= 0:
+        return
+    target = loop.target_refs_per_sec
+    rate = d_refs * loop._freq / d_clock
+    error = (rate - target) / target
+    cycles_per_packet = d_clock / span
+    if error > 0:
+        loop.extra_gap += loop.gain * error * cycles_per_packet
+    else:
+        loop.extra_gap = max(
+            0.0,
+            loop.extra_gap + 0.25 * loop.gain * error * cycles_per_packet,
+        )
+    loop.adjustments += 1
+
+
 class ControlElement(Element):
     """Adaptive per-packet delay bounding L3 refs/sec at ``target_refs_per_sec``."""
 
@@ -54,22 +83,4 @@ class ControlElement(Element):
         return packet
 
     def _adjust(self) -> None:
-        fr = self._fr
-        d_refs = fr.counters.l3_refs - self._last_refs
-        d_clock = fr.clock - self._last_clock
-        self._last_refs = fr.counters.l3_refs
-        self._last_clock = fr.clock
-        if d_clock <= 0:
-            return
-        rate = d_refs * self._freq / d_clock
-        error = (rate - self.target_refs_per_sec) / self.target_refs_per_sec
-        cycles_per_packet = d_clock / self.adjust_every
-        if error > 0:
-            self.extra_gap += self.gain * error * cycles_per_packet
-        else:
-            # Release slowly so transient dips don't unthrottle a flow that
-            # is genuinely over its profile.
-            self.extra_gap = max(
-                0.0, self.extra_gap + 0.25 * self.gain * error * cycles_per_packet
-            )
-        self.adjustments += 1
+        adjust_step(self, self.adjust_every)

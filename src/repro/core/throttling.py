@@ -8,7 +8,9 @@ through its control element whenever it exceeds its profiled rate.
 
 :class:`ThrottledFlow` wraps any flow with that closed loop (it reads the
 flow's live simulated counters); :class:`RateThrottle` is the loop itself,
-shared with the guard's :class:`~repro.guard.wrappers.GuardedFlow`.
+shared with the guard's :class:`~repro.guard.wrappers.GuardedFlow`; its
+step, :func:`~repro.click.elements.control.adjust_step`, is the control
+element's.
 :class:`TwoFacedFlow` is the adversary.
 
 As in the paper's control element, the throttle acts on timing only: it
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..click.elements.control import adjust_step
 from ..mem.access import AccessContext
 
 
@@ -98,26 +101,8 @@ class RateThrottle:
 
     def _adjust(self, span: int) -> None:
         """One closed-loop step over the last ``span`` packets."""
-        fr = self._fr
-        d_refs = fr.counters.l3_refs - self._last_refs
-        d_clock = fr.clock - self._last_clock
-        self._last_refs = fr.counters.l3_refs
-        self._last_clock = fr.clock
         self._last_count = self._count
-        if d_clock <= 0 or span <= 0:
-            return
-        target = self.target_refs_per_sec
-        rate = d_refs * self._freq / d_clock
-        error = (rate - target) / target
-        cycles_per_packet = d_clock / span
-        if error > 0:
-            self.extra_gap += self.gain * error * cycles_per_packet
-        else:
-            self.extra_gap = max(
-                0.0,
-                self.extra_gap + 0.25 * self.gain * error * cycles_per_packet,
-            )
-        self.adjustments += 1
+        adjust_step(self, span)
 
     def finish_run(self) -> None:
         """End-of-run flush over the final partial adjust window.

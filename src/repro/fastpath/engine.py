@@ -44,11 +44,14 @@ Exactness rules the replay loop follows to the letter:
 * memory controllers and the QPI link are stateful queueing models fed
   by request timestamps — they are called in exactly the live loop's
   order with exactly its arguments;
-* DMA invalidations, counter snapshots, observer windows, and the
-  max-events guard happen at the same points of the global interleaving;
-  at a suspension point mid-packet the flow's ``clock`` and ``l3_refs``
-  are current, as on the live loop, because an observer of another flow
-  may retarget this flow's throttle there;
+* DMA invalidations, counter snapshots and observer windows happen at
+  the same points of the global interleaving. The max-events guard
+  fires at packet loads against a per-packet count: each loop adds a
+  packet's references to the shared count when the next packet loads
+  (and its partial packet when closed), so both engines trip it at the
+  same load. At a suspension point mid-packet the flow's ``clock`` and
+  ``l3_refs`` are current, as on the live loop, because an observer of
+  another flow may retarget this flow's throttle there;
 * a core's private L1/L2 sees only its own flow's references and DMA
   invalidations, so for a timing-pure flow every private outcome is a
   function of the flow's stream alone and is resolved ahead of the run
@@ -135,7 +138,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     observe, metrics_due, metrics_on, ev, nw, stop_cell) = shared
+     observe, metrics_due, metrics_on, ev, nw) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
     c = fr.counters
     i = fr.index
@@ -159,6 +162,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
     block = None
     gaps = lines = tags = l3i = doms = codes = bounds = None
     j = 0
+    j0 = 0               # where the references not yet counted start
     pkt_end = 0
     k = 0
     loaded = False       # a packet is loaded (live loop: prog_len >= 0)
@@ -169,7 +173,6 @@ def _replay_gen(fr, sup, shared, env, control=None):
 
     limit = yield        # primed; first send() starts the first window
     clock = fr.clock
-    events = ev[0]
     try:
         while True:
             if j >= pkt_end:
@@ -201,15 +204,13 @@ def _replay_gen(fr, sup, shared, env, control=None):
                         if fr.measured:
                             nw[0] -= 1
                             if nw[0] == 0:
-                                stop_cell[0] = True
-                                ev[0] = events
-                                fr.clock = clock
-                                limit = yield clock
+                                return
                     if metrics_on and clock >= metrics_due[i]:
                         observe(i, clock, c)
                 # -- load next pregenerated packet ------------------------
-                if events > max_events:
-                    ev[0] = events
+                ev[0] += j - j0      # the finished packet's references
+                j0 = j
+                if ev[0] > max_events:
                     raise _event_limit_error(max_events)
                 fr.clock = clock
                 fr.packet_start = clock
@@ -224,9 +225,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
                         idle = True
                         loaded = True
                         if clock > limit:
-                            ev[0] = events
                             limit = yield clock
-                            events = ev[0]
                         continue
                     lead_gap = lead.gap
                 if block is None or steps - block.start >= block.n_packets:
@@ -249,7 +248,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
                         s = my_l3[line % my_l3_n]
                         if line in s:
                             s.remove(line)
-                j = bounds[k]
+                j0 = j = bounds[k]
                 pkt_end = bounds[k + 1]
                 trailing = block.trailing[k]
                 idle = block.idle[k]
@@ -261,10 +260,8 @@ def _replay_gen(fr, sup, shared, env, control=None):
                         trailing += lead_gap
                 loaded = True
                 if clock > limit:
-                    ev[0] = events
                     fr.clock = clock
                     limit = yield clock
-                    events = ev[0]
                 continue
 
             # -- one pregenerated memory reference ------------------------
@@ -305,16 +302,13 @@ def _replay_gen(fr, sup, shared, env, control=None):
                 clock = now + lat_l1
             g += gap
             j += 1
-            events += 1
             if clock > limit:
-                ev[0] = events
                 fr.clock = clock
                 # Another flow's observer may retarget this flow's
                 # throttle while it is suspended here, and the guard's
                 # set_limit reads l3_refs as the live loop leaves it.
                 c.l3_refs = l3r
                 limit = yield clock
-                events = ev[0]
     finally:
         # close(): flush accumulators (suspension points are the only
         # places locals can differ from the counters) and pin protocol
@@ -328,6 +322,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
         c.remote_refs = rr
         c.gap_cycles = g
         c.mc_wait_cycles = mcw
+        ev[0] += j - j0                # the partial packet's references
         fr.clock = clock
         if steps:
             # Leave the core's L1/L2 exactly as the live loop would.

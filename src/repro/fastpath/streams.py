@@ -729,8 +729,9 @@ class CachedStream:
 
     def block_at(self, packet_index: int) -> Optional[_RelativeBlock]:
         """The cached block starting exactly at ``packet_index``."""
-        # Blocks are appended in order and all but the last have
-        # BATCH_PACKETS packets, so direct indexing suffices.
+        # Blocks are appended in start order, but suppliers with
+        # different ``batch`` values extend one stream, so block sizes
+        # differ and the start must be searched for, not computed.
         for rel in self.blocks:
             if rel.start == packet_index:
                 return rel

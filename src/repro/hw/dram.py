@@ -11,6 +11,9 @@ as contention. The utilization form is insensitive to arrival order while
 still producing the paper's memory-controller effects: a modest drop under
 MC-only contention (Figure 4(b)) and a miss penalty that "slowly increases
 with competition" (Section 3.3).
+
+``rho`` changes only when a window rolls over, so the wait is computed
+once per window and every request in between returns the stored value.
 """
 
 from __future__ import annotations
@@ -26,35 +29,31 @@ MAX_RHO = 0.95
 class UtilizationQueue:
     """Shared-channel queueing from windowed utilization."""
 
-    __slots__ = ("service_cycles", "requests", "wait_cycles", "busy_cycles",
-                 "rho", "_window_start", "_window_busy")
+    __slots__ = ("service_cycles", "requests", "rho", "wait",
+                 "_window_start", "_window_busy")
 
     def __init__(self, service_cycles: float):
         if service_cycles <= 0:
             raise ValueError("service_cycles must be positive")
         self.service_cycles = service_cycles
-        self.requests = 0
-        self.wait_cycles = 0.0
-        self.busy_cycles = 0.0
-        self.rho = 0.0
-        self._window_start = 0.0
-        self._window_busy = 0.0
+        self.reset()
 
     def request(self, now: float) -> float:
         """One transfer at time ``now``; returns the queueing delay in cycles."""
-        service = self.service_cycles
         self.requests += 1
-        self.busy_cycles += service
-        self._window_busy += service
+        self._window_busy += self.service_cycles
         elapsed = now - self._window_start
         if elapsed >= UTILIZATION_WINDOW:
-            self.rho = min(MAX_RHO, self._window_busy / elapsed)
+            rho = self.rho = min(MAX_RHO, self._window_busy / elapsed)
+            self.wait = self.service_cycles * rho / (1.0 - rho)
             self._window_start = now
             self._window_busy = 0.0
-        rho = self.rho
-        wait = service * rho / (1.0 - rho)
-        self.wait_cycles += wait
-        return wait
+        return self.wait
+
+    @property
+    def busy_cycles(self) -> float:
+        """Lifetime cycles the channel spent serving requests."""
+        return self.requests * self.service_cycles
 
     def utilization(self, elapsed_cycles: float) -> float:
         """Lifetime busy fraction over ``elapsed_cycles``."""
@@ -65,9 +64,9 @@ class UtilizationQueue:
     def reset(self) -> None:
         """Clear queue state and statistics."""
         self.requests = 0
-        self.wait_cycles = 0.0
-        self.busy_cycles = 0.0
         self.rho = 0.0
+        #: Queueing delay of every request in the current window.
+        self.wait = 0.0
         self._window_start = 0.0
         self._window_busy = 0.0
 

@@ -17,16 +17,19 @@ from .dram import UtilizationQueue
 class QPILink(UtilizationQueue):
     """Bidirectional point-to-point link between the two sockets."""
 
-    __slots__ = ("extra_cycles", "transfers")
+    __slots__ = ("extra_cycles",)
 
     def __init__(self, extra_cycles: float, service_cycles: float):
         if extra_cycles < 0:
             raise ValueError("extra latency cannot be negative")
         super().__init__(service_cycles)
         self.extra_cycles = extra_cycles
-        self.transfers = 0
+
+    @property
+    def transfers(self) -> int:
+        """Lines moved across the link (every request is one transfer)."""
+        return self.requests
 
     def transfer(self, now: float) -> float:
         """Move one line across the link at ``now``; returns added latency."""
-        self.transfers += 1
         return self.request(now) + self.extra_cycles

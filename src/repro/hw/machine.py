@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional
 
 from ..constants import CACHE_LINE_BITS, DEFAULT_SEED, NUMA_DOMAIN_SHIFT
@@ -427,9 +427,20 @@ class Machine:
         Every flow runs in a suspended window loop; a heap interleaves
         them at memory-reference granularity by always resuming the core
         with the smallest clock, with the next core's clock as the limit
-        of its window. ``replay(fr, shared, env)`` (the batch engine's
-        hook) may return a flow's window loop; flows it declines, and
-        every flow when it is None, run on :func:`_live_loop`.
+        of its window. A loop yields only once its clock has passed that
+        limit, so each switch is one ``heapreplace`` and one ``send``.
+        ``replay(fr, shared, env)`` (the batch engine's hook) may return a
+        flow's window loop; flows it declines, and every flow when it is
+        None, run on :func:`_live_loop`.
+
+        The run stops when the loop that completes the last measured
+        flow's window returns; its ``StopIteration`` ends the driver,
+        which closes the other loops. (PEP 479 turns a ``StopIteration``
+        leaking from ``run_packet`` into a ``RuntimeError``, so only a
+        loop's own return stops the run.) A single-flow run is sent an
+        infinite limit once. Loops add their references to ``ev`` per
+        packet and their partial packet when closed; the max-events
+        guard reads it when a packet loads.
         """
         if self._ran:
             raise RuntimeError("machine already ran; build a fresh Machine")
@@ -463,17 +474,15 @@ class Machine:
             metrics_due, observe = _observer_schedule(observers, len(flows))
         mem_sample = tracer.mem_sample if trace_on else 0
 
-        # Shared mutable cells: only one window loop runs at a time, and
-        # each syncs the cells at its suspension points.
-        ev = [0]             # global event (memory reference) count
+        # Shared mutable cells: only one window loop runs at a time.
+        ev = [0]             # references of the packets counted so far
         nw = [n_waiting]     # measured flows still short of their target
-        stop_cell = [False]
         spec = self.spec
         shared = (spec.lat_l1, spec.lat_l2, spec.lat_l3,
                   spec.lat_l3 + spec.lat_dram_extra, self.mcs, self.qpi,
                   spec.l1_ways, spec.l2_ways, spec.l3_ways, max_events,
                   _DOMAIN_LINE_SHIFT,
-                  observe, metrics_due, metrics_on, ev, nw, stop_cell)
+                  observe, metrics_due, metrics_on, ev, nw)
 
         # A machine built under the ambient batch engine may hold
         # construction-skipped StubFlows; the live loop needs the real
@@ -505,16 +514,14 @@ class Machine:
                 raise RuntimeError("tag registry changed mid-run")
             heappush(heap, (fr.clock, fr.index))
 
+        i = heappop(heap)[1]
         try:
-            while heap:
-                clock, i = heappop(heap)
-                limit = heap[0][0] if heap else float("inf")
-                clock = gens[i].send(limit)
-                if stop_cell[0]:
-                    break
-                if ev[0] > max_events:
-                    raise _event_limit_error(max_events)
-                heappush(heap, (clock, i))
+            if not heap:
+                gens[i].send(float("inf"))
+            while True:
+                i = heapreplace(heap, (gens[i].send(heap[0][0]), i))[1]
+        except StopIteration:
+            pass
         finally:
             # Suspended loops flush their state in their finally blocks.
             for gen in gens:
@@ -597,7 +604,7 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     observe, metrics_due, metrics_on, ev, nw, stop_cell) = shared
+     observe, metrics_due, metrics_on, ev, nw) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
     fl = fr.flow
     ctx = fr.ctx
@@ -613,7 +620,6 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
 
     limit = yield
     clock = fr.clock
-    events = ev[0]
     try:
         while True:
             if pc >= prog_len:
@@ -647,15 +653,13 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                         if fr.measured:
                             nw[0] -= 1
                             if nw[0] == 0:
-                                stop_cell[0] = True
-                                ev[0] = events
-                                fr.clock = clock
-                                limit = yield clock
+                                return
                     if metrics_on and clock >= metrics_due[i]:
                         observe(i, clock, c)
                 # -- generate next packet ---------------------------------
-                if events > max_events:
-                    ev[0] = events
+                ev[0] += pc // 3     # the finished packet's references
+                pc = 0
+                if ev[0] > max_events:
                     raise _event_limit_error(max_events)
                 ctx.reset()
                 # Keep the public run state current: flows with live
@@ -678,7 +682,6 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                         if line in s:
                             s.remove(line)
                 prog = fr.prog = ctx.program
-                pc = 0
                 prog_len = len(prog)
                 # A packet with no memory references must still advance
                 # time via its trailing gap, or the loop would never make
@@ -689,10 +692,8 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                         "zero-time packet"
                     )
                 if clock > limit:
-                    ev[0] = events
                     fr.clock = clock
                     limit = yield clock
-                    events = ev[0]
                 continue
 
             # -- one memory reference -------------------------------------
@@ -746,13 +747,11 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                             tracer.mem(i, now, wait, dom, dom != home)
             c.gap_cycles += gap
             pc += 3
-            events += 1
             if clock > limit:
-                ev[0] = events
                 fr.clock = clock
                 limit = yield clock
-                events = ev[0]
     finally:
+        ev[0] += pc // 3             # the partial packet's references
         fr.clock = clock
         fr.pc = pc
         fr.prog_len = prog_len

@@ -1,8 +1,11 @@
 """Memory-controller and QPI queueing model."""
 
+import random
+
 import pytest
 
-from repro.hw.dram import MemoryController, UtilizationQueue, UTILIZATION_WINDOW
+from repro.hw.dram import (MAX_RHO, UTILIZATION_WINDOW, MemoryController,
+                           UtilizationQueue)
 from repro.hw.interconnect import QPILink
 
 
@@ -80,6 +83,42 @@ def test_utilization_accounting():
     assert mc.utilization(0.0) == 0.0
 
 
+def test_wait_is_computed_once_per_window():
+    """Every request returns the wait of the window it falls in: the
+    M/M/1 form at the window's roll, 0.0 before the first roll."""
+    service = 5.0
+    mc = MemoryController(0, service_cycles=service)
+    rng = random.Random(3)
+    window_start = busy = 0.0
+    expected = 0.0
+    windows = [[]]
+    now = 0.0
+    for _ in range(60_000):
+        busy += service
+        elapsed = now - window_start
+        if elapsed >= UTILIZATION_WINDOW:
+            rho = min(MAX_RHO, busy / elapsed)
+            expected = service * rho / (1.0 - rho)
+            window_start, busy = now, 0.0
+            windows.append([])
+        wait = mc.request(now)
+        assert wait == expected
+        windows[-1].append(wait)
+        now += rng.uniform(1.0, 12.0)
+    assert len(windows) > 5
+    assert set(windows[0]) == {0.0}
+    for waits in windows:
+        assert len(set(waits)) == 1
+    assert len({waits[0] for waits in windows[1:]}) > 1
+
+
+def test_busy_cycles_counts_requests():
+    mc = MemoryController(0, service_cycles=7.0)
+    for i in range(25):
+        mc.request(float(i * 40))
+    assert mc.busy_cycles == mc.requests * mc.service_cycles == 175.0
+
+
 def test_reset():
     mc = MemoryController(0, service_cycles=5.0)
     mc.request(0.0)
@@ -87,6 +126,18 @@ def test_reset():
     assert mc.requests == 0
     assert mc.busy_cycles == 0.0
     assert mc.rho == 0.0
+
+
+def test_reset_zeroes_wait():
+    mc = MemoryController(0, service_cycles=5.0)
+    now = 0.0
+    for _ in range(30_000):
+        mc.request(now)
+        now += 6.0
+    assert mc.wait > 0.0
+    mc.reset()
+    assert mc.wait == 0.0
+    assert mc.request(0.0) == 0.0
 
 
 def test_qpi_adds_fixed_latency():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.registry import app_factory
 from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
 
@@ -252,6 +253,35 @@ def test_max_events_guard(spec, engine):
     with pytest.raises(RuntimeError, match="events"):
         m.run(warmup_packets=100, measure_packets=10_000, max_events=500,
               engine=engine)
+
+
+def _six_flow_corun(spec, engine, **run_kw):
+    """IP measured against five SYN_MAX competitors on one socket."""
+    m = Machine(spec)
+    m.add_flow(app_factory("IP"), core=0, label="IP")
+    for core in range(1, 6):
+        m.add_flow(app_factory("SYN_MAX"), core=core, measured=False)
+    return m, m.run(warmup_packets=100, measure_packets=200, engine=engine,
+                    **run_kw)
+
+
+@ENGINES
+def test_event_count_includes_partial_packets(spec, engine):
+    """Loops count references per packet; the run stops with competitors
+    mid-packet, and their partial packets still count."""
+    m, result = _six_flow_corun(spec, engine)
+    refs = sum(fr.counters.l1_hits + fr.counters.l2_hits
+               + fr.counters.l3_refs for fr in m.flows)
+    assert result.events == refs
+    live, reference = _six_flow_corun(spec, "scalar")
+    assert result.events == reference.events
+    assert any(0 < fr.pc < fr.prog_len for fr in live.flows[1:])
+
+
+@ENGINES
+def test_max_events_guard_multi_flow(spec, engine):
+    with pytest.raises(RuntimeError, match="events"):
+        _six_flow_corun(spec, engine, max_events=3000)
 
 
 def test_latency_recording_disabled_by_default(spec):

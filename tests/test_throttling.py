@@ -1,11 +1,17 @@
 """Aggressiveness containment: throttled and two-faced flows."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps.synthetic import syn_factory, syn_max_factory
+from repro.click.elements.control import ControlElement
 from repro.core.throttling import ThrottledFlow, TwoFacedFlow, throttled_factory
 from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
+from repro.mem.access import AccessContext
+from repro.net.packet import Packet
 
 
 def spec():
@@ -283,3 +289,37 @@ def test_two_faced_zero_trigger_is_aggressive_from_first_packet():
     flow = TwoFacedFlow(innocent, aggressive, trigger_packets=0)
     flow.run_packet(None)
     assert (innocent.calls, aggressive.calls) == (0, 1)
+
+
+def test_control_element_and_throttle_share_one_loop():
+    """Fed the same counter trajectory, the Click control element and a
+    ThrottledFlow take identical closed-loop steps."""
+    machine = SimpleNamespace(spec=SimpleNamespace(freq_hz=1e9))
+    element = ControlElement(target_refs_per_sec=5e7, adjust_every=8,
+                             gain=0.6)
+    throttle = ThrottledFlow(SimpleNamespace(name="inner"),
+                             target_refs_per_sec=5e7, adjust_every=8,
+                             gain=0.6)
+    runs = [SimpleNamespace(counters=SimpleNamespace(l3_refs=0), clock=0.0)
+            for _ in range(2)]
+    element.attach_run(machine, runs[0])
+    throttle.attach_run(machine, runs[1])
+    packet = Packet.udp(src=1, dst=2)
+    rng = random.Random(5)
+    refs, clock = 0, 0.0
+    element_gaps, throttle_gaps = [], []
+    for n in range(256):
+        # Over the target for the first half, far under it afterwards.
+        refs += rng.randrange(40 if n < 128 else 5)
+        clock += rng.uniform(50.0, 400.0)
+        for fr in runs:
+            fr.counters.l3_refs = refs
+            fr.clock = clock
+        element.process(AccessContext(), packet)
+        throttle.wrap_packet(AccessContext(), lambda ctx: None)
+        element_gaps.append(element.extra_gap)
+        throttle_gaps.append(throttle.extra_gap)
+    assert element_gaps == throttle_gaps
+    assert element.adjustments == throttle.adjustments == 32
+    assert element_gaps[127] > element_gaps[0]
+    assert element_gaps[-1] < element_gaps[127]
