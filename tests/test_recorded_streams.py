@@ -61,12 +61,17 @@ def _cases():
     return cases
 
 
-def recorded_stream_digest(app: str, scale: int, domain: int) -> str:
-    """sha256 over ``PACKETS`` packets of ``app``'s recorded programs."""
+def build_flow(app: str, scale: int, domain: int):
+    """``app`` built from ``SEED`` at ``scale`` with its data on ``domain``."""
     spec = PlatformSpec.westmere().scaled(scale)
     env = FlowEnv(space=AddressSpace(spec.n_sockets), domain=domain,
                   spec=spec, rng=random.Random(SEED))
-    flow = make_app(app, env, **PARAMS.get(app, {}))
+    return make_app(app, env, **PARAMS.get(app, {}))
+
+
+def recorded_stream_digest(app: str, scale: int, domain: int) -> str:
+    """sha256 over ``PACKETS`` packets of ``app``'s recorded programs."""
+    flow = build_flow(app, scale, domain)
     ctx = AccessContext()
     digest = hashlib.sha256()
     for _ in range(PACKETS):
