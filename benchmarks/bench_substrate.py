@@ -132,10 +132,11 @@ def test_aes_ctr_run_ahead_throughput(benchmark):
         for i in range(16))
 
 
-@pytest.mark.parametrize("app", REALISTIC_APPS)
+@pytest.mark.parametrize("app", REALISTIC_APPS + ("DPI", "SYN_MAX"))
 def test_generate_per_app(benchmark, app):
     """Functional generation of one flow: 64 ``run_packet`` calls per round
-    at scale 64, the per-app split of the engine's generation time."""
+    at scale 64, the per-app split of the engine's generation time (the
+    paper's five flows, DPI and the SYN_MAX probe)."""
     flow = make_app(app, make_env(PlatformSpec.westmere().scaled(64)))
     ctx = AccessContext()
 

@@ -11,6 +11,7 @@ one pass over the payload.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
@@ -32,6 +33,10 @@ class AhoCorasick:
         for index, pattern in enumerate(self.patterns):
             self._insert(pattern, index)
         self._build_failure_links()
+        #: Finds the next byte with a transition out of the root: every
+        #: byte before it leaves the automaton at the root.
+        exits = b"".join(b"\\x%02x" % byte for byte in sorted(self.goto[0]))
+        self._leave_root = re.compile(b"[" + exits + b"]")
 
     # -- construction -----------------------------------------------------------
 
@@ -89,15 +94,50 @@ class AhoCorasick:
         return matches
 
     def search_with_path(self, data: bytes):
-        """Matches plus the visited state sequence (for access mirroring)."""
+        """Matches plus the visited state sequence (for access mirroring).
+
+        The states are those of folding :meth:`step` over ``data`` from
+        the root, computed in one loop: at the root, one regex search
+        skips the run of bytes that stay there (the root has no output),
+        and elsewhere the failure links are followed inline.
+        """
+        goto = self.goto
+        fail = self.fail
+        output = self.output
+        root = goto[0]
+        leave_root = self._leave_root.search
         matches: List[Tuple[int, int]] = []
         path: List[int] = []
         state = 0
-        for pos, byte in enumerate(data):
-            state = self.step(state, byte)
+        pos = 0
+        end = len(data)
+        while pos < end:
+            if state:
+                byte = data[pos]
+                while True:
+                    nxt = goto[state].get(byte)
+                    if nxt is not None:
+                        state = nxt
+                        break
+                    state = fail[state]
+                    if not state:
+                        state = root.get(byte, 0)
+                        break
+            else:
+                hit = leave_root(data, pos)
+                if hit is None:
+                    path += [0] * (end - pos)
+                    break
+                start = hit.start()
+                path += [0] * (start - pos)
+                pos = start
+                state = root[data[pos]]
             path.append(state)
-            for index in self.output[state]:
-                matches.append((pos + 1, index))
+            out = output[state]
+            if out:
+                for index in out:
+                    matches.append((pos + 1, index))
+            pos += 1
         return matches, path
 
     def contains_any(self, data: bytes) -> bool:

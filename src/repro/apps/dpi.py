@@ -80,7 +80,7 @@ class DPIElement(Element):
         # One line per sampled state (a state is one 64-byte line).
         first = self.region.base >> CACHE_LINE_BITS
         ctx.record_each(_COST_SAMPLE,
-                        [first + state for state in path[::SAMPLE_STRIDE]],
+                        list(map(first.__add__, path[::SAMPLE_STRIDE])),
                         self._tag)
         if matches:
             self.alerts += len(matches)

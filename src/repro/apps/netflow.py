@@ -24,7 +24,8 @@ from ..constants import (
 from ..hw.machine import FlowEnv
 from ..mem.access import AccessContext, TAGS
 from ..click.element import Element
-from ..net.packet import Packet, five_tuple_hash
+from ..net.headers import EthernetHeader
+from ..net.packet import Packet
 
 
 class FlowRecord:
@@ -87,8 +88,23 @@ class NetFlow(Element):
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:
         if self.region is None:
             raise RuntimeError("NetFlow used before initialize()")
-        key = packet.five_tuple()
-        h = five_tuple_hash(key)
+        ip = packet.ip
+        l4 = packet.l4
+        src = ip.src
+        dst = ip.dst
+        proto = ip.protocol
+        sport = l4.sport
+        dport = l4.dport
+        key = (src, dst, proto, sport, dport)
+        # five_tuple_hash(key), inline.
+        h = (src * 0x9E3779B1) & 0xFFFFFFFF
+        h ^= (dst * 0x85EBCA77) & 0xFFFFFFFF
+        h ^= (((sport << 16) | dport) * 0xC2B2AE3D) & 0xFFFFFFFF
+        h ^= proto * 0x27D4EB2F
+        h &= 0xFFFFFFFF
+        h ^= h >> 15
+        h = (h * 0x2545F491) & 0xFFFFFFFF
+        h ^= h >> 13
         index = h % self.n_entries
         # Real flow caches resolve hash -> bucket head -> entry: two
         # dependent references into two large tables. Bucket heads and
@@ -100,14 +116,14 @@ class NetFlow(Element):
             + ((index * NETFLOW_ENTRY_BYTES) >> CACHE_LINE_BITS),
         ), self._tag)
         self.packets += 1
+        wire_length = EthernetHeader.LENGTH + ip.total_length
         record = self.slots[index]
         if record is not None and record.key == key:
-            record.update(self.packets, packet.wire_length)
+            record.update(self.packets, wire_length)
         else:
             if record is not None:
                 self.evictions += 1
-            self.slots[index] = FlowRecord(key, self.packets,
-                                           packet.wire_length)
+            self.slots[index] = FlowRecord(key, self.packets, wire_length)
         return packet
 
     # -- export (the operator-facing side of NetFlow) --------------------------

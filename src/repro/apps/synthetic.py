@@ -44,6 +44,7 @@ class SynApp:
                 else int(env.spec.l3_size * SYN_ARRAY_FRACTION))
         self.region: Region = env.space.domain(env.domain).alloc(size, "syn.array")
         self.n_lines = self.region.n_lines
+        self._bits = self.n_lines.bit_length()
         self.rng = env.rng
         self.counter = 0
         self._base_line = self.region.base >> 6
@@ -61,13 +62,25 @@ class SynApp:
                                               array_bytes, name)
 
     def run_packet(self, ctx: AccessContext):
-        """One SYN \"packet\": the configured CPU ops and random reads."""
-        randrange = self.rng.randrange
+        """One SYN \"packet\": the configured CPU ops and random reads.
+
+        Each read is ``randrange(n_lines)``, drawn inline the way
+        :meth:`random.Random.randrange` draws it: ``getrandbits`` of
+        ``n_lines.bit_length()`` bits until the value is below
+        ``n_lines``, so the RNG consumes the same words.
+        """
+        getrandbits = self.rng.getrandbits
         base = self._base_line
         n = self.n_lines
-        ctx.record_each(self._cost, [base + randrange(n)
-                                     for _ in range(self.refs_per_packet)],
-                        self._tag)
+        k = self._bits
+        lines = []
+        append = lines.append
+        for _ in range(self.refs_per_packet):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            append(base + r)
+        ctx.record_each(self._cost, lines, self._tag)
         self.counter += self.cpu_ops_per_ref * self.refs_per_packet
         return None
 

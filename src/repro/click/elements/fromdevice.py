@@ -10,7 +10,7 @@ hardware without DCA.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ...constants import (
     CACHE_LINE_BITS,
@@ -21,6 +21,7 @@ from ...constants import (
 from ...hw.machine import FlowEnv
 from ...mem.access import AccessContext, TAGS
 from ...mem.region import Region
+from ...net.headers import EthernetHeader
 from ...net.packet import Packet
 from ..element import Element
 
@@ -45,6 +46,9 @@ class FromDevice(Element):
         self._ring_line = 0
         self._skb_line = 0
         self.buffers: List[Region] = []
+        #: Per ring slot: (descriptor and skb lines, buffer, buffer base,
+        #: buffer size, buffer's first line).
+        self._slots: List[Tuple[Tuple[int, int], Region, int, int, int]] = []
         self._tag_skb = TAGS.register("skb_recycle")
 
     def initialize(self, env: FlowEnv) -> None:
@@ -62,6 +66,14 @@ class FromDevice(Element):
                    size=self.buffer_bytes, domain=env.domain)
             for i in range(self.n_buffers)
         ]
+        # One descriptor line (descriptors never straddle a line) and one
+        # skb line per slot.
+        self._slots = [
+            ((self._ring_line + ((i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS),
+              self._skb_line + ((i * _SKB_BYTES) >> CACHE_LINE_BITS)),
+             buf, buf.base, buf.size, buf.base >> CACHE_LINE_BITS)
+            for i, buf in enumerate(self.buffers)
+        ]
 
     def receive(self, ctx: AccessContext, packet: Packet) -> List[int]:
         """Accept one packet; returns the DMA-invalidated buffer lines."""
@@ -70,18 +82,14 @@ class FromDevice(Element):
         i = self._index
         self._index = (i + 1) % self.n_buffers
         self.received += 1
-        # One descriptor line (descriptors never straddle a line) and one
-        # skb line.
-        ctx.record(COST_PACKET_BASE, (
-            self._ring_line + ((i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS),
-            self._skb_line + ((i * _SKB_BYTES) >> CACHE_LINE_BITS),
-        ), self._tag_skb)
-        buf = self.buffers[i]
+        lines, buf, base, size, first = self._slots[i]
+        ctx.record(COST_PACKET_BASE, lines, self._tag_skb)
         packet.buffer = buf
-        length = min(packet.wire_length, buf.size)
-        first = buf.base >> CACHE_LINE_BITS
-        last = (buf.base + length - 1) >> CACHE_LINE_BITS
-        return list(range(first, last + 1))
+        # min(packet.wire_length, buf.size), inline.
+        length = EthernetHeader.LENGTH + packet.ip.total_length
+        if length > size:
+            length = size
+        return list(range(first, ((base + length - 1) >> CACHE_LINE_BITS) + 1))
 
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:
         """Element-style entry point (ignores DMA lines)."""

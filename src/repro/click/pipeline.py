@@ -87,14 +87,16 @@ class Pipeline:
         dma = self.rx.receive(ctx, packet)
         for element in self.elements:
             result = element.process(ctx, packet)
-            if result is None:
-                self.dropped += 1
-                return dma
-            if isinstance(result, tuple):
-                # Multi-output elements are only meaningful inside a Router;
-                # in a linear pipeline, any port continues the chain.
-                result = result[1]
-            packet = result
+            if result is not packet:
+                if result is None:
+                    self.dropped += 1
+                    return dma
+                if isinstance(result, tuple):
+                    # Multi-output elements are only meaningful inside a
+                    # Router; in a linear pipeline, any port continues the
+                    # chain.
+                    result = result[1]
+                packet = result
         self.tx.send(ctx, packet)
         self.forwarded += 1
         return dma

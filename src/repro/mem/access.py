@@ -113,15 +113,27 @@ class AccessContext:
         """Record ``cost``, then one reference to each of ``lines`` in order.
 
         Same program as ``cost(cost)`` followed by ``touch_line(line, tag)``
-        per line; with no lines it is just ``cost(cost)``.
+        per line; with no lines it is just ``cost(cost)``. ``lines`` must
+        be a sized sequence.
         """
         self.instructions += cost[1]
         gap = self._pending_gap + cost[0]
+        n = len(lines)
+        if not n:
+            self._pending_gap = gap
+            return
         program = self.program
-        for line in lines:
-            program += (gap, line, tag)
-            gap = 0
-        self._pending_gap = gap
+        # One- and two-line steps (descriptors, headers, NetFlow's bucket
+        # and entry) are nearly every call: extend once, no loop.
+        if n == 1:
+            program += (gap, lines[0], tag)
+        elif n == 2:
+            program += (gap, lines[0], tag, 0, lines[1], tag)
+        else:
+            for line in lines:
+                program += (gap, line, tag)
+                gap = 0
+        self._pending_gap = 0
 
     def record_each(self, cost: tuple, lines: Sequence[int],
                     tag: int = TAG_OTHER) -> None:

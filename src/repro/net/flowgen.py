@@ -56,10 +56,8 @@ class UniformRandomTraffic(TrafficSource):
     def next_packet(self) -> Packet:
         rng = self.rng
         bits = self.addr_bits
-        return Packet.udp(
-            src=rng.getrandbits(bits), dst=rng.getrandbits(bits),
-            sport=self.sport, dport=self.dport, payload=self.payload,
-        )
+        return Packet.udp(rng.getrandbits(bits), rng.getrandbits(bits),
+                          self.sport, self.dport, self.payload)
 
 
 #: Distinct populations :class:`FlowPopulationTraffic` keeps (LRU).
@@ -95,11 +93,27 @@ class FlowPopulationTraffic(TrafficSource):
                 (rng.getrandbits(addr_bits), rng.getrandbits(addr_bits),
                  rng.randrange(1024, 65536), rng.randrange(1, 1024))
                 for _ in range(n_flows)))
+        self._bits = n_flows.bit_length()
 
     def next_packet(self) -> Packet:
-        src, dst, sport, dport = self.rng.choice(self.population)
-        return Packet.udp(src=src, dst=dst, sport=sport, dport=dport,
-                          payload=self.payload)
+        # rng.choice(self.population), drawn inline (see SynApp.run_packet).
+        getrandbits = self.rng.getrandbits
+        population = self.population
+        n = len(population)
+        k = self._bits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        src, dst, sport, dport = population[r]
+        return Packet.udp(src, dst, sport, dport, self.payload)
+
+
+#: RedundantTraffic's port ranges, [1024, 65536) and [1, 1024): span and
+#: the bits ``randrange`` draws for it.
+_SPORT_SPAN = 65536 - 1024
+_SPORT_BITS = _SPORT_SPAN.bit_length()
+_DPORT_SPAN = 1024 - 1
+_DPORT_BITS = _DPORT_SPAN.bit_length()
 
 
 class RedundantTraffic(TrafficSource):
@@ -125,21 +139,34 @@ class RedundantTraffic(TrafficSource):
         self.addr_bits = addr_bits
 
     def next_packet(self) -> Packet:
+        # Every draw is inline and consumes what rng.choice(pool),
+        # rng.randrange(1024, 65536) and rng.randrange(1, 1024) would.
         rng = self.rng
-        if self.pool and rng.random() < self.redundancy:
-            payload = rng.choice(self.pool)
+        getrandbits = rng.getrandbits
+        pool = self.pool
+        if pool and rng.random() < self.redundancy:
+            n = len(pool)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            payload = pool[r]
         else:
             payload = rng.randbytes(self.payload_bytes)
-            self.pool.append(payload)
-            if len(self.pool) > self.pool_size:
-                self.pool.pop(0)
+            pool.append(payload)
+            if len(pool) > self.pool_size:
+                pool.pop(0)
         bits = self.addr_bits
-        return Packet.udp(
-            src=rng.getrandbits(bits), dst=rng.getrandbits(bits),
-            sport=rng.randrange(1024, 65536),
-            dport=rng.randrange(1, 1024) % self.n_flows + 1,
-            payload=payload,
-        )
+        src = getrandbits(bits)
+        dst = getrandbits(bits)
+        sport = getrandbits(_SPORT_BITS)
+        while sport >= _SPORT_SPAN:
+            sport = getrandbits(_SPORT_BITS)
+        dport = getrandbits(_DPORT_BITS)
+        while dport >= _DPORT_SPAN:
+            dport = getrandbits(_DPORT_BITS)
+        return Packet.udp(src, dst, 1024 + sport,
+                          (1 + dport) % self.n_flows + 1, payload)
 
 
 class ReplaySource(TrafficSource):

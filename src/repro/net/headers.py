@@ -1,15 +1,16 @@
 """Protocol headers with real serialization.
 
-Headers are mutable dataclasses kept in native Python fields for speed in
-the simulation hot path; :meth:`pack`/:meth:`unpack` produce and parse the
-actual wire format (big-endian, per the RFCs) and are exercised by the
-functional tests and the pcap-style replay tooling.
+Headers are small mutable ``__slots__`` classes kept in native Python
+fields for speed in the simulation hot path (every generated packet
+builds two). They compare and print field by field, like dataclasses,
+and reject unknown attributes. :meth:`pack`/:meth:`unpack` produce and
+parse the actual wire format (big-endian, per the RFCs) and are exercised
+by the functional tests and the pcap-style replay tooling.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 from .checksum import internet_checksum
 
@@ -27,15 +28,38 @@ def _mac_bytes(mac: int) -> bytes:
     return mac.to_bytes(6, "big")
 
 
-@dataclass
-class EthernetHeader:
+class _Header:
+    """Field-wise ``==`` and ``repr`` over a header's ``__slots__``."""
+
+    __slots__ = ()
+    #: Mutable and compared by value, so unhashable (as a dataclass is).
+    __hash__ = None  # type: ignore[assignment]
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class EthernetHeader(_Header):
     """Ethernet II header (MACs as 48-bit ints)."""
 
-    dst: int = 0
-    src: int = 0
-    ethertype: int = 0x0800
+    __slots__ = ("dst", "src", "ethertype")
 
     LENGTH = 14
+
+    def __init__(self, dst: int = 0, src: int = 0, ethertype: int = 0x0800):
+        self.dst = dst
+        self.src = src
+        self.ethertype = ethertype
 
     def pack(self) -> bytes:
         return _ETH_FMT.pack(_mac_bytes(self.dst), _mac_bytes(self.src),
@@ -48,21 +72,27 @@ class EthernetHeader:
                    src=int.from_bytes(src, "big"), ethertype=ethertype)
 
 
-@dataclass
-class IPv4Header:
+class IPv4Header(_Header):
     """IPv4 header (no options; IHL fixed at 5)."""
 
-    src: int = 0
-    dst: int = 0
-    ttl: int = 64
-    protocol: int = PROTO_UDP
-    total_length: int = 20
-    identification: int = 0
-    tos: int = 0
-    flags_fragment: int = 0
-    checksum: int = 0
+    __slots__ = ("src", "dst", "ttl", "protocol", "total_length",
+                 "identification", "tos", "flags_fragment", "checksum")
 
     LENGTH = 20
+
+    def __init__(self, src: int = 0, dst: int = 0, ttl: int = 64,
+                 protocol: int = PROTO_UDP, total_length: int = 20,
+                 identification: int = 0, tos: int = 0,
+                 flags_fragment: int = 0, checksum: int = 0):
+        self.src = src
+        self.dst = dst
+        self.ttl = ttl
+        self.protocol = protocol
+        self.total_length = total_length
+        self.identification = identification
+        self.tos = tos
+        self.flags_fragment = flags_fragment
+        self.checksum = checksum
 
     def compute_checksum(self) -> int:
         """Checksum of this header with the checksum field zeroed."""
@@ -104,16 +134,19 @@ class IPv4Header:
         )
 
 
-@dataclass
-class UDPHeader:
+class UDPHeader(_Header):
     """UDP header (checksum optional, as the RFC allows for IPv4)."""
 
-    sport: int = 0
-    dport: int = 0
-    length: int = 8
-    checksum: int = 0
+    __slots__ = ("sport", "dport", "length", "checksum")
 
     LENGTH = 8
+
+    def __init__(self, sport: int = 0, dport: int = 0, length: int = 8,
+                 checksum: int = 0):
+        self.sport = sport
+        self.dport = dport
+        self.length = length
+        self.checksum = checksum
 
     def pack(self) -> bytes:
         return _UDP_FMT.pack(self.sport, self.dport, self.length, self.checksum)
@@ -124,20 +157,25 @@ class UDPHeader:
         return cls(sport=sport, dport=dport, length=length, checksum=checksum)
 
 
-@dataclass
-class TCPHeader:
+class TCPHeader(_Header):
     """TCP header (no options; data offset fixed at 5)."""
 
-    sport: int = 0
-    dport: int = 0
-    seq: int = 0
-    ack: int = 0
-    flags: int = 0
-    window: int = 65535
-    checksum: int = 0
-    urgent: int = 0
+    __slots__ = ("sport", "dport", "seq", "ack", "flags", "window",
+                 "checksum", "urgent")
 
     LENGTH = 20
+
+    def __init__(self, sport: int = 0, dport: int = 0, seq: int = 0,
+                 ack: int = 0, flags: int = 0, window: int = 65535,
+                 checksum: int = 0, urgent: int = 0):
+        self.sport = sport
+        self.dport = dport
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.checksum = checksum
+        self.urgent = urgent
 
     def pack(self) -> bytes:
         return _TCP_FMT.pack(self.sport, self.dport, self.seq, self.ack,

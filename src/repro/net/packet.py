@@ -11,7 +11,18 @@ from __future__ import annotations
 from typing import Optional
 
 from ..mem.region import Region
-from .headers import EthernetHeader, IPv4Header, TCPHeader, UDPHeader, PROTO_TCP
+from .headers import (
+    PROTO_TCP,
+    PROTO_UDP,
+    EthernetHeader,
+    IPv4Header,
+    TCPHeader,
+    UDPHeader,
+)
+
+#: IP total length of a UDP / TCP packet before its payload.
+_UDP_IP_LENGTH = IPv4Header.LENGTH + UDPHeader.LENGTH
+_TCP_IP_LENGTH = IPv4Header.LENGTH + TCPHeader.LENGTH
 
 
 class Packet:
@@ -46,29 +57,24 @@ class Packet:
         offload, as a NIC would do; validating elements treat a zero
         checksum as offloaded. Pass True for fully self-contained packets.
         """
-        l4 = UDPHeader(sport=sport, dport=dport,
-                       length=UDPHeader.LENGTH + len(payload))
-        ip = IPv4Header(
-            src=src, dst=dst, ttl=ttl, protocol=17,
-            total_length=IPv4Header.LENGTH + UDPHeader.LENGTH + len(payload),
-        )
+        n = len(payload)
+        ip = IPv4Header(src, dst, ttl, PROTO_UDP, _UDP_IP_LENGTH + n)
         if compute_checksum:
             ip.finalize()
-        return cls(ip=ip, l4=l4, payload=payload, eth=cls.DEFAULT_ETH)
+        return cls(ip, UDPHeader(sport, dport, UDPHeader.LENGTH + n),
+                   payload, cls.DEFAULT_ETH)
 
     @classmethod
     def tcp(cls, src: int, dst: int, sport: int = 1000, dport: int = 2000,
             payload: bytes = b"", ttl: int = 64, seq: int = 0,
             compute_checksum: bool = False) -> "Packet":
         """Build a TCP packet with a consistent length field."""
-        l4 = TCPHeader(sport=sport, dport=dport, seq=seq)
-        ip = IPv4Header(
-            src=src, dst=dst, ttl=ttl, protocol=PROTO_TCP,
-            total_length=IPv4Header.LENGTH + TCPHeader.LENGTH + len(payload),
-        )
+        ip = IPv4Header(src, dst, ttl, PROTO_TCP,
+                        _TCP_IP_LENGTH + len(payload))
         if compute_checksum:
             ip.finalize()
-        return cls(ip=ip, l4=l4, payload=payload, eth=cls.DEFAULT_ETH)
+        return cls(ip, TCPHeader(sport, dport, seq), payload,
+                   cls.DEFAULT_ETH)
 
     # -- properties -------------------------------------------------------------
 
@@ -106,7 +112,7 @@ class Packet:
         if ip.protocol == PROTO_TCP:
             l4 = TCPHeader.unpack(data[off:])
             off += TCPHeader.LENGTH
-        elif ip.protocol == 17:
+        elif ip.protocol == PROTO_UDP:
             l4 = UDPHeader.unpack(data[off:])
             off += UDPHeader.LENGTH
         else:

@@ -49,6 +49,49 @@ def test_search_with_path_length():
     assert all(0 <= s < ac.n_states for s in path)
 
 
+def folded_path(ac, data):
+    """The states of folding ``step`` over ``data`` from the root."""
+    path = []
+    state = 0
+    for byte in data:
+        state = ac.step(state, byte)
+        path.append(state)
+    return path
+
+
+#: Bytes that are special inside a regex character class, a NUL, 0xCC
+#: (the generated signatures' first byte) and a few plain ones.
+_AC_ALPHABET = b"\x00-]^\\[abc\xcc\xff"
+
+
+@given(
+    patterns=st.lists(st.binary(min_size=1, max_size=5).map(
+        lambda b: bytes(_AC_ALPHABET[x % len(_AC_ALPHABET)] for x in b)),
+        min_size=1, max_size=6, unique=True),
+    data=st.one_of(
+        st.binary(max_size=80),
+        st.binary(max_size=80).map(
+            lambda b: bytes(_AC_ALPHABET[x % len(_AC_ALPHABET)] for x in b))),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_search_with_path_equals_step_fold(patterns, data):
+    ac = AhoCorasick(patterns)
+    matches, path = ac.search_with_path(data)
+    assert path == folded_path(ac, data)
+    assert matches == ac.search(data)
+
+
+def test_search_with_path_on_generated_signatures():
+    rng = random.Random(11)
+    ac = AhoCorasick(generate_signatures(rng, 64, min_len=2, max_len=4))
+    payloads = [rng.randbytes(256) for _ in range(20)]
+    payloads.append(b"\xcc" * 64)
+    for data in payloads:
+        matches, path = ac.search_with_path(data)
+        assert path == folded_path(ac, data)
+        assert matches == ac.search(data)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         AhoCorasick([])

@@ -82,3 +82,49 @@ def test_property_ipv4_roundtrip(src, dst, ttl, proto, length):
     again = IPv4Header.unpack(ip.pack())
     assert again == ip
     assert again.is_valid()
+
+
+HEADERS = (EthernetHeader, IPv4Header, UDPHeader, TCPHeader)
+
+
+@pytest.mark.parametrize("cls", HEADERS)
+def test_header_equality_is_field_wise(cls):
+    first = cls()
+    assert first == cls()
+    assert first is not cls()
+    name = cls.__slots__[0]
+    setattr(first, name, getattr(first, name) + 1)
+    assert first != cls()
+    assert cls() != (0,) * len(cls.__slots__)
+    with pytest.raises(TypeError):
+        hash(first)  # mutable and compared by value, as a dataclass
+
+
+def test_header_repr_lists_every_field():
+    assert repr(UDPHeader(sport=53, dport=3333, length=20)) == (
+        "UDPHeader(sport=53, dport=3333, length=20, checksum=0)")
+    assert repr(IPv4Header(src=1, dst=2)) == (
+        "IPv4Header(src=1, dst=2, ttl=64, protocol=17, total_length=20, "
+        "identification=0, tos=0, flags_fragment=0, checksum=0)")
+    assert repr(EthernetHeader()) == (
+        "EthernetHeader(dst=0, src=0, ethertype=2048)")
+    assert repr(TCPHeader(seq=5)) == (
+        "TCPHeader(sport=0, dport=0, seq=5, ack=0, flags=0, window=65535, "
+        "checksum=0, urgent=0)")
+
+
+@pytest.mark.parametrize("cls", HEADERS)
+def test_header_rejects_unknown_attribute(cls):
+    header = cls()
+    with pytest.raises(AttributeError):
+        header.ttll = 3
+    assert not hasattr(header, "__dict__")
+
+
+def test_positional_construction_matches_keywords():
+    assert IPv4Header(1, 2, 9, 6, 40) == IPv4Header(
+        src=1, dst=2, ttl=9, protocol=6, total_length=40)
+    assert UDPHeader(1, 2, 30) == UDPHeader(sport=1, dport=2, length=30)
+    assert TCPHeader(1, 2, 3) == TCPHeader(sport=1, dport=2, seq=3)
+    assert EthernetHeader(1, 2, 3) == EthernetHeader(dst=1, src=2,
+                                                     ethertype=3)
