@@ -46,9 +46,8 @@ class FromDevice(Element):
         self._ring_line = 0
         self._skb_line = 0
         self.buffers: List[Region] = []
-        #: Per ring slot: (descriptor and skb lines, buffer, buffer base,
-        #: buffer size, buffer's first line).
-        self._slots: List[Tuple[Tuple[int, int], Region, int, int, int]] = []
+        #: Per ring slot: (its descriptor and skb lines, its buffer).
+        self._slots: List[Tuple[Tuple[int, int], Region]] = []
         self._tag_skb = TAGS.register("skb_recycle")
 
     def initialize(self, env: FlowEnv) -> None:
@@ -70,8 +69,7 @@ class FromDevice(Element):
         # skb line per slot.
         self._slots = [
             ((self._ring_line + ((i * _DESCRIPTOR_BYTES) >> CACHE_LINE_BITS),
-              self._skb_line + ((i * _SKB_BYTES) >> CACHE_LINE_BITS)),
-             buf, buf.base, buf.size, buf.base >> CACHE_LINE_BITS)
+              self._skb_line + ((i * _SKB_BYTES) >> CACHE_LINE_BITS)), buf)
             for i, buf in enumerate(self.buffers)
         ]
 
@@ -82,14 +80,16 @@ class FromDevice(Element):
         i = self._index
         self._index = (i + 1) % self.n_buffers
         self.received += 1
-        lines, buf, base, size, first = self._slots[i]
+        lines, buf = self._slots[i]
         ctx.record(COST_PACKET_BASE, lines, self._tag_skb)
         packet.buffer = buf
         # min(packet.wire_length, buf.size), inline.
         length = EthernetHeader.LENGTH + packet.ip.total_length
-        if length > size:
-            length = size
-        return list(range(first, ((base + length - 1) >> CACHE_LINE_BITS) + 1))
+        if length > buf.size:
+            length = buf.size
+        base = buf.base
+        return list(range(base >> CACHE_LINE_BITS,
+                          ((base + length - 1) >> CACHE_LINE_BITS) + 1))
 
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:
         """Element-style entry point (ignores DMA lines)."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.netflow import FlowRecord, NetFlow
 from repro.mem.access import AccessContext
-from repro.net.packet import Packet
+from repro.net.packet import Packet, five_tuple_hash
 from tests.conftest import make_env
 
 
@@ -39,6 +39,18 @@ def test_distinct_flows_get_distinct_records():
     # balance either way.
     assert nf.active_flows() == 20 - nf.evictions
     assert nf.active_flows() >= 17
+
+
+def test_records_sit_at_the_flow_hash_slot():
+    """NetFlow's inline hash is :func:`five_tuple_hash`."""
+    nf = make_netflow(entries=4096)
+    for i in range(50):
+        nf.process(AccessContext(), packet(src=i * 7919, dst=i, sport=i + 9,
+                                           dport=i * 3))
+    live = [(i, r) for i, r in enumerate(nf.slots) if r is not None]
+    assert len(live) == 50 - nf.evictions > 40
+    for index, record in live:
+        assert index == five_tuple_hash(record.key) % nf.n_entries
 
 
 def test_collision_evicts():
