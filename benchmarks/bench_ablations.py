@@ -40,8 +40,7 @@ def _mon_drop_vs_synmax(spec, seed, warm, meas, data_domain=None,
     return drop, refs
 
 
-def test_ablation_delta_drives_drop(benchmark, config, run_once, strict,
-                                    record):
+def test_ablation_delta_drives_drop(benchmark, config, run_once, strict):
     """Halving/doubling the miss penalty scales the contention drop."""
     spec = config.socket_spec()
 
@@ -56,7 +55,6 @@ def test_ablation_delta_drives_drop(benchmark, config, run_once, strict,
         return out
 
     drops = run_once(benchmark, experiment)
-    record("ablation_delta", {"drops_by_delta_factor": drops})
     print("\nMON drop vs 5 SYN_MAX, by delta factor: " + ", ".join(
         f"x{f}: {100 * d:.1f}%" for f, d in sorted(drops.items())))
     if not strict:
@@ -66,7 +64,7 @@ def test_ablation_delta_drives_drop(benchmark, config, run_once, strict,
 
 
 def test_ablation_mc_service_drives_mc_only_drop(benchmark, config, run_once,
-                                                 strict, record):
+                                                 strict):
     """The MC-only effect (Figure 4(b)) scales with the fill service time."""
     spec = config.spec()
 
@@ -81,7 +79,6 @@ def test_ablation_mc_service_drives_mc_only_drop(benchmark, config, run_once,
         return out
 
     drops = run_once(benchmark, experiment)
-    record("ablation_mc_service", {"drops_by_service_cycles": drops})
     print("\nMON drop under MC-only contention, by service cycles: "
           + ", ".join(f"{s}: {100 * d:.2f}%" for s, d in sorted(drops.items())))
     if not strict:
@@ -92,8 +89,7 @@ def test_ablation_mc_service_drives_mc_only_drop(benchmark, config, run_once,
     assert drops[15.0] < 0.15
 
 
-def test_ablation_scale_preserves_shapes(benchmark, config, run_once, strict,
-                                         record):
+def test_ablation_scale_preserves_shapes(benchmark, config, run_once, strict):
     """The scaled-down platform reproduces the full-er platform's shapes."""
 
     from repro.hw.topology import PlatformSpec
@@ -108,7 +104,6 @@ def test_ablation_scale_preserves_shapes(benchmark, config, run_once, strict,
         return out
 
     drops = run_once(benchmark, experiment)
-    record("ablation_scale", {"drops_by_scale": drops})
     print("\nMON drop vs 5 SYN_MAX by platform scale: " + ", ".join(
         f"1/{s}: {100 * d:.1f}%" for s, d in sorted(drops.items())))
     if not strict:
@@ -119,8 +114,7 @@ def test_ablation_scale_preserves_shapes(benchmark, config, run_once, strict,
 
 
 def test_ablation_syn_array_size_sets_aggressiveness(benchmark, config,
-                                                     run_once, strict,
-                                                     record):
+                                                     run_once, strict):
     """Bigger SYN arrays are more evicting per reference (fewer refs/sec,
     similar-or-more damage) — the calibration dial behind SYN-equivalence."""
     spec = config.socket_spec()
@@ -135,10 +129,6 @@ def test_ablation_syn_array_size_sets_aggressiveness(benchmark, config,
         return out
 
     results = run_once(benchmark, experiment)
-    record("ablation_syn_array", {
-        "by_l3_fraction": {f: {"drop": d, "refs_per_sec": r}
-                           for f, (d, r) in results.items()},
-    })
     print("\nSYN array ablation (fraction of L3 -> drop @ refs/s):")
     for fraction, (drop, refs) in sorted(results.items()):
         print(f"  {fraction:4.1f} x L3: drop {100 * drop:5.1f}% at "

@@ -17,24 +17,10 @@ BENCH_COMBOS = {
 }
 
 
-def test_fig10_scheduling_benefit(benchmark, config, run_once, strict,
-                                  record):
+def test_fig10_scheduling_benefit(benchmark, config, run_once, strict):
     result = run_once(
         benchmark, lambda: fig10.run(config, combinations=BENCH_COMBOS)
     )
-    record("fig10", {
-        "gains": {name: result.gain(name) for name in result.studies},
-        "max_realistic_gain": result.max_realistic_gain(),
-        "studies": {
-            name: {
-                "best_split": [list(g) for g in study.best.split],
-                "best_average_drop": study.best.average_drop,
-                "worst_split": [list(g) for g in study.worst.split],
-                "worst_average_drop": study.worst.average_drop,
-            }
-            for name, study in result.studies.items()
-        },
-    })
     print()
     print(result.render())
     print(f"\nmax realistic gain: {100 * result.max_realistic_gain():.2f}pp; "

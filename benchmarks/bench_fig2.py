@@ -11,16 +11,8 @@ from repro.experiments import fig2
 from repro.experiments.fig2 import PAPER_FIG2B
 
 
-def test_fig2_pairwise_drops(benchmark, config, runner, run_once, strict,
-                             record):
+def test_fig2_pairwise_drops(benchmark, config, runner, run_once, strict):
     result = run_once(benchmark, lambda: fig2.run(config, runner=runner))
-    record("fig2", {
-        "drops": result.drops,
-        "averages": result.averages(),
-        "max_drop": result.max_drop(),
-        "most_sensitive": result.most_sensitive(),
-        "most_aggressive": result.most_aggressive(),
-    })
     print()
     print(result.render())
     print("\npaper Figure 2(b) averages: " + ", ".join(

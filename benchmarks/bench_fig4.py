@@ -14,19 +14,12 @@ BENCH_LEVELS = (720, 160, 60, 0)
 
 
 def test_fig4_contended_resources(benchmark, config, profiles, run_once,
-                                  strict, record):
+                                  strict):
     result = run_once(
         benchmark,
         lambda: fig4.run(config, cpu_ops_levels=BENCH_LEVELS,
                          profiles=profiles),
     )
-    record("fig4", {
-        "series": result.series,
-        "max_drops": {
-            f"{conf}/{app}": result.max_drop(conf, app)
-            for conf, app in result.series
-        },
-    })
     print()
     print(result.render())
 

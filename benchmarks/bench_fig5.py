@@ -11,14 +11,8 @@ per reference than SYN, so their points sit somewhat below the curve).
 from repro.experiments import fig5
 
 
-def test_fig5_syn_equivalence(benchmark, config, runner, run_once, strict,
-                              record):
+def test_fig5_syn_equivalence(benchmark, config, runner, run_once, strict):
     result = run_once(benchmark, lambda: fig5.run(config, runner=runner))
-    record("fig5", {
-        "curves": {t: c.points for t, c in result.curves.items()},
-        "realistic_points": result.realistic_points,
-        "deviations": {t: result.deviation(t) for t in result.curves},
-    })
     print()
     print(result.render())
 

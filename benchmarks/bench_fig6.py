@@ -12,12 +12,8 @@ from repro.experiments import fig6
 
 
 def test_fig6_worst_case_bound(benchmark, config, runner, profiles,
-                               fig2_result, run_once, strict, record):
+                               fig2_result, run_once, strict):
     result = run_once(benchmark, lambda: fig6.run(config, runner=runner))
-    record("fig6", {
-        "curves": result.curves,
-        "app_points": result.app_points,
-    })
     print()
     print(result.render())
 

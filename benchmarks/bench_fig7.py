@@ -11,14 +11,8 @@ levels), and the per-packet bookkeeping (``check_ip_header``,
 from repro.experiments import fig7
 
 
-def test_fig7_conversion_rates(benchmark, config, run_once, strict, record):
+def test_fig7_conversion_rates(benchmark, config, run_once, strict):
     result = run_once(benchmark, lambda: fig7.run(config))
-    record("fig7", {
-        "working_set_lines": result.working_set_lines,
-        "measured": result.measured,
-        "model": result.model,
-        "per_function": result.per_function,
-    })
     print()
     print(result.render())
 

@@ -13,17 +13,8 @@ from repro.experiments import fig8
 
 
 def test_fig8_prediction_errors(benchmark, fig2_result, predictor,
-                                run_once, strict, record):
+                                run_once, strict):
     result = run_once(benchmark, lambda: fig8.run(fig2_result, predictor))
-    record("fig8", {
-        "entries": result.entries,
-        "average_abs_error": {t: result.average_abs_error(t)
-                              for t in result.apps},
-        "average_abs_error_perfect": {
-            t: result.average_abs_error(t, perfect=True)
-            for t in result.apps},
-        "worst_abs_error": result.worst_abs_error(),
-    })
     print()
     print(result.render())
 

@@ -9,13 +9,8 @@ from repro.experiments import fig9
 
 
 def test_fig9_mixed_workload(benchmark, config, runner, run_once,
-                             strict, record):
+                             strict):
     result = run_once(benchmark, lambda: fig9.run(config, runner=runner))
-    record("fig9", {
-        "rows": result.rows,
-        "mean_abs_error": result.mean_abs_error(),
-        "max_abs_error": result.max_abs_error(),
-    })
     print()
     print(result.render())
     print(f"\nmean |error| {100 * result.mean_abs_error():.2f}pp, "

@@ -11,13 +11,12 @@ from repro.experiments import limits
 
 
 def test_limits_small_working_sets(benchmark, config, profiles, curves,
-                                   run_once, strict, record):
+                                   run_once, strict):
     result = run_once(
         benchmark,
         lambda: limits.run(config, solo=profiles["MON"],
                            curve=curves["MON"]),
     )
-    record("limits", {"target": result.target, "rows": result.rows})
     print()
     print(result.render())
 

@@ -10,14 +10,8 @@ such loss.
 from repro.experiments import multiflow
 
 
-def test_multiflow_l1l2_interference(benchmark, config, run_once, strict,
-                                     record):
+def test_multiflow_l1l2_interference(benchmark, config, run_once, strict):
     result = run_once(benchmark, lambda: multiflow.run(config))
-    record("multiflow", {
-        "rows": result.rows,
-        "shortfalls": {label: result.shortfall(label)
-                       for label, _, _ in result.rows},
-    })
     print()
     print(result.render())
 

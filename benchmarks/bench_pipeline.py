@@ -10,24 +10,11 @@ L3 but jointly thrash one) is the exception where the pipeline wins.
 from repro.experiments import pipeline_vs_parallel
 
 
-def test_pipeline_vs_parallel(benchmark, config, run_once, strict, record):
+def test_pipeline_vs_parallel(benchmark, config, run_once, strict):
     result = run_once(
         benchmark,
         lambda: pipeline_vs_parallel.run(config.quicker(2)),
     )
-    record("pipeline", {
-        "comparisons": [
-            {
-                "workload": c.workload,
-                "n_stages": c.n_stages,
-                "parallel_pps": c.parallel_pps,
-                "pipeline_pps": c.pipeline_pps,
-                "per_core_ratio": c.per_core_ratio,
-                "extra_refs_per_packet": c.extra_refs_per_packet,
-            }
-            for c in result.comparisons
-        ],
-    })
     print()
     print(result.render())
 

@@ -183,7 +183,7 @@ def test_firewall_scan_throughput(benchmark):
     assert passed >= 250  # rules are unmatchable by construction
 
 
-def test_engine_event_rate(benchmark, record):
+def test_engine_event_rate(benchmark):
     """End-to-end engine throughput: one IP flow, reported as time/run."""
     spec = PlatformSpec.westmere().scaled(32).single_socket()
 
@@ -193,10 +193,6 @@ def test_engine_event_rate(benchmark, record):
         return machine.run(warmup_packets=500, measure_packets=1500)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    record("substrate_engine", {
-        "events": result.events,
-        "throughput_pps": result["IP"].packets_per_sec,
-    })
     print(f"\nengine processed {result.events:,} memory references")
     assert result.events > 10_000
 

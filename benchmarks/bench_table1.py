@@ -11,11 +11,10 @@ from repro.experiments import table1
 from repro.experiments.table1 import PAPER_TABLE1
 
 
-def test_table1(benchmark, config, runner, run_once, strict, record):
+def test_table1(benchmark, config, runner, run_once, strict):
     # Later benchmarks (Figures 2, 5, 8, ...) reuse these solo profiles
     # through the session runner's cache.
     result = run_once(benchmark, lambda: table1.run(config, runner=runner))
-    record("table1", {"profiles": result.profiles})
     print()
     print(result.render())
     print("\npaper Table 1 (for comparison):")

@@ -33,7 +33,7 @@ def _neighbour_refs(result):
 
 
 def test_throttling_contains_two_faced_flow(benchmark, config, run_once,
-                                            strict, record):
+                                            strict):
     spec = config.socket_spec()
 
     def experiment():
@@ -66,14 +66,6 @@ def test_throttling_contains_two_faced_flow(benchmark, config, run_once,
     base = innocent["victim"].packets_per_sec
     attack_drop = performance_drop(base, attack["victim"].packets_per_sec)
     defended_drop = performance_drop(base, defended["victim"].packets_per_sec)
-    record("throttle", {
-        "profiled_refs_per_sec": profiled,
-        "victim_solo_pps": base,
-        "attack_drop": attack_drop,
-        "defended_drop": defended_drop,
-        "attack_neighbour_refs_per_sec": _neighbour_refs(attack),
-        "defended_neighbour_refs_per_sec": _neighbour_refs(defended),
-    })
     print(f"\nprofiled per-neighbour rate: {profiled / 1e6:.1f}M refs/s")
     print(f"attack neighbours:   {_neighbour_refs(attack) / 1e6:.1f}M refs/s "
           f"-> victim drop {attack_drop:.1%}")

@@ -10,8 +10,8 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE`` — platform scale-down factor (default 8).
 * ``REPRO_BENCH_FAST=1`` — quarter the packet counts (quick smoke pass).
-* ``REPRO_BENCH_OUT`` — directory for ``BENCH_<name>.json`` records
-  (default ``bench_reports/``).
+
+Timings come from pytest-benchmark itself (``--benchmark-json PATH``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core.prediction import ContentionPredictor
 from repro.core.profiler import profile_apps
 from repro.experiments import fig2, fig5
 from repro.experiments.common import ExperimentConfig
-from repro.obs.recorder import BenchRecorder
 from repro.sweep import MemoryCache, SweepOptions, SweepRunner
 
 
@@ -100,31 +99,6 @@ def strict() -> bool:
     reported but not enforced.
     """
     return not os.environ.get("REPRO_BENCH_FAST")
-
-
-@pytest.fixture(scope="session")
-def recorder(config) -> BenchRecorder:
-    """Session-wide writer of machine-readable ``BENCH_<name>.json`` files."""
-    out_dir = os.environ.get("REPRO_BENCH_OUT", "bench_reports")
-    return BenchRecorder(out_dir, config=config)
-
-
-@pytest.fixture
-def record(recorder, request):
-    """Write one benchmark's result payload as ``BENCH_<name>.json``.
-
-    Usage inside a benchmark: ``record("fig2", {"drops": ...})``. The
-    pytest-benchmark fixture is picked up from the requesting test (when
-    present) so wall-clock timing rides along in the record.
-    """
-
-    def _record(name, data):
-        benchmark = None
-        if "benchmark" in request.fixturenames:
-            benchmark = request.getfixturevalue("benchmark")
-        return recorder.record(name, data, benchmark=benchmark)
-
-    return _record
 
 
 @pytest.fixture

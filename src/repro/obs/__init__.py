@@ -14,9 +14,9 @@ Three layers, wired through the whole stack:
   machine's observers, next to the invariant checker and the SLO guard;
   the driver keeps separate deadlines for each, so a sampler's interval
   never shifts another observer's windows.
-* **Run reports** (:mod:`.report`, :mod:`.recorder`) — a serializable
-  :class:`RunReport` schema used by the CLIs (``--json``) and the
-  ``BENCH_<name>.json`` benchmark records.
+* **Run reports** (:mod:`.report`) — a serializable :class:`RunReport`
+  schema used by the CLIs (``--json``) and the committed golden figure
+  reports.
 
 Use :func:`observe` to enable observability across code that builds
 machines internally (profilers, sweeps, studies), or pass ``tracer=`` /
@@ -44,10 +44,10 @@ from .report import (
     RunReport,
     SCHEMA,
     flow_stats_dict,
+    jsonable,
     platform_dict,
     validate_report,
 )
-from .recorder import BenchRecorder, load_record
 from .session import ObsSession, current_session, observe
 
 __all__ = [
@@ -73,10 +73,9 @@ __all__ = [
     "RunReport",
     "SCHEMA",
     "flow_stats_dict",
+    "jsonable",
     "platform_dict",
     "validate_report",
-    "BenchRecorder",
-    "load_record",
     "ObsSession",
     "current_session",
     "observe",

@@ -6,9 +6,10 @@ what simulated hardware (the full calibration-constant set of the
 :class:`~repro.hw.topology.PlatformSpec`), what came out (per-flow
 statistics, kind-specific results), and — when metrics sampling was on —
 the per-flow time series. Reports serialize to JSON (``to_json`` /
-``write``) and CSV (``flows_csv`` / ``timeseries_csv``); the
-``benchmarks/record.py`` harness wraps them into ``BENCH_<name>.json``
-files so the repository accumulates a performance trajectory across PRs.
+``write``) and CSV (``flows_csv`` / ``timeseries_csv``). :func:`jsonable`
+coerces experiment result objects into the plain data a report's
+``results`` holds; the golden reports in ``tests/golden/`` are built
+with it.
 
 The module is deliberately free of imports from :mod:`repro.hw` /
 :mod:`repro.click`: everything is duck-typed, which keeps the
@@ -47,6 +48,40 @@ FLOW_STAT_FIELDS = (
     "l3_hit_rate", "l3_refs_per_packet", "l3_misses_per_packet",
     "l2_hits_per_packet",
 )
+
+
+def jsonable(value: Any) -> Any:
+    """Coerce result values into JSON-serializable shapes.
+
+    Experiments hand over whatever their result objects hold: tuples,
+    tuple-keyed dicts (e.g. the Figure 2 matrix), dataclasses (solo
+    profiles), numpy scalars. Keys become strings; sequences become
+    lists; unknown objects fall back to ``repr``.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {
+            ("/".join(map(str, k)) if isinstance(k, tuple) else str(k)):
+                jsonable(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (str, bool)) or value is None:
+        return value
+    if isinstance(value, (int, float)):
+        return value
+    item = getattr(value, "item", None)  # numpy scalars
+    if callable(item):
+        try:
+            return item()
+        except (TypeError, ValueError):
+            pass
+    return repr(value)
 
 
 def platform_dict(spec) -> Dict[str, Any]:

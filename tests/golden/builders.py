@@ -8,9 +8,9 @@ with::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-The builders resolve every figure on one cached sweep runner, exactly the
-way ``benchmarks/record.py`` shares prerequisites, so a regen costs a few
-seconds, not a full paper reproduction.
+The builders resolve every figure on one cached sweep runner, so the
+figures share their prerequisite shards (solo profiles, co-runs, SYN
+curves) and a regen costs a few seconds, not a full paper reproduction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict
 from repro.core.prediction import ContentionPredictor
 from repro.experiments import fig2, fig5, fig6, fig8, fig9, multiflow, table1
 from repro.experiments.common import ExperimentConfig
-from repro.obs.recorder import _jsonable
+from repro.obs.report import jsonable
 from repro.obs.report import RunReport
 from repro.sweep import MemoryCache, SweepOptions, SweepRunner
 
@@ -49,7 +49,7 @@ def _report(kind: str, results: dict, spec=None) -> RunReport:
     report = RunReport.new(kind, spec=spec or GOLDEN_CONFIG.socket_spec(),
                            config=GOLDEN_CONFIG,
                            command="tests/golden/regen.py")
-    report.results.update(_jsonable(results))
+    report.results.update(jsonable(results))
     return report
 
 

@@ -8,7 +8,9 @@ fails here and forces a deliberate regen (``tests/golden/regen.py``)
 whose diff is reviewed like any other code change.
 
 Both engines share one execution driver and are held to the same
-goldens: each must land on the byte-identical committed reports.
+goldens: each must land on the byte-identical committed reports. The
+batch engine is held to them twice: on a cold stream cache, and again
+replaying every stream from the cache the cold build filled.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ def fresh_reports_batch():
     fastpath.clear_stream_cache()
     with fastpath.use_engine("batch"):
         return builders.build_reports()
+
+
+@pytest.fixture(scope="module")
+def fresh_reports_batch_warm(fresh_reports_batch):
+    """The batch build again, on the stream cache the cold build filled:
+    (reports, stream-cache hits and misses during this build)."""
+    before = fastpath.stream_cache_stats()
+    with fastpath.use_engine("batch"):
+        reports = builders.build_reports()
+    after = fastpath.stream_cache_stats()
+    return reports, {key: after[key] - before[key]
+                     for key in ("hits", "misses")}
 
 
 def test_goldens_exist_and_parse():
@@ -74,3 +88,16 @@ def test_batch_engine_matches_goldens(name, fresh_reports_batch):
     assert builders.normalize(fresh_reports_batch[name]) == \
         builders.normalize(committed), (
         f"{name}: batch engine diverged from the scalar-produced golden")
+
+
+@pytest.mark.parametrize("name", builders.GOLDEN_NAMES)
+def test_batch_warm_engine_matches_goldens(name, fresh_reports_batch_warm):
+    reports, delta = fresh_reports_batch_warm
+    assert delta["misses"] == 0 and delta["hits"] > 0, (
+        f"warm build did not replay from the stream cache: {delta}")
+    with open(golden_path(name)) as fh:
+        committed = fh.read()
+    assert builders.normalize(reports[name]) == \
+        builders.normalize(committed), (
+        f"{name}: batch engine on a warm stream cache diverged from the "
+        f"scalar-produced golden")

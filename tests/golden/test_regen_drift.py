@@ -2,8 +2,9 @@
 
 ``tests/golden/regen.py --out DIR`` writes fresh golden reports into a
 scratch directory; every file must be byte-identical to its committed
-counterpart. This guards the *tooling* as well as the model: a regen
-script that drifted from the builders (different serialization, missing
+counterpart. Both tests read one regen output, built once per module.
+This guards the *tooling* as well as the model: a regen script that
+drifted from the builders (different serialization, missing
 figure, stale path) would silently break the "regen and review the diff"
 workflow the goldens depend on.
 """
@@ -12,15 +13,22 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from . import regen
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def test_regen_reproduces_committed_goldens_byte_for_byte(tmp_path):
-    written = regen.regen(str(tmp_path), quiet=True)
-    assert written, "regen produced no reports"
-    for fresh_path in written:
+@pytest.fixture(scope="module")
+def regen_written(tmp_path_factory):
+    """One regen run into a scratch directory: the paths it wrote."""
+    return regen.regen(str(tmp_path_factory.mktemp("regen")), quiet=True)
+
+
+def test_regen_reproduces_committed_goldens_byte_for_byte(regen_written):
+    assert regen_written, "regen produced no reports"
+    for fresh_path in regen_written:
         name = os.path.basename(fresh_path)
         committed_path = os.path.join(GOLDEN_DIR, name)
         assert os.path.exists(committed_path), (
@@ -35,9 +43,8 @@ def test_regen_reproduces_committed_goldens_byte_for_byte(tmp_path):
             f"golden ({len(fresh)} vs {len(committed)} bytes)")
 
 
-def test_regen_covers_every_committed_golden(tmp_path):
-    written = {os.path.basename(p) for p in regen.regen(str(tmp_path),
-                                                        quiet=True)}
+def test_regen_covers_every_committed_golden(regen_written):
+    written = {os.path.basename(p) for p in regen_written}
     committed = {name for name in os.listdir(GOLDEN_DIR)
                  if name.startswith("golden_") and name.endswith(".json")}
     assert committed <= written, (

@@ -18,9 +18,9 @@ import os
 
 import pytest
 
-from repro.experiments import fig2, fig6, multiflow
+from repro.experiments import fig2, fig6, multiflow, table1
 from repro.experiments.common import ExperimentConfig
-from repro.obs.recorder import _jsonable
+from repro.obs.report import jsonable
 from repro.sweep import MemoryCache, SweepOptions, SweepRunner
 
 pytestmark = pytest.mark.sweep
@@ -36,11 +36,13 @@ ENGINES = ("scalar", "batch")
 
 def canon(obj) -> str:
     """Byte-exact serialized form used for equality (sorted, lossless)."""
-    return json.dumps(_jsonable(obj), sort_keys=True, default=str)
+    return json.dumps(jsonable(obj), sort_keys=True, default=str)
 
 
 def figure(name: str, engine: str, jobs: int, cache=None):
     runner = SweepRunner(SweepOptions(jobs=jobs, engine=engine, cache=cache))
+    if name == "table1":
+        return table1.run(CONFIG, apps=APPS, runner=runner)
     if name == "fig2":
         return fig2.run(CONFIG, apps=APPS, runner=runner)
     if name == "fig6":
@@ -51,7 +53,7 @@ def figure(name: str, engine: str, jobs: int, cache=None):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("name", ("fig2", "fig6", "multiflow"))
+@pytest.mark.parametrize("name", ("table1", "fig2", "fig6", "multiflow"))
 def test_jobs4_matches_serial(name, engine):
     serial = canon(figure(name, engine, jobs=1))
     parallel = canon(figure(name, engine, jobs=4))
@@ -79,8 +81,8 @@ def test_jobs1_sharded_matches_serial():
                            "golden_fig6.json")) as fh:
         golden = json.load(fh)["results"]
     result = fig6.run(builders.GOLDEN_CONFIG, apps=builders.GOLDEN_APPS)
-    assert _jsonable(result.app_points) == golden["app_points"]
-    assert _jsonable(result.curves) == golden["curves"]
+    assert jsonable(result.app_points) == golden["app_points"]
+    assert jsonable(result.curves) == golden["curves"]
 
 
 def _sweep_report(extra_args) -> dict:
