@@ -1,0 +1,5 @@
+"""``python -m repro <sub>`` — the ``repro`` command."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,20 +1,25 @@
-"""Argparse value parsers shared by every command-line tool.
+"""Argparse value parsers shared by every ``repro`` subcommand.
 
 Each raises :class:`argparse.ArgumentTypeError` on a bad value, so the
-tool exits with status 2 and a usage message instead of a traceback.
+command exits with status 2 and a usage message instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 
 
-def _parse(cast, text: str, what: str):
+def _parse(cast, text: str, what: str, ok=lambda value: True,
+           bound: str = ""):
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid {what} {text!r}") from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {bound}")
+    return value
 
 
 def seed(text: str) -> int:
@@ -23,24 +28,15 @@ def seed(text: str) -> int:
 
 
 def positive_int(text: str) -> int:
-    value = _parse(int, text, "integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+    return _parse(int, text, "integer", lambda v: v >= 1, ">= 1")
 
 
 def non_negative_int(text: str) -> int:
-    value = _parse(int, text, "integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return _parse(int, text, "integer", lambda v: v >= 0, ">= 0")
 
 
 def positive_float(text: str) -> float:
-    value = _parse(float, text, "number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
+    return _parse(float, text, "number", lambda v: v > 0, "> 0")
 
 
 def scale(text: str) -> int:
@@ -53,3 +49,13 @@ def scale(text: str) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def output_path(text: str) -> str:
+    """A file path the command can write, checked without creating it,
+    so that a bad path fails before the run rather than after it."""
+    folder = os.path.dirname(text) or "."
+    if (os.path.isdir(text) or not os.access(folder, os.W_OK)
+            or os.path.exists(text) and not os.access(text, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write {text}")
+    return text

@@ -11,7 +11,7 @@ The package has four layers:
   failures to minimal reproductions, serialized into the content-
   addressed regression corpus under ``tests/corpus/``;
 * :mod:`~repro.check.runner` / :mod:`~repro.check.cli` — the fuzzing
-  loop and the ``repro-check`` command.
+  loop and the ``repro check`` subcommand.
 
 :mod:`~repro.check.faults` injects deliberate bugs to prove the checks
 actually fire.

@@ -99,14 +99,12 @@ class InvariantChecker:
     """
 
     def __init__(self, interval_cycles: float = DEFAULT_PROBE_INTERVAL,
-                 strict: bool = False, rel_tol: float = REL_TOL,
-                 check_occupancy: bool = True):
+                 strict: bool = False, rel_tol: float = REL_TOL):
         if interval_cycles <= 0:
             raise ValueError("probe interval must be positive")
         self.interval_cycles = float(interval_cycles)
         self.strict = strict
         self.rel_tol = rel_tol
-        self.check_occupancy = check_occupancy
         self.violations: List[Violation] = []
         #: Free-form label prefixed to ``where`` (e.g. the engine name).
         self.context: str = ""
@@ -178,15 +176,14 @@ class InvariantChecker:
 
         self._check_clock_accounting(machine.spec, clock, counters, label,
                                      phase="window")
-        if self.check_occupancy:
-            for cache in machine.l3:
-                occ = cache.occupancy()
-                if occ > cache.capacity_lines:
-                    self._report(
-                        "l3-capacity", cache.name,
-                        f"occupancy {occ} exceeds capacity "
-                        f"{cache.capacity_lines} lines",
-                        phase="window", clock=clock)
+        for cache in machine.l3:
+            occ = cache.occupancy()
+            if occ > cache.capacity_lines:
+                self._report(
+                    "l3-capacity", cache.name,
+                    f"occupancy {occ} exceeds capacity "
+                    f"{cache.capacity_lines} lines",
+                    phase="window", clock=clock)
 
     # -- per-flow checks ----------------------------------------------------
 
@@ -479,8 +476,7 @@ class InvariantChecker:
                         f"{max_refs_per_sec:.4g}")
 
         self.check_caches(machine)
-        if self.check_occupancy:
-            self.check_occupancy_partition(machine)
+        self.check_occupancy_partition(machine)
 
     def after_run(self, machine, result) -> None:
         """Engine hook: run the full audit; raise when strict."""

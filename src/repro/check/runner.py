@@ -66,9 +66,6 @@ class CheckOptions:
     #: Cross-check the first N scenarios through the sharded sweep
     #: orchestrator (serial vs ``jobs=2`` payload equality).
     sweep_equality: int = 0
-    #: Verify the L3 occupancy partition during windowed probes
-    #: (O(cache lines) per probe; disable for very large sweeps).
-    check_occupancy: bool = True
     #: Stop after the first failing scenario.
     fail_fast: bool = False
 
@@ -156,7 +153,6 @@ class CheckResult:
 
 def run_config(config: ScenarioConfig, engines: Sequence[str],
                probe_interval: float = DEFAULT_PROBE_INTERVAL,
-               check_occupancy: bool = True,
                tally: Optional[Dict[str, int]] = None) -> List[str]:
     """Run one configuration under the invariant checks; all violations.
 
@@ -168,8 +164,7 @@ def run_config(config: ScenarioConfig, engines: Sequence[str],
     violations: List[str] = []
     runs: Dict[str, Tuple[Any, Any]] = {}
     for engine in engines:
-        checker = InvariantChecker(interval_cycles=probe_interval,
-                                   check_occupancy=check_occupancy)
+        checker = InvariantChecker(interval_cycles=probe_interval)
         checker.context = f"{config.name or 'scenario'}/{engine}"
         try:
             machine, result = config.run(engine=engine, checker=checker)
@@ -281,8 +276,7 @@ class CheckRunner:
         opts = self.options
         with self._fault_context():
             return bool(run_config(config, opts.engines,
-                                   probe_interval=opts.probe_interval,
-                                   check_occupancy=opts.check_occupancy))
+                                   probe_interval=opts.probe_interval))
 
     def check_one(self, config: ScenarioConfig, index: int = 0,
                   tally: Optional[Dict[str, int]] = None) -> ScenarioOutcome:
@@ -292,8 +286,7 @@ class CheckRunner:
         with self._fault_context():
             violations = run_config(
                 config, opts.engines,
-                probe_interval=opts.probe_interval,
-                check_occupancy=opts.check_occupancy, tally=tally)
+                probe_interval=opts.probe_interval, tally=tally)
             if index < opts.sweep_equality:
                 violations.extend(sweep_equality_check(config))
         outcome = ScenarioOutcome(config=config, violations=violations,

@@ -1,40 +1,29 @@
-"""Command-line tools.
+"""The ``repro`` command: ``repro <sub>`` or ``python -m repro <sub>``.
 
-* ``repro-profile`` — solo-profile flow types (Table 1 rows).
-* ``repro-predict`` — build the predictor and predict a deployment's
-  per-flow drops (optionally validating against a simulation).
-* ``repro-schedule`` — best/worst placement study for a flow combination.
-* ``repro-sweep`` — sensitivity curve of one flow type vs. SYN competitors,
-  with an ASCII rendering of the curve.
+``profile`` solo-profiles flow types (Table 1 rows); ``sweep`` prints a
+flow type's sensitivity curve against SYN competitors; ``predict``
+predicts a deployment's per-flow drops (``--validate`` also simulates
+it); ``schedule`` runs the best/worst placement study; ``check`` fuzzes
+scenarios through the invariant suite (:mod:`repro.check.cli`);
+``guard`` runs the online SLO guard (:mod:`repro.guard.cli`).
 
-Every tool supports the observability flags: ``--json`` emits a
-machine-readable :class:`~repro.obs.RunReport` instead of ASCII tables,
-``--trace PATH`` writes a Chrome ``trace_event`` file of every simulated
-run (open in ``about:tracing`` or Perfetto), and ``--metrics-interval US``
-samples per-flow counter time series every US simulated microseconds
-(embedded in the JSON report). ``--engine {scalar,batch}`` selects the
-execution engine — results are identical, the batch engine is faster on
-sweeps (see :mod:`repro.fastpath`).
-
-Every tool resolves its independent simulations (solo profiles,
-sensitivity-sweep levels, placement co-runs) as one :mod:`repro.sweep`
-grid: inline by default, on N worker processes with ``--jobs N`` —
-results are bit-identical either way. ``--jobs N`` (N > 1) or
-``--cache-dir`` also caches shard results (default directory
-``~/.cache/repro-sweep``, keyed by config + seed + engine + code
-version; ``--no-cache`` disables), and the JSON report then records the
-cache/quarantine counters under its volatile ``execution`` key.
+Each flag is defined once, in a parent parser that every subcommand
+taking it composes; :func:`main` is the tail they share. Results are
+identical on either ``--engine`` and any ``--jobs``: the analysis
+subcommands resolve their simulations as :mod:`repro.sweep` grids.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from contextlib import contextmanager
 from typing import List, Optional
 
 from . import argtypes
 from .apps.registry import APP_NAMES, REALISTIC_APPS, describe_apps
+from .check import cli as check_cli
+from .constants import DEFAULT_SEED
 from .core.asciiplot import plot_curve
 from .core.prediction import ContentionPredictor, sweep_sensitivity
 from .core.profiler import profile_apps
@@ -42,25 +31,51 @@ from .core.reporting import format_table, pct
 from .core.scheduling import PlacementStudy
 from .core.validation import run_corun
 from .experiments.common import ExperimentConfig
+from .guard import cli as guard_cli
 from .hw.counters import performance_drop
 from .obs import ChromeTraceSink, RunReport, Tracer, observe
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=argtypes.scale, default=8,
-                        help="platform scale-down factor (default 8)")
-    parser.add_argument("--seed", type=argtypes.seed, default=0x5EED,
-                        help="seed, decimal or 0x-hex (default 0x5EED)")
-    parser.add_argument("--warmup", type=argtypes.non_negative_int,
-                        default=5000, help="warm-up packets per flow")
-    parser.add_argument("--measure", type=argtypes.positive_int,
-                        default=1500, help="measured packets per flow")
+# -- the shared flags: one parent parser per group -------------------------
+# Each call builds fresh actions, so one subcommand's ``set_defaults``
+# cannot leak into another's.
+
+def _common_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--seed", type=argtypes.seed, default=DEFAULT_SEED,
+                        metavar="S", help="seed, decimal or 0x-hex")
+    parser.add_argument("--engine", choices=("scalar", "batch", "both"),
+                        default="scalar",
+                        help="execution engine: 'scalar' (reference event "
+                             "loop) or 'batch' (pregenerating engine, "
+                             "identical results, faster); 'both' (check, "
+                             "guard --fuzz) runs each scenario on both and "
+                             "cross-checks the results")
     parser.add_argument("--json", action="store_true",
-                        help="emit a RunReport JSON document instead of "
-                             "ASCII tables")
-    parser.add_argument("--trace", metavar="PATH", default=None,
+                        help="print the run report JSON to stdout instead "
+                             "of text")
+    return parser
+
+
+def _run_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--scale", type=argtypes.scale, default=8,
+                        metavar="F", help="platform scale-down factor")
+    parser.add_argument("--warmup", type=argtypes.non_negative_int,
+                        default=5000, metavar="N",
+                        help="warm-up packets per flow")
+    parser.add_argument("--measure", type=argtypes.positive_int,
+                        default=1500, metavar="N",
+                        help="measured packets per flow")
+    parser.add_argument("--trace", type=argtypes.output_path,
+                        metavar="PATH",
                         help="write a Chrome trace_event file of the "
                              "simulated runs to PATH")
+    return parser
+
+
+def _analysis_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--trace-sample", type=argtypes.positive_int,
                         default=1, metavar="N",
                         help="keep one traced packet in N "
@@ -69,11 +84,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         metavar="US", help="sample per-flow counter time "
                         "series every US simulated microseconds")
-    parser.add_argument("--engine", choices=("scalar", "batch"),
-                        default="scalar",
-                        help="execution engine: 'scalar' (reference event "
-                             "loop) or 'batch' (pregenerating engine, "
-                             "identical results, faster)")
     parser.add_argument("--jobs", type=argtypes.positive_int, default=1,
                         metavar="N",
                         help="run independent simulations as N parallel "
@@ -86,11 +96,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "seed, engine, and code version)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the sweep result cache")
+    return parser
 
+
+def _output_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--report", type=argtypes.output_path,
+                        metavar="PATH",
+                        help="write the run report JSON to PATH")
+    parser.add_argument("-q", "--quiet", action="store_true",
+                        help="suppress per-failure and per-event progress "
+                             "lines")
+    return parser
+
+
+# -- the analysis subcommands ---------------------------------------------
 
 def _sweeping(args) -> bool:
-    """Whether the run asked for the pool or a cache (``--jobs > 1`` or
-    ``--cache-dir``); only then does the report carry ``execution``."""
+    """Whether the report carries ``execution`` (a pool or a cache)."""
     return args.jobs > 1 or args.cache_dir is not None
 
 
@@ -107,51 +130,36 @@ def _sweep_runner(args):
                                     cache=cache))
 
 
-def _config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        scale=args.scale, seed=args.seed,
-        solo_warmup=args.warmup, solo_measure=args.measure,
-        corun_warmup=args.warmup, corun_measure=args.measure,
-    )
+def _analysis(work):
+    """A subcommand handler running ``work(args, config, runner)`` in the
+    analysis session: every Machine built inside inherits the tracer,
+    the metrics sampler and ``--engine``."""
 
-
-def _observe(args, parser: argparse.ArgumentParser):
-    """The obs+engine session for one CLI invocation, from its flags.
-
-    Combines the observability session with the ambient-engine context,
-    so every Machine the tools build internally runs on ``--engine``.
-    """
-    tracer = None
-    if args.trace:
-        try:
-            tracer = Tracer(ChromeTraceSink(args.trace),
-                            packet_sample=args.trace_sample)
-        except OSError as exc:
-            parser.error(f"--trace: cannot write {args.trace}: {exc}")
-
-    @contextmanager
-    def _session():
+    def run(args, tracer):
         from . import fastpath
 
+        runner = _sweep_runner(args)
+        config = ExperimentConfig(
+            scale=args.scale, seed=args.seed,
+            solo_warmup=args.warmup, solo_measure=args.measure,
+            corun_warmup=args.warmup, corun_measure=args.measure)
         with observe(tracer=tracer,
                      metrics_interval_us=args.metrics_interval) as session:
             with fastpath.use_engine(args.engine):
-                yield session
+                report = work(args, config, runner)
+        report.results.setdefault("engine", args.engine)
+        if _sweeping(args) and runner.stats_history:
+            report.execution["sweep"] = runner.execution_stats()
+        if args.metrics_interval is not None:
+            report.timeseries.update(session.timeseries_payload())
+        return 0, report
 
-    return _session()
+    return run
 
 
-def _finish(args, session, report: RunReport, runner) -> None:
-    """Common tail: attach time series, emit JSON, announce the trace."""
-    report.results.setdefault("engine", args.engine)
-    if _sweeping(args) and runner.stats_history:
-        report.execution["sweep"] = runner.execution_stats()
-    if args.metrics_interval is not None:
-        report.timeseries.update(session.timeseries_payload())
-    if args.json:
-        print(report.to_json())
-    if args.trace:
-        print(f"trace written to {args.trace}", file=sys.stderr)
+def _single_engine(args) -> Optional[str]:
+    if args.engine == "both":
+        return "--engine both runs only under check and guard --fuzz"
 
 
 def _parse_flows(flows: List[str]) -> List[str]:
@@ -171,43 +179,17 @@ def _parse_flows(flows: List[str]) -> List[str]:
     return out
 
 
-def profile_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-profile``."""
-    parser = argparse.ArgumentParser(
-        description="Solo-profile packet-processing flow types (Table 1).",
-        epilog="Flow types: " + "; ".join(
-            f"{k}: {v}" for k, v in describe_apps().items()),
-    )
-    parser.add_argument("apps", nargs="*", default=list(REALISTIC_APPS),
-                        help="flow types to profile (default: all realistic)")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    apps = args.apps or list(REALISTIC_APPS)
-    config = _config(args)
+def _profile(args, config, runner) -> RunReport:
     spec = config.socket_spec()
-    runner = _sweep_runner(args)
-    with _observe(args, parser) as session:
-        profiles = profile_apps(apps, spec, seed=config.seed,
-                                warmup_packets=config.solo_warmup,
-                                measure_packets=config.solo_measure,
-                                runner=runner)
-    if args.json:
-        report = RunReport.new("profile", spec=spec, config=config,
-                               command="repro-profile")
-        report.results["profiles"] = {
-            app: {
-                "throughput": p.throughput,
-                "cycles_per_packet": p.cycles_per_packet,
-                "cycles_per_instruction": p.cycles_per_instruction,
-                "l3_refs_per_sec": p.l3_refs_per_sec,
-                "l3_hits_per_sec": p.l3_hits_per_sec,
-                "l3_refs_per_packet": p.l3_refs_per_packet,
-                "l3_misses_per_packet": p.l3_misses_per_packet,
-                "l2_hits_per_packet": p.l2_hits_per_packet,
-            }
-            for app, p in profiles.items()
-        }
-    else:
+    profiles = profile_apps(args.apps, spec, seed=config.seed,
+                            warmup_packets=config.solo_warmup,
+                            measure_packets=config.solo_measure,
+                            runner=runner)
+    report = RunReport.new("profile", spec=spec, config=config)
+    report.results["profiles"] = {
+        app: {k: v for k, v in dataclasses.asdict(p).items() if k != "app"}
+        for app, p in profiles.items()}
+    if not args.json:
         rows = [
             [app, f"{p.throughput:,.0f}", f"{p.cycles_per_packet:.0f}",
              f"{p.cycles_per_instruction:.2f}",
@@ -218,52 +200,35 @@ def profile_main(argv: Optional[List[str]] = None) -> int:
             ["flow", "pkts/sec", "cyc/pkt", "CPI", "L3 refs/s", "L3 hits/s"],
             rows, title=f"Solo profiles (scale 1/{args.scale})",
         ))
-        report = RunReport.new("profile", spec=spec, config=config)
-    _finish(args, session, report, runner)
-    return 0
+    return report
 
 
-def predict_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-predict``."""
-    parser = argparse.ArgumentParser(
-        description="Predict per-flow contention drops for a deployment "
-                    "sharing one socket.",
-    )
-    parser.add_argument("flows", nargs="+",
-                        help="deployment, e.g. MON 2xVPN FW RE (max 6)")
-    parser.add_argument("--validate", action="store_true",
-                        help="also simulate the deployment and report errors")
-    _add_common(parser)
-    args = parser.parse_args(argv)
+def _predict(args, config, runner) -> RunReport:
     flows = _parse_flows(args.flows)
-    config = _config(args)
     spec = config.socket_spec()
     if len(flows) > spec.cores_per_socket:
         raise SystemExit(f"at most {spec.cores_per_socket} flows per socket")
     types = sorted(set(flows))
     print(f"profiling {', '.join(types)} and sweeping sensitivity curves...",
           file=sys.stderr)
-    runner = _sweep_runner(args)
-    with _observe(args, parser) as session:
-        predictor = ContentionPredictor.build(
-            types, spec, seed=config.seed,
-            warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure, runner=runner,
-        )
-        measured = {}
-        corun = None
-        if args.validate:
-            placement = [(app, core) for core, app in enumerate(flows)]
-            corun = run_corun(placement, spec, seed=config.seed,
-                              warmup_packets=config.corun_warmup,
-                              measure_packets=config.corun_measure)
-            for app, core in placement:
-                label = f"{app}@{core}"
-                measured[core] = performance_drop(
-                    predictor.profiles[app].throughput, corun.throughput[label]
-                )
-    report = RunReport.new("predict", spec=spec, config=config,
-                           command="repro-predict")
+    predictor = ContentionPredictor.build(
+        types, spec, seed=config.seed,
+        warmup_packets=config.solo_warmup,
+        measure_packets=config.solo_measure, runner=runner,
+    )
+    measured = {}
+    corun = None
+    if args.validate:
+        placement = [(app, core) for core, app in enumerate(flows)]
+        corun = run_corun(placement, spec, seed=config.seed,
+                          warmup_packets=config.corun_warmup,
+                          measure_packets=config.corun_measure)
+        for app, core in placement:
+            label = f"{app}@{core}"
+            measured[core] = performance_drop(
+                predictor.profiles[app].throughput, corun.throughput[label]
+            )
+    report = RunReport.new("predict", spec=spec, config=config)
     predictions = []
     rows = []
     for core, app in enumerate(flows):
@@ -288,39 +253,25 @@ def predict_main(argv: Optional[List[str]] = None) -> int:
         if args.validate:
             headers.extend(["measured drop", "error"])
         print(format_table(headers, rows, title="Deployment prediction"))
-    _finish(args, session, report, runner)
-    return 0
+    return report
 
 
-def schedule_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-schedule``."""
-    parser = argparse.ArgumentParser(
-        description="Best/worst flow-to-core placement for a 12-flow "
-                    "combination (Section 5 study).",
-    )
-    parser.add_argument("flows", nargs="+",
-                        help="12 flows, e.g. 6xMON 6xFW")
-    _add_common(parser)
-    args = parser.parse_args(argv)
+def _schedule(args, config, runner) -> RunReport:
     flows = _parse_flows(args.flows)
-    config = _config(args)
     spec = config.spec()
     if len(flows) != spec.total_cores:
         raise SystemExit(f"need exactly {spec.total_cores} flows")
     types = sorted(set(flows))
     print(f"profiling {', '.join(types)}...", file=sys.stderr)
-    runner = _sweep_runner(args)
-    with _observe(args, parser) as session:
-        profiles = profile_apps(types, spec, seed=config.seed,
-                                warmup_packets=config.solo_warmup,
-                                measure_packets=config.solo_measure,
-                                runner=runner)
-        study = PlacementStudy(spec, profiles, seed=config.seed,
-                               warmup_packets=config.corun_warmup,
-                               measure_packets=config.corun_measure)
-        result = study.run(flows, method="simulate", runner=runner)
-    report = RunReport.new("schedule", spec=spec, config=config,
-                           command="repro-schedule")
+    profiles = profile_apps(types, spec, seed=config.seed,
+                            warmup_packets=config.solo_warmup,
+                            measure_packets=config.solo_measure,
+                            runner=runner)
+    study = PlacementStudy(spec, profiles, seed=config.seed,
+                           warmup_packets=config.corun_warmup,
+                           measure_packets=config.corun_measure)
+    result = study.run(flows, method="simulate", runner=runner)
+    report = RunReport.new("schedule", spec=spec, config=config)
     report.results["deployment"] = flows
     report.results["scheduling_gain"] = result.scheduling_gain
     for name, outcome in (("best", result.best), ("worst", result.worst)):
@@ -340,38 +291,20 @@ def schedule_main(argv: Optional[List[str]] = None) -> int:
         ))
         print(f"\nmaximum overall gain from placement: "
               f"{pct(result.scheduling_gain)}")
-    _finish(args, session, report, runner)
-    return 0
+    return report
 
 
-def sweep_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``repro-sweep``."""
-    parser = argparse.ArgumentParser(
-        description="Sweep a flow type against SYN competitors of rising "
-                    "refs/sec and print its sensitivity curve "
-                    "(prediction method, step 2).",
-    )
-    parser.add_argument("app", choices=sorted(APP_NAMES),
-                        help="flow type to sweep")
-    parser.add_argument("--competitors", type=argtypes.positive_int,
-                        default=5,
-                        help="number of SYN co-runners (default 5)")
-    _add_common(parser)
-    args = parser.parse_args(argv)
-    config = _config(args)
+def _sweep(args, config, runner) -> RunReport:
     spec = config.socket_spec()
     print(f"profiling {args.app} and sweeping {args.competitors} SYN "
           "competitors...", file=sys.stderr)
-    runner = _sweep_runner(args)
-    with _observe(args, parser) as session:
-        curve = sweep_sensitivity(
-            args.app, spec, seed=config.seed,
-            n_competitors=args.competitors,
-            warmup_packets=config.solo_warmup,
-            measure_packets=config.solo_measure, runner=runner,
-        )
-    report = RunReport.new("sweep", spec=spec, config=config,
-                           command="repro-sweep")
+    curve = sweep_sensitivity(
+        args.app, spec, seed=config.seed,
+        n_competitors=args.competitors,
+        warmup_packets=config.solo_warmup,
+        measure_packets=config.solo_measure, runner=runner,
+    )
+    report = RunReport.new("sweep", spec=spec, config=config)
     report.results["app"] = args.app
     report.results["n_competitors"] = args.competitors
     report.results["points"] = [[refs, drop] for refs, drop in curve.points]
@@ -387,9 +320,99 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         ))
         print(f"\nturning point (80% of max drop): "
               f"{curve.turning_point() / 1e6:.1f}M refs/s")
-    _finish(args, session, report, runner)
-    return 0
+    return report
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(profile_main())
+# -- the parser and the shared tail ---------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subparser per subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Toward Predictable Performance in Software "
+                    "Packet-Processing Platforms': profile, sweep, predict, "
+                    "place, check and guard.")
+    subs = parser.add_subparsers(dest="sub", metavar="SUBCOMMAND",
+                                 required=True)
+
+    def add(name, run, groups, description, usage_error=_single_engine,
+            **kwargs):
+        sub = subs.add_parser(name, parents=[group() for group in groups],
+                              help=description, description=description,
+                              **kwargs)
+        sub.set_defaults(run=run, usage_error=usage_error)
+        return sub
+
+    analysis = (_common_flags, _run_flags, _analysis_flags)
+    sub = add("profile", _analysis(_profile), analysis,
+              "Solo-profile packet-processing flow types (Table 1).",
+              epilog="Flow types: " + "; ".join(
+                  f"{k}: {v}" for k, v in describe_apps().items()))
+    sub.add_argument("apps", nargs="*", default=list(REALISTIC_APPS),
+                     help="flow types to profile (default: all realistic)")
+
+    sub = add("predict", _analysis(_predict), analysis,
+              "Predict per-flow contention drops for a deployment sharing "
+              "one socket.")
+    sub.add_argument("flows", nargs="+",
+                     help="deployment, e.g. MON 2xVPN FW RE (max 6)")
+    sub.add_argument("--validate", action="store_true",
+                     help="also simulate the deployment and report errors")
+
+    sub = add("schedule", _analysis(_schedule), analysis,
+              "Best/worst flow-to-core placement for a 12-flow combination "
+              "(Section 5 study).")
+    sub.add_argument("flows", nargs="+", help="12 flows, e.g. 6xMON 6xFW")
+
+    sub = add("sweep", _analysis(_sweep), analysis,
+              "Sweep a flow type against SYN competitors of rising "
+              "refs/sec and print its sensitivity curve (prediction "
+              "method, step 2).")
+    sub.add_argument("app", choices=sorted(APP_NAMES),
+                     help="flow type to sweep")
+    sub.add_argument("--competitors", type=argtypes.positive_int, default=5,
+                     help="number of SYN co-runners (default 5)")
+
+    check_cli.add_arguments(add(
+        "check", check_cli.run, (_common_flags, _output_flags),
+        check_cli.DESCRIPTION, None))
+    guard_cli.add_arguments(add(
+        "guard", guard_cli.run, (_common_flags, _run_flags, _output_flags),
+        guard_cli.DESCRIPTION, guard_cli.usage_error))
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point for ``repro``; returns the exit status.
+
+    The shared tail of every subcommand: usage checks (exit 2, output
+    paths included) before any simulation, the ``--trace`` tracer, and
+    the report's ``command``, ``--report`` file and ``--json`` output.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    problem = args.usage_error(args) if args.usage_error else None
+    if problem:
+        print(f"repro {args.sub}: {problem}", file=sys.stderr)
+        return 2
+    tracer = None
+    if getattr(args, "trace", None):
+        tracer = Tracer(ChromeTraceSink(args.trace),
+                        packet_sample=getattr(args, "trace_sample", 1))
+    status, report = args.run(args, tracer)
+    if tracer is not None:
+        tracer.close()
+        print(f"trace written to {args.trace}", file=sys.stderr)
+    if report is not None:
+        # Run records (check, guard: the subcommands with --report) hold
+        # the whole invocation. Analysis reports name only the subcommand
+        # so that they stay a function of the results alone: seed
+        # spelling, --engine and --jobs do not show.
+        run_record = hasattr(args, "report")
+        report.command = " ".join(["repro"] + (argv if run_record
+                                               else [args.sub]))
+        if run_record and args.report:
+            report.write(args.report)
+        if args.json:
+            print(report.to_json())
+    return status

@@ -23,7 +23,7 @@ closes that loop at runtime:
   (``kind="guard"``, payload schema ``repro.guard_report/1``); throttles
   are relaxed and restored when pressure subsides.
 
-``repro-guard`` (:mod:`.cli`) drives the Section 4 two-faced containment
+``repro guard`` (:mod:`.cli`) drives the Section 4 two-faced containment
 demo and a random-SLO fuzz over :mod:`repro.check` scenarios.
 """
 

@@ -1,32 +1,47 @@
-"""``repro-guard`` — the online SLO guard CLI.
+"""``repro guard`` — the online SLO guard subcommand.
 
 Examples::
 
     # The Section 4 two-faced containment demo (guarded by default):
-    repro-guard --inject two-faced --json
-    repro-guard --inject two-faced --unguarded      # exits 1: SLO violated
+    repro guard --inject two-faced --json
+    repro guard --inject two-faced --unguarded      # exits 1: SLO violated
 
     # Admission + guarded run of a declared mix:
-    repro-guard --mix IP:0,MON:1,FW:2 --slo IP@0=0.10 --slo MON@1=0.15
-    repro-guard --mix IP:0,IP:1 --slo IP@0=0.05 --admit-only
+    repro guard --mix IP:0,MON:1,FW:2 --slo IP@0=0.10 --slo MON@1=0.15
+    repro guard --mix IP:0,IP:1 --slo IP@0=0.05 --admit-only
 
     # Random-SLO fuzz over repro.check scenarios:
-    repro-guard --fuzz 50 --seed 0x5EED --report guard_fuzz.json
+    repro guard --fuzz 50 --seed 0x5EED --report guard_fuzz.json
 
 Exit status 0 means admitted and every SLO held (post-containment when
 the guard had to act); 1 means a rejected mix, a violated SLO, or an
-unhandled violation; 2 means bad usage.
+unhandled violation; 2 means bad usage. The shared flags are
+:mod:`repro.cli`'s; this module adds the rest. Size and seed defaults
+depend on the mode, so the shared ones default to None here.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import sys
 from typing import Dict, List, Optional
 
 from .. import argtypes
-from .slo import parse_slo
+from ..apps.registry import app_factory
+from ..check.runner import ENGINE_SETS
+from ..core.prediction import ContentionPredictor
+from ..hw.machine import Machine
+from ..hw.topology import PlatformSpec
+from ..obs.report import RunReport
+from .admission import AdmissionController, FlowRequest
+from .demo import DEMO_SWEEP_LEVELS, DemoConfig, run_demo, victim_verdict
+from .fuzz import GuardFuzzOptions, run_fuzz
+from .slo import GUARD_SCHEMA, parse_slo
+from .supervisor import GuardConfig, SLOGuard
+from .wrappers import guarded_factory
+
+DESCRIPTION = ("Online SLO guard: predictive admission control, runtime "
+               "monitoring, and escalating containment.")
 
 
 def _slo_arg(text: str) -> object:
@@ -54,11 +69,10 @@ def _mix_arg(text: str) -> List[tuple]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-guard",
-        description="Online SLO guard: predictive admission control, "
-                    "runtime monitoring, and escalating containment.")
+def add_arguments(parser) -> None:
+    """The ``guard`` subcommand's own flags and defaults."""
+    parser.set_defaults(seed=None, engine=None, scale=None, warmup=None,
+                        measure=None)
     mode = parser.add_argument_group("mode")
     mode.add_argument("--mix", type=_mix_arg, metavar="APP:CORE,...",
                       default=None, help="evaluate and run this flow mix "
@@ -81,54 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trigger", type=argtypes.positive_int, metavar="N",
                         default=None, help="two-faced trigger packet "
                         "count (demo mode)")
-    parser.add_argument("--scale", type=argtypes.scale, default=None,
-                        metavar="F", help="platform scale-down factor")
-    parser.add_argument("--seed", type=argtypes.seed, default=None,
-                        metavar="S", help="seed, decimal or 0x-hex")
-    parser.add_argument("--warmup", type=argtypes.positive_int, default=None,
-                        metavar="N", help="warm-up packets per flow")
-    parser.add_argument("--measure", type=argtypes.positive_int, default=None,
-                        metavar="N", help="measured packets per flow")
-    parser.add_argument("--engine", choices=("scalar", "batch"),
-                        default=None, help="execution engine (default: "
-                        "ambient)")
     parser.add_argument("--interval", type=argtypes.positive_float,
                         default=None, metavar="CYCLES",
                         help="guard window cadence in simulated cycles")
     parser.add_argument("--fail-fast", action="store_true",
                         help="fuzz: stop at the first failing scenario")
-    parser.add_argument("--report", metavar="PATH", default=None,
-                        help="write the kind=guard run report JSON to "
-                        "PATH")
-    parser.add_argument("--json", action="store_true",
-                        help="print the run report JSON to stdout")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write a JSONL trace of the run (guard "
-                        "events included) to PATH")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-event progress lines")
-    return parser
-
-
-def _command(argv: Optional[List[str]]) -> str:
-    return ("repro-guard " + " ".join(
-        argv if argv is not None else sys.argv[1:])).strip()
-
-
-def _emit(report, args, command: str) -> None:
-    report.command = command
-    if args.report:
-        report.write(args.report)
-    if args.json:
-        print(report.to_json())
-
-
-def _make_tracer(path: Optional[str]):
-    if path is None:
-        return None
-    from ..obs import JsonlSink, Tracer
-
-    return Tracer(JsonlSink(path))
 
 
 #: Options fuzz mode has no use for: each scenario fixes its own
@@ -138,45 +109,64 @@ _NOT_FUZZ = ("interval", "scale", "warmup", "measure", "trigger",
              "unguarded", "slo", "admit_only", "trace")
 
 
-def _run_fuzz(args, command: str) -> int:
-    from .fuzz import GuardFuzzOptions, run_fuzz
+def usage_error(args) -> Optional[str]:
+    """What is wrong with this combination of flags, or None."""
+    if sum(x is not None for x in (args.mix, args.inject, args.fuzz)) > 1:
+        return "choose one of --mix / --inject / --fuzz"
+    if args.fuzz is not None:
+        ignored = ["--" + name.replace("_", "-") for name in _NOT_FUZZ
+                   if (value := getattr(args, name)) is not None
+                   and value is not False and value != []]
+        if ignored:
+            return f"--fuzz does not take {', '.join(ignored)}"
+        return None
+    if args.engine == "both":
+        return "--engine both runs only with --fuzz"
+    if args.mix is None:
+        if len(args.slo) > 1:
+            return "demo mode takes at most one --slo (the victim's)"
+        return None
+    labels = [f"{app}@{core}" for app, core in args.mix]
+    unknown = sorted({s.label for s in args.slo} - set(labels))
+    if unknown:
+        return (f"--slo for unknown flow(s): {', '.join(unknown)} "
+                f"(mix has {', '.join(labels)})")
+    return None
 
-    options = GuardFuzzOptions(scenarios=args.fuzz,
-                               fail_fast=args.fail_fast)
+
+def run(args, tracer=None):
+    """The ``guard`` handler: (exit status, run report or None)."""
+    if args.fuzz is not None:
+        return _run_fuzz(args)
+    if args.mix is not None:
+        return _run_mix(args, tracer)
+    # Default (and --inject two-faced): the containment demo.
+    return _run_demo(args, tracer)
+
+
+def _run_fuzz(args):
+    options = GuardFuzzOptions(scenarios=args.fuzz, fail_fast=args.fail_fast,
+                               engines=ENGINE_SETS[args.engine or "both"])
     if args.seed is not None:
         options.seed = args.seed
-    if args.engine is not None:
-        options.engines = (args.engine,)
     result = run_fuzz(options)
-    _emit(result.report(), args, command)
     if not args.json:
         print(result.summary())
-    return 0 if result.ok else 1
+    return (0 if result.ok else 1), result.report()
 
 
-def _run_demo(args, command: str) -> int:
-    from .demo import DemoConfig, run_demo, victim_verdict
-
+def _run_demo(args, tracer):
     config = DemoConfig(guarded=not args.unguarded)
     overrides = {"scale": args.scale, "seed": args.seed,
                  "warmup": args.warmup, "measure": args.measure,
                  "engine": args.engine,
                  "trigger_packets": args.trigger,
-                 "interval_cycles": args.interval}
+                 "interval_cycles": args.interval,
+                 "slo": args.slo[0].max_drop if args.slo else None}
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None})
-    if args.slo:
-        if len(args.slo) != 1:
-            print("repro-guard: demo mode takes at most one --slo "
-                  "(the victim's)", file=sys.stderr)
-            return 2
-        config = dataclasses.replace(config, slo=args.slo[0].max_drop)
 
-    tracer = _make_tracer(args.trace)
     decision, guard, _result, report = run_demo(config, tracer=tracer)
-    if tracer is not None:
-        tracer.close()
-    _emit(report, args, command)
     verdict = victim_verdict(guard, config)
     if not args.json:
         print(decision.describe())
@@ -191,23 +181,14 @@ def _run_demo(args, command: str) -> int:
                  else "")
               + f" vs SLO {config.slo:.1%}")
     if config.guarded:
-        return 0 if verdict["within_slo"] else 1
+        return (0 if verdict["within_slo"] else 1), report
     # The unguarded comparison is *expected* to violate: report failure
     # whenever the victim's measured drop exceeds its SLO.
     overall = verdict["drop_overall"]
-    return 1 if overall is not None and overall > config.slo else 0
+    return (1 if overall is not None and overall > config.slo else 0), report
 
 
-def _run_mix(args, command: str) -> int:
-    from ..core.prediction import ContentionPredictor
-    from ..hw.machine import Machine
-    from ..hw.topology import PlatformSpec
-    from ..apps.registry import app_factory
-    from .admission import AdmissionController, FlowRequest
-    from .demo import DEMO_SWEEP_LEVELS
-    from .supervisor import GuardConfig, SLOGuard
-    from .wrappers import guarded_factory
-
+def _run_mix(args, tracer):
     scale = args.scale if args.scale is not None else 64
     seed = args.seed if args.seed is not None else 42
     warmup = args.warmup if args.warmup is not None else 40
@@ -216,14 +197,7 @@ def _run_mix(args, command: str) -> int:
     if all(core < spec.cores_per_socket for _, core in args.mix):
         spec = spec.single_socket()
     slos: Dict[str, float] = {s.label: s.max_drop for s in args.slo}
-
     labels = [f"{app}@{core}" for app, core in args.mix]
-    unknown = sorted(set(slos) - set(labels))
-    if unknown:
-        print(f"repro-guard: --slo for unknown flow(s): "
-              f"{', '.join(unknown)} (mix has {', '.join(labels)})",
-              file=sys.stderr)
-        return 2
 
     apps = sorted({app for app, _ in args.mix})
     predictor = ContentionPredictor.build(
@@ -237,16 +211,10 @@ def _run_mix(args, command: str) -> int:
     if not args.json:
         print(decision.describe())
     if args.admit_only or not decision.admitted:
-        if args.admit_only and (args.report or args.json):
-            from ..obs.report import RunReport
-
-            from .slo import GUARD_SCHEMA
-            report = RunReport.new("guard", spec=spec, command=command,
-                                   seed=seed)
-            report.results = {"schema": GUARD_SCHEMA,
-                              "admission": decision.to_dict()}
-            _emit(report, args, command)
-        return 0 if decision.admitted else 1
+        report = RunReport.new("guard", spec=spec, seed=seed)
+        report.results = {"schema": GUARD_SCHEMA,
+                          "admission": decision.to_dict()}
+        return (0 if decision.admitted else 1), report
 
     baselines = {
         label: (predictor.profiles[app].throughput,
@@ -258,17 +226,12 @@ def _run_mix(args, command: str) -> int:
             guard_config, interval_cycles=args.interval)
     guard = SLOGuard(slos=slos, baselines=baselines, config=guard_config,
                      admission=decision)
-    tracer = _make_tracer(args.trace)
     machine = Machine(spec, seed=seed, guard=guard, tracer=tracer)
     for (app, core), label in zip(args.mix, labels):
         machine.add_flow(guarded_factory(app_factory(app)), core=core,
                          label=label)
     machine.run(warmup_packets=warmup, measure_packets=measure,
                 engine=args.engine)
-    if tracer is not None:
-        tracer.close()
-    report = guard.report(command=command, spec=spec)
-    _emit(report, args, command)
     if not args.json and not args.quiet:
         for event in guard.events:
             print(str(event))
@@ -277,30 +240,4 @@ def _run_mix(args, command: str) -> int:
         print(f"repro-guard: mix run — "
               f"{'every SLO held' if ok else 'SLO VIOLATED'} "
               f"({len(guard.events)} guard event(s))")
-    return 0 if ok else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = _command(argv)
-    modes = sum(x is not None for x in (args.mix, args.inject, args.fuzz))
-    if modes > 1:
-        print("repro-guard: choose one of --mix / --inject / --fuzz",
-              file=sys.stderr)
-        return 2
-    if args.fuzz is not None:
-        ignored = ["--" + name.replace("_", "-") for name in _NOT_FUZZ
-                   if getattr(args, name)]
-        if ignored:
-            print(f"repro-guard: --fuzz does not take {', '.join(ignored)}",
-                  file=sys.stderr)
-            return 2
-        return _run_fuzz(args, command)
-    if args.mix is not None:
-        return _run_mix(args, command)
-    # Default (and --inject two-faced): the containment demo.
-    return _run_demo(args, command)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return (0 if ok else 1), guard.report(spec=spec)

@@ -1,4 +1,4 @@
-"""The ``repro-check`` command line, end to end (in process)."""
+"""The ``repro check`` command line, end to end (in process)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.check.cli import main
+from repro.cli import main
 from repro.check.corpus import corpus_paths
 from repro.obs.report import validate_report
 
@@ -16,17 +16,17 @@ FAST = ["--scenarios", "1", "--seed", "0x5EED", "--no-corpus"]
 
 
 def test_clean_run_exits_zero(capsys):
-    rc = main(FAST + ["--engine", "scalar"])
+    rc = main(["check"] + FAST + ["--engine", "scalar"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "1 scenarios" in out and "ok" in out
 
 
 def test_hex_and_decimal_seeds_agree(capsys):
-    assert main(FAST + ["--engine", "scalar"]) == 0
+    assert main(["check"] + FAST + ["--engine", "scalar"]) == 0
     hex_out = capsys.readouterr().out
-    assert main(["--scenarios", "1", "--seed", str(0x5EED), "--no-corpus",
-                 "--engine", "scalar"]) == 0
+    assert main(["check", "--scenarios", "1", "--seed", str(0x5EED),
+                 "--no-corpus", "--engine", "scalar"]) == 0
     dec_out = capsys.readouterr().out
     # Same scenarios, same verdict (only the wall-clock suffix may vary).
     assert hex_out.rsplit("(", 1)[0] == dec_out.rsplit("(", 1)[0]
@@ -34,8 +34,8 @@ def test_hex_and_decimal_seeds_agree(capsys):
 
 def test_injected_fault_fails_with_nonzero_exit(tmp_path, capsys):
     corpus_dir = str(tmp_path / "corpus")
-    rc = main(["--scenarios", "1", "--seed", "7", "--engine", "scalar",
-               "--inject-fault", "event-undercount",
+    rc = main(["check", "--scenarios", "1", "--seed", "7",
+               "--engine", "scalar", "--inject-fault", "event-undercount",
                "--corpus-dir", corpus_dir])
     assert rc == 1
     out = capsys.readouterr().out
@@ -45,7 +45,7 @@ def test_injected_fault_fails_with_nonzero_exit(tmp_path, capsys):
 
 
 def test_json_report_is_valid(capsys):
-    rc = main(FAST + ["--engine", "scalar", "--json"])
+    rc = main(["check"] + FAST + ["--engine", "scalar", "--json"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert validate_report(doc) == []
@@ -55,7 +55,7 @@ def test_json_report_is_valid(capsys):
 
 def test_report_file_written(tmp_path, capsys):
     path = tmp_path / "check_report.json"
-    rc = main(FAST + ["--engine", "scalar", "--report", str(path)])
+    rc = main(["check"] + FAST + ["--engine", "scalar", "--report", str(path)])
     assert rc == 0
     with open(path) as fh:
         doc = json.load(fh)
@@ -63,7 +63,7 @@ def test_report_file_written(tmp_path, capsys):
 
 
 def test_list_faults(capsys):
-    assert main(["--list-faults"]) == 0
+    assert main(["check", "--list-faults"]) == 0
     out = capsys.readouterr().out.split()
     assert "l3-snapshot-leak" in out
     assert "event-undercount" in out
@@ -72,17 +72,18 @@ def test_list_faults(capsys):
 def test_replay_round_trip(tmp_path, capsys):
     corpus_dir = str(tmp_path / "corpus")
     # Record a failure with a fault...
-    assert main(["--scenarios", "1", "--seed", "7", "--engine", "scalar",
-                 "--inject-fault", "event-undercount", "--no-shrink",
+    assert main(["check", "--scenarios", "1", "--seed", "7",
+                 "--engine", "scalar", "--inject-fault", "event-undercount", "--no-shrink",
                  "--corpus-dir", corpus_dir, "-q"]) == 1
     capsys.readouterr()
     # ...replaying it without the fault is clean (exit 0).
-    assert main(["--replay", corpus_dir, "--engine", "both", "-q"]) == 0
+    assert main(["check", "--replay", corpus_dir, "--engine", "both",
+                 "-q"]) == 0
     assert "0 still failing" in capsys.readouterr().out
 
 
 def test_replay_empty_dir(tmp_path, capsys):
-    assert main(["--replay", str(tmp_path)]) == 0
+    assert main(["check", "--replay", str(tmp_path)]) == 0
     assert "no corpus entries" in capsys.readouterr().out
 
 
@@ -98,7 +99,8 @@ def test_replay_still_failing_entry_exits_one(tmp_path, capsys):
     save_repro(str(tmp_path), ReproEntry(config=broken,
                                          violations=["[x] crash"],
                                          engines=["scalar"]))
-    assert main(["--replay", str(tmp_path), "--engine", "scalar"]) == 1
+    assert main(["check", "--replay", str(tmp_path),
+                 "--engine", "scalar"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "1 still failing" in out
@@ -117,7 +119,8 @@ def test_replay_reports_unreadable_entries_and_keeps_going(tmp_path, capsys):
            "repro_notjson.json": "{not json"}
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
-    assert main(["--replay", str(tmp_path), "--engine", "scalar"]) == 1
+    assert main(["check", "--replay", str(tmp_path),
+                 "--engine", "scalar"]) == 1
     lines = capsys.readouterr().out.splitlines()
     for name in bad:
         [line] = [ln for ln in lines if name in ln]
@@ -128,10 +131,14 @@ def test_replay_reports_unreadable_entries_and_keeps_going(tmp_path, capsys):
 
 def test_bad_usage_rejected():
     with pytest.raises(SystemExit):
-        main(["--scenarios", "-3"])
+        main(["check", "--scenarios", "-3"])
     with pytest.raises(SystemExit):
-        main(["--seed", "zebra"])
+        main(["check", "--seed", "zebra"])
     with pytest.raises(SystemExit):
-        main(["--engine", "warp"])
+        main(["check", "--engine", "warp"])
     with pytest.raises(SystemExit):
-        main(["--probe-interval", "0"])
+        main(["check", "--probe-interval", "0"])
+    # A misspelt fault is bad usage (2), not a detected violation (1).
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--inject-fault", "nope"])
+    assert exc.value.code == 2

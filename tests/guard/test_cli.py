@@ -1,11 +1,11 @@
-"""The ``repro-guard`` CLI: parsing, mode selection, exit codes."""
+"""The ``repro guard`` subcommand: parsing, mode selection, exit codes."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.guard.cli import build_parser, main
+from repro.cli import build_parser, main
 from repro.guard.fuzz import FUZZ_GUARD_CONFIG
 
 pytestmark = pytest.mark.guard
@@ -28,42 +28,43 @@ def test_parser_rejects_bad_values():
         ["--inject", "three-faced"],  # unknown injection
     ):
         with pytest.raises(SystemExit) as err:
-            parser.parse_args(argv)
+            parser.parse_args(["guard"] + argv)
         assert err.value.code == 2, argv
 
 
 def test_parser_accepts_hex_seed_and_mix():
     args = build_parser().parse_args(
-        ["--mix", "IP:0,MON:1", "--slo", "IP@0=0.1", "--seed", "0x5EED"])
+        ["guard", "--mix", "IP:0,MON:1", "--slo", "IP@0=0.1",
+         "--seed", "0x5EED"])
     assert args.mix == [("IP", 0), ("MON", 1)]
     assert args.seed == 0x5EED
     assert args.slo[0].label == "IP@0"
 
 
 def test_modes_are_mutually_exclusive(capsys):
-    assert main(["--mix", "IP:0", "--fuzz", "1"]) == 2
-    assert main(["--fuzz", "1", "--inject", "two-faced"]) == 2
+    assert main(["guard", "--mix", "IP:0", "--fuzz", "1"]) == 2
+    assert main(["guard", "--fuzz", "1", "--inject", "two-faced"]) == 2
     assert "choose one of" in capsys.readouterr().err
     # Fuzz mode rejects the options it has no use for.
     for extra in (["--interval", "5000"], ["--scale", "16"],
-                  ["--warmup", "10"], ["--measure", "10"],
+                  ["--warmup", "10"], ["--warmup", "0"], ["--measure", "10"],
                   ["--trigger", "5"], ["--unguarded"],
                   ["--slo", "IP@0=0.1"], ["--admit-only"],
                   ["--trace", "t.jsonl"]):
-        assert main(["--fuzz", "1"] + extra) == 2, extra
+        assert main(["guard", "--fuzz", "1"] + extra) == 2, extra
         assert f"--fuzz does not take {extra[0]}" in capsys.readouterr().err
 
 
 def test_mix_rejects_slo_for_unknown_flow(capsys):
-    assert main(["--mix", "IP:0", "--slo", "FW@3=0.1"]) == 2
+    assert main(["guard", "--mix", "IP:0", "--slo", "FW@3=0.1"]) == 2
     err = capsys.readouterr().err
     assert "FW@3" in err and "IP@0" in err
 
 
 def test_fuzz_mode_end_to_end(tmp_path, capsys):
     out = tmp_path / "fuzz.json"
-    code = main(["--fuzz", "1", "--seed", hex(SEED), "--engine", "scalar",
-                 "--report", str(out)])
+    code = main(["guard", "--fuzz", "1", "--seed", hex(SEED),
+                 "--engine", "scalar", "--report", str(out)])
     assert code == 0
     assert "guard fuzz: 1 scenario(s)" in capsys.readouterr().out
     doc = json.loads(out.read_text())
@@ -75,12 +76,12 @@ def test_fuzz_mode_end_to_end(tmp_path, capsys):
     guard_config = doc["results"]["guard_config"]
     assert guard_config["interval_cycles"] == 100_000.0
     assert guard_config == dataclasses.asdict(FUZZ_GUARD_CONFIG)
-    assert doc["command"].startswith("repro-guard --fuzz 1")
+    assert doc["command"].startswith("repro guard --fuzz 1")
 
 
 def test_fuzz_mode_json_output(capsys):
-    code = main(["--fuzz", "1", "--seed", hex(SEED), "--engine", "scalar",
-                 "--json"])
+    code = main(["guard", "--fuzz", "1", "--seed", hex(SEED),
+                 "--engine", "scalar", "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["schema"] == "repro.guard_report/1"

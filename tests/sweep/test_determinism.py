@@ -86,19 +86,19 @@ def test_jobs1_sharded_matches_serial():
 
 
 def _sweep_report(extra_args) -> dict:
-    from repro.cli import sweep_main
+    from repro.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        rc = sweep_main(["MON", "--scale", "64", "--warmup", "150",
+        rc = main(["sweep", "MON", "--scale", "64", "--warmup", "150",
                          "--measure", "150", "--json"] + extra_args)
     assert rc == 0
     return json.loads(out.getvalue())
 
 
 def test_cli_run_report_identical_modulo_execution():
-    """``repro-sweep --jobs 4 --json`` == ``--jobs 1`` except ``execution``."""
+    """``repro sweep --jobs 4 --json`` == ``--jobs 1`` except ``execution``."""
     serial = _sweep_report([])
     parallel = _sweep_report(["--jobs", "4", "--no-cache"])
     # Serial reports carry no execution key at all (byte-stable schema).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _parse_flows, predict_main, profile_main, schedule_main
+from repro.cli import _parse_flows, build_parser, main
 
 
 def test_parse_flows_expands_counts():
@@ -16,8 +16,8 @@ def test_parse_flows_rejects_unknown():
 
 
 def test_profile_main_runs(capsys):
-    rc = profile_main(["IP", "--scale", "64", "--warmup", "300",
-                       "--measure", "300"])
+    rc = main(["profile", "IP", "--scale", "64", "--warmup", "300",
+               "--measure", "300"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "IP" in out
@@ -25,8 +25,8 @@ def test_profile_main_runs(capsys):
 
 
 def test_predict_main_runs(capsys):
-    rc = predict_main(["FW", "FW", "--scale", "64", "--warmup", "300",
-                       "--measure", "300"])
+    rc = main(["predict", "FW", "FW", "--scale", "64", "--warmup", "300",
+               "--measure", "300"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "FW@0" in out
@@ -35,19 +35,17 @@ def test_predict_main_runs(capsys):
 
 def test_predict_main_rejects_oversubscription():
     with pytest.raises(SystemExit):
-        predict_main(["7xFW", "--scale", "64"])
+        main(["predict", "7xFW", "--scale", "64"])
 
 
 def test_schedule_main_rejects_wrong_count():
     with pytest.raises(SystemExit):
-        schedule_main(["3xMON", "--scale", "64"])
+        main(["schedule", "3xMON", "--scale", "64"])
 
 
 def test_sweep_main_runs(capsys):
-    from repro.cli import sweep_main
-
-    rc = sweep_main(["FW", "--scale", "64", "--warmup", "300",
-                     "--measure", "300"])
+    rc = main(["sweep", "FW", "--scale", "64", "--warmup", "300",
+               "--measure", "300"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sensitivity curve" in out
@@ -61,13 +59,14 @@ TINY = ["--scale", "64", "--warmup", "100", "--measure", "100", "--json"]
 
 
 def test_hex_seed_matches_decimal(capsys):
-    profile_main(["IP", "--seed", "0x5EED"] + TINY)
+    main(["profile", "IP", "--seed", "0x5EED"] + TINY)
     hex_report = capsys.readouterr().out
-    profile_main(["IP", "--seed", str(0x5EED)] + TINY)
+    main(["profile", "IP", "--seed", str(0x5EED)] + TINY)
     assert capsys.readouterr().out == hex_report
 
 
-@pytest.mark.parametrize("main", [profile_main, predict_main, schedule_main])
+@pytest.mark.parametrize("sub", ["profile", "predict", "schedule"],
+                         ids=lambda sub: f"{sub}_main")
 @pytest.mark.parametrize("bad, message", [
     (["--seed", "0xZZ"], "invalid seed"),
     (["--scale", "0"], "must be >= 1"),
@@ -76,17 +75,31 @@ def test_hex_seed_matches_decimal(capsys):
     (["--measure", "0"], "must be >= 1"),
     (["--jobs", "0"], "must be >= 1"),
 ])
-def test_bad_values_exit_2(main, bad, message, capsys):
+def test_bad_values_exit_2(sub, bad, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["FW"] + bad)
+        main([sub, "FW"] + bad)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
 
 def test_sweep_main_rejects_zero_competitors(capsys):
-    from repro.cli import sweep_main
-
     with pytest.raises(SystemExit) as exc:
-        sweep_main(["FW", "--competitors", "0"])
+        main(["sweep", "FW", "--competitors", "0"])
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_engine_both_only_where_engines_are_compared(capsys):
+    assert main(["profile", "IP", "--engine", "both"]) == 2
+    assert main(["guard", "--inject", "two-faced", "--engine", "both"]) == 2
+    assert "--engine both" in capsys.readouterr().err
+
+
+def test_subcommand_defaults_stay_apart():
+    parser = build_parser()
+    profile = parser.parse_args(["profile"])
+    assert (profile.engine, profile.scale, profile.seed) == ("scalar", 8,
+                                                             0x5EED)
+    assert parser.parse_args(["check"]).engine == "both"
+    guard = parser.parse_args(["guard"])
+    assert (guard.engine, guard.scale, guard.seed) == (None, None, None)

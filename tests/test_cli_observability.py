@@ -1,12 +1,13 @@
 """End-to-end observability-flag coverage for every CLI, both engines.
 
-Each of the four tools runs once per engine with the full flag set —
-``--json --trace PATH --trace-sample N --metrics-interval US`` — and the
-test asserts the three artifacts line up: a parseable RunReport on
-stdout stamped with the engine, a valid Chrome ``trace_event`` document
-at PATH, and an embedded counter time series. An unwritable ``--trace``
-path must fail fast with ``SystemExit(2)`` (argparse's error exit)
-*before* any simulation runs.
+Each of the four analysis subcommands runs once per engine with the
+full flag set — ``--json --trace PATH --trace-sample N
+--metrics-interval US`` — and the test asserts the three artifacts line
+up: a parseable RunReport on stdout stamped with the engine, a valid
+Chrome ``trace_event`` document at PATH, and an embedded counter time
+series. An unwritable ``--trace`` or ``--report`` path must fail fast
+with ``SystemExit(2)`` (argparse's error exit) *before* any simulation
+runs, on every subcommand taking it.
 """
 
 from __future__ import annotations
@@ -15,22 +16,28 @@ import json
 
 import pytest
 
-from repro.cli import predict_main, profile_main, schedule_main, sweep_main
+from repro.cli import main
+from repro.hw.machine import Machine
 
 FAST = ["--scale", "64", "--warmup", "100", "--measure", "200"]
 
-#: name -> (entry point, positional argv)
+#: analysis subcommand -> positional argv
 CLIS = {
-    "profile": (profile_main, ["IP"]),
-    "predict": (predict_main, ["FW", "FW"]),
-    "schedule": (schedule_main, ["6xMON", "6xFW"]),
-    "sweep": (sweep_main, ["FW"]),
+    "profile": ["IP"],
+    "predict": ["FW", "FW"],
+    "schedule": ["6xMON", "6xFW"],
+    "sweep": ["FW"],
 }
+
+#: Every subcommand taking an output path -> the argv it runs with.
+RUNS = {**{name: [name] + positional + FAST
+           for name, positional in CLIS.items()},
+        "check": ["check", "--scenarios", "1", "--no-corpus"],
+        "guard": ["guard", "--inject", "two-faced"] + FAST}
 
 
 def run_cli(name, extra, capsys):
-    main, positional = CLIS[name]
-    rc = main(positional + FAST + extra)
+    rc = main([name] + CLIS[name] + FAST + extra)
     captured = capsys.readouterr()
     return rc, captured.out
 
@@ -72,15 +79,35 @@ def test_json_engine_stamp_default_scalar(name, capsys):
     assert json.loads(out)["results"]["engine"] == "scalar"
 
 
-@pytest.mark.parametrize("name", sorted(CLIS))
-def test_unwritable_trace_path_fails_fast(name, tmp_path, capsys):
+def _no_simulation(monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    monkeypatch.setattr(Machine, "run", run)
+
+
+@pytest.mark.parametrize("name", sorted(CLIS) + ["guard"])
+def test_unwritable_trace_path_fails_fast(name, tmp_path, capsys,
+                                          monkeypatch):
+    _no_simulation(monkeypatch)
     missing_dir = tmp_path / "no_such_dir" / "trace.json"
-    main, positional = CLIS[name]
     with pytest.raises(SystemExit) as excinfo:
-        main(positional + FAST + ["--trace", str(missing_dir)])
+        main(RUNS[name] + ["--trace", str(missing_dir)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "--trace" in err and "cannot write" in err
+
+
+@pytest.mark.parametrize("name", ["check", "guard"])
+def test_unwritable_report_path_fails_fast(name, tmp_path, capsys,
+                                           monkeypatch):
+    _no_simulation(monkeypatch)
+    missing_dir = tmp_path / "no_such_dir" / "report.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(RUNS[name] + ["--report", str(missing_dir)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--report" in err and "cannot write" in err
 
 
 def test_trace_sample_thins_events(tmp_path, capsys):

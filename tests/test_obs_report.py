@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.apps.registry import app_factory
-from repro.cli import predict_main, profile_main, sweep_main
+from repro.cli import main
 from repro.core.reporting import summarize_report
 from repro.experiments.common import TEST_CONFIG
 from repro.hw.machine import Machine
@@ -115,7 +115,7 @@ def test_chrome_trace_timestamps_are_microseconds():
 
 
 def test_cli_profile_json_schema(capsys):
-    assert profile_main(["MON", "--json"] + CLI_ARGS) == 0
+    assert main(["profile", "MON", "--json"] + CLI_ARGS) == 0
     data = json.loads(capsys.readouterr().out)
     assert validate_report(data) == []
     assert data["kind"] == "profile"
@@ -123,7 +123,7 @@ def test_cli_profile_json_schema(capsys):
 
 
 def test_cli_predict_validate_json_schema(capsys):
-    rc = predict_main(["MON", "2xVPN", "FW", "--validate", "--json"]
+    rc = main(["predict", "MON", "2xVPN", "FW", "--validate", "--json"]
                       + CLI_ARGS)
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
@@ -139,7 +139,7 @@ def test_cli_predict_validate_json_schema(capsys):
 
 
 def test_cli_sweep_json_schema(capsys):
-    rc = sweep_main(["IP", "--competitors", "2", "--json"] + CLI_ARGS)
+    rc = main(["sweep", "IP", "--competitors", "2", "--json"] + CLI_ARGS)
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert validate_report(data) == []
@@ -151,7 +151,7 @@ def test_cli_sweep_json_schema(capsys):
 
 
 def test_cli_metrics_interval_embeds_timeseries(capsys):
-    rc = profile_main(["FW", "--json", "--metrics-interval", "50"]
+    rc = main(["profile", "FW", "--json", "--metrics-interval", "50"]
                       + CLI_ARGS)
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
@@ -164,7 +164,7 @@ def test_cli_metrics_interval_embeds_timeseries(capsys):
 
 def test_cli_trace_writes_chrome_file(tmp_path, capsys):
     path = tmp_path / "cli_trace.json"
-    rc = profile_main(["IP", "--trace", str(path), "--trace-sample", "8"]
+    rc = main(["profile", "IP", "--trace", str(path), "--trace-sample", "8"]
                       + CLI_ARGS)
     assert rc == 0
     with open(path) as fh:
