@@ -7,7 +7,7 @@ the innocent level.
 
 from repro.apps.registry import app_factory
 from repro.apps.synthetic import syn_factory, syn_max_factory
-from repro.core.throttling import ThrottledFlow, TwoFacedFlow
+from repro.core.throttling import throttled_factory, two_faced_factory
 from repro.hw.counters import performance_drop
 from repro.hw.machine import Machine
 
@@ -45,21 +45,13 @@ def test_throttling_contains_two_faced_flow(benchmark, config, run_once,
             warmup_packets=config.corun_warmup,
             measure_packets=config.corun_measure)["p"].l3_refs_per_sec
 
-        def two_faced(env, throttle=None):
-            flow = TwoFacedFlow(
-                innocent=syn_factory(cpu_ops_per_ref=INNOCENT_OPS)(env),
-                aggressive=syn_max_factory()(env),
-                trigger_packets=50,
-            )
-            if throttle is not None:
-                return ThrottledFlow(flow, target_refs_per_sec=throttle,
-                                     adjust_every=16, gain=1.0)
-            return flow
-
+        two_faced = two_faced_factory(
+            syn_factory(cpu_ops_per_ref=INNOCENT_OPS), syn_max_factory(), 50)
         innocent = _victim_run(config, syn_factory(cpu_ops_per_ref=INNOCENT_OPS))
-        attack = _victim_run(config, lambda env: two_faced(env))
-        defended = _victim_run(config,
-                               lambda env: two_faced(env, throttle=profiled))
+        attack = _victim_run(config, two_faced)
+        defended = _victim_run(config, throttled_factory(
+            two_faced, target_refs_per_sec=profiled, adjust_every=16,
+            gain=1.0))
         return profiled, innocent, attack, defended
 
     profiled, innocent, attack, defended = run_once(benchmark, experiment)

@@ -17,7 +17,7 @@ Run:  python examples/throttling_demo.py
 
 from repro import Machine, PlatformSpec, app_factory, performance_drop
 from repro.apps.synthetic import syn_factory, syn_max_factory
-from repro.core.throttling import ThrottledFlow, TwoFacedFlow
+from repro.core.throttling import throttled_factory, two_faced_factory
 
 SCALE = 16
 WARMUP, MEASURE = 3000, 1500
@@ -26,19 +26,14 @@ WARMUP, MEASURE = 3000, 1500
 INNOCENT = dict(cpu_ops_per_ref=600)
 
 
-def two_faced_factory(trigger=50, throttle_at=None):
-    def build(env):
-        flow = TwoFacedFlow(
-            innocent=syn_factory(**INNOCENT)(env),
-            aggressive=syn_max_factory()(env),
-            trigger_packets=trigger,
-        )
-        if throttle_at is not None:
-            return ThrottledFlow(flow, target_refs_per_sec=throttle_at,
-                                 adjust_every=16, gain=1.0)
-        return flow
-
-    return build
+def attacker_factory(trigger=50, throttle_at=None):
+    """The two-faced neighbour, behind the throttle when ``throttle_at``."""
+    factory = two_faced_factory(syn_factory(**INNOCENT), syn_max_factory(),
+                                trigger)
+    if throttle_at is None:
+        return factory
+    return throttled_factory(factory, target_refs_per_sec=throttle_at,
+                             adjust_every=16, gain=1.0)
 
 
 #: Three colluding neighbours share the socket with the victim.
@@ -73,13 +68,13 @@ def main() -> None:
     print(f"\n1) innocent neighbours: victim {baseline:>12,.0f} pps "
           f"(neighbours {rate / 1e6:5.1f}M refs/s)")
 
-    attacked, rate = victim_throughput(spec, two_faced_factory())
+    attacked, rate = victim_throughput(spec, attacker_factory())
     print(f"2) attack, no defense : victim {attacked:>12,.0f} pps "
           f"(neighbours {rate / 1e6:5.1f}M refs/s)  "
           f"drop {performance_drop(baseline, attacked):.1%}")
 
     defended, rate = victim_throughput(
-        spec, two_faced_factory(throttle_at=profiled_rate))
+        spec, attacker_factory(throttle_at=profiled_rate))
     print(f"3) attack + throttle  : victim {defended:>12,.0f} pps "
           f"(neighbours {rate / 1e6:5.1f}M refs/s)  "
           f"drop {performance_drop(baseline, defended):.1%}")

@@ -16,13 +16,12 @@ for MON/FW/VPN, redundant content for RE).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..constants import DEFAULT_PAYLOAD_BYTES, NETFLOW_TABLE_ENTRIES
 from ..hw.machine import FlowEnv
 from ..click.pipeline import Pipeline
 from ..click.elements.checkipheader import CheckIPHeader
-from ..click.elements.control import ControlElement
 from ..net.flowgen import (
     FlowPopulationTraffic,
     RedundantTraffic,
@@ -78,15 +77,12 @@ def _population_source(env: FlowEnv, payload_bytes: int):
 
 
 def make_app(name: str, env: FlowEnv,
-             payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-             control: Optional[ControlElement] = None,
-             **params):
+             payload_bytes: int = DEFAULT_PAYLOAD_BYTES, **params):
     """Build a flow of type ``name`` in environment ``env``.
 
-    ``control`` optionally prepends a throttling
-    :class:`~repro.click.elements.control.ControlElement` (Section 4's
-    aggressiveness containment). Extra ``params`` go to the synthetics
-    (``cpu_ops_per_ref``, ``refs_per_packet``).
+    Extra ``params`` go to the synthetics (``cpu_ops_per_ref``,
+    ``refs_per_packet``). Section 4's control element is a wrapper
+    around the built flow (:mod:`repro.core.throttling`).
     """
     if name == "SYN":
         return syn_factory(**params)(env)
@@ -118,16 +114,8 @@ def make_app(name: str, env: FlowEnv,
         raise ValueError(f"unknown application {name!r} "
                          f"(known: {', '.join(APP_NAMES)})")
 
-    if control is not None:
-        elements = [control] + elements
-    pipeline = Pipeline(name=name, env=env, source=source, elements=elements,
-                        measure_weight=MEASURE_WEIGHTS[name])
-    if control is None:
-        # (type, payload) plus the (seed, core, spec) the batch engine's
-        # cache key adds fully pin the generated stream — registry apps
-        # construct their tables and traffic from the seeded env.rng only.
-        pipeline.stream_signature = ("app", name, payload_bytes)
-    return pipeline
+    return Pipeline(name=name, env=env, source=source, elements=elements,
+                    measure_weight=MEASURE_WEIGHTS[name])
 
 
 def app_factory(name: str, **kwargs) -> Callable[[FlowEnv], object]:
@@ -136,10 +124,11 @@ def app_factory(name: str, **kwargs) -> Callable[[FlowEnv], object]:
     def build(env: FlowEnv):
         return make_app(name, env, **kwargs)
 
-    # Factory-level signature mirroring the one make_app stamps on the
-    # built flow, so the batch engine can recognise a cached stream before
-    # construction. Only parameter sets whose resulting instance signature
-    # we can predict get one; anything else simply skips the optimisation.
+    # The stream signature: with the (seed, core, spec) the batch
+    # engine's cache key adds, it pins the generated stream, since
+    # registry apps construct their tables and traffic from the seeded
+    # env.rng only. Only parameter sets known to pin the stream get one;
+    # any other simply is not cached.
     if name == "SYN" and set(kwargs) <= {"cpu_ops_per_ref", "refs_per_packet",
                                          "array_bytes"}:
         from .synthetic import syn_signature

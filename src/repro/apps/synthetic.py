@@ -52,14 +52,6 @@ class SynApp:
         #: (gap, instructions) before each reference.
         self._cost = (COST_SYN_CPU_OP[0] * cpu_ops_per_ref,
                       COST_SYN_CPU_OP[1] * cpu_ops_per_ref + COST_SYN_REF[1])
-        #: Together with (machine seed, core, spec) this pins the whole
-        #: generated access stream (see repro.fastpath.streams). Uses the
-        #: *parameter* ``array_bytes`` (None means "L3-sized", which the
-        #: spec — part of the cache key — resolves) so the factory-level
-        #: signature below can be computed without building the flow.
-        self.stream_signature = syn_signature(cpu_ops_per_ref,
-                                              refs_per_packet,
-                                              array_bytes, name)
 
     def run_packet(self, ctx: AccessContext):
         """One SYN \"packet\": the configured CPU ops and random reads.
@@ -87,7 +79,13 @@ class SynApp:
 
 def syn_signature(cpu_ops_per_ref: int, refs_per_packet: int,
                   array_bytes: Optional[int], name: str):
-    """The stream signature a SynApp with these parameters will carry."""
+    """The stream signature of SynApps built with these parameters.
+
+    Together with (machine seed, core, spec) it pins the whole generated
+    access stream (see :mod:`repro.fastpath.streams`). It names the
+    *parameter* ``array_bytes``: None means "L3-sized", which the spec,
+    part of the cache key, resolves.
+    """
     return ("syn", name, cpu_ops_per_ref, refs_per_packet, array_bytes)
 
 
@@ -100,8 +98,8 @@ def syn_factory(cpu_ops_per_ref: int = 0, refs_per_packet: int = 32,
                       refs_per_packet=refs_per_packet,
                       array_bytes=array_bytes, name=name)
 
-    # Factory-level signature: lets Machine.add_flow find a cached stream
-    # (and skip construction) without calling build() at all.
+    # Lets Machine.add_flow find a cached stream (and skip construction)
+    # without calling build() at all.
     build.stream_signature = syn_signature(cpu_ops_per_ref, refs_per_packet,
                                            array_bytes, name)
     return build

@@ -59,3 +59,11 @@ def output_path(text: str) -> str:
             or os.path.exists(text) and not os.access(text, os.W_OK)):
         raise argparse.ArgumentTypeError(f"cannot write {text}")
     return text
+
+
+def existing_dir(text: str) -> str:
+    """A directory that exists, so that a misspelt path is an error
+    rather than an empty input."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"no such directory: {text}")
+    return text

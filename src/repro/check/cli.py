@@ -59,7 +59,8 @@ def add_arguments(parser) -> None:
                         help="list known injectable faults and exit")
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop at the first failing scenario")
-    parser.add_argument("--replay", metavar="DIR", default=None,
+    parser.add_argument("--replay", type=argtypes.existing_dir,
+                        metavar="DIR", default=None,
                         help="replay every corpus entry in DIR instead of "
                         "fuzzing (regression mode)")
 

@@ -171,12 +171,26 @@ def _parse_flows(flows: List[str]) -> List[str]:
             out.extend([name] * int(count))
         else:
             out.append(token)
-    for name in out:
-        if name not in APP_NAMES:
-            raise SystemExit(
-                f"unknown flow type {name!r}; known: {', '.join(APP_NAMES)}"
-            )
     return out
+
+
+def _flows_error(args) -> Optional[str]:
+    """What is wrong with the flow types (and, for predict and schedule,
+    the deployment size) on the command line, or None."""
+    problem = _single_engine(args)
+    if problem:
+        return problem
+    flows = args.apps if args.sub == "profile" else _parse_flows(args.flows)
+    unknown = [name for name in flows if name not in APP_NAMES]
+    if unknown:
+        return (f"unknown flow type {unknown[0]!r}; "
+                f"known: {', '.join(APP_NAMES)}")
+    spec = ExperimentConfig(scale=args.scale).spec()
+    if args.sub == "predict" and len(flows) > spec.cores_per_socket:
+        return f"at most {spec.cores_per_socket} flows per socket"
+    if args.sub == "schedule" and len(flows) != spec.total_cores:
+        return f"need exactly {spec.total_cores} flows"
+    return None
 
 
 def _profile(args, config, runner) -> RunReport:
@@ -206,8 +220,6 @@ def _profile(args, config, runner) -> RunReport:
 def _predict(args, config, runner) -> RunReport:
     flows = _parse_flows(args.flows)
     spec = config.socket_spec()
-    if len(flows) > spec.cores_per_socket:
-        raise SystemExit(f"at most {spec.cores_per_socket} flows per socket")
     types = sorted(set(flows))
     print(f"profiling {', '.join(types)} and sweeping sensitivity curves...",
           file=sys.stderr)
@@ -259,8 +271,6 @@ def _predict(args, config, runner) -> RunReport:
 def _schedule(args, config, runner) -> RunReport:
     flows = _parse_flows(args.flows)
     spec = config.spec()
-    if len(flows) != spec.total_cores:
-        raise SystemExit(f"need exactly {spec.total_cores} flows")
     types = sorted(set(flows))
     print(f"profiling {', '.join(types)}...", file=sys.stderr)
     profiles = profile_apps(types, spec, seed=config.seed,
@@ -346,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     analysis = (_common_flags, _run_flags, _analysis_flags)
     sub = add("profile", _analysis(_profile), analysis,
               "Solo-profile packet-processing flow types (Table 1).",
+              usage_error=_flows_error,
               epilog="Flow types: " + "; ".join(
                   f"{k}: {v}" for k, v in describe_apps().items()))
     sub.add_argument("apps", nargs="*", default=list(REALISTIC_APPS),
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("predict", _analysis(_predict), analysis,
               "Predict per-flow contention drops for a deployment sharing "
-              "one socket.")
+              "one socket.", usage_error=_flows_error)
     sub.add_argument("flows", nargs="+",
                      help="deployment, e.g. MON 2xVPN FW RE (max 6)")
     sub.add_argument("--validate", action="store_true",
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("schedule", _analysis(_schedule), analysis,
               "Best/worst flow-to-core placement for a 12-flow combination "
-              "(Section 5 study).")
+              "(Section 5 study).", usage_error=_flows_error)
     sub.add_argument("flows", nargs="+", help="12 flows, e.g. 6xMON 6xFW")
 
     sub = add("sweep", _analysis(_sweep), analysis,

@@ -7,7 +7,6 @@ from .classifier import Classifier
 from .queue import QueueElement
 from .counter import Counter
 from .discard import Discard
-from .control import ControlElement
 
 __all__ = [
     "FromDevice",
@@ -17,5 +16,4 @@ __all__ = [
     "QueueElement",
     "Counter",
     "Discard",
-    "ControlElement",
 ]

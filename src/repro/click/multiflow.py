@@ -47,14 +47,6 @@ class SharedCoreFlow:
         """Pure iff every member flow is (round-robin adds no run state)."""
         return all(getattr(f, "timing_pure", False) for f in self.flows)
 
-    @property
-    def stream_signature(self):
-        """Cacheable iff every member is; order matters (round-robin)."""
-        sigs = tuple(getattr(f, "stream_signature", None) for f in self.flows)
-        if any(s is None for s in sigs):
-            return None
-        return ("shared", self.name) + sigs
-
     def run_packet(self, ctx: AccessContext):
         """Process one packet on behalf of the next member (round-robin)."""
         index = self._next
@@ -70,9 +62,9 @@ def shared_core_factory(factories: Sequence, name: str = "shared"):
         return SharedCoreFlow([factory(env) for factory in factories],
                               name=name)
 
-    # Compose the factory-level signature exactly like the built flow's
-    # property does, so Machine.add_flow can match a cached stream before
-    # constructing any member flow.
+    # Cacheable iff every member is; order matters (round-robin). Lets
+    # Machine.add_flow match a cached stream before constructing any
+    # member flow.
     sigs = tuple(getattr(f, "stream_signature", None) for f in factories)
     if not any(s is None for s in sigs):
         build.stream_signature = ("shared", name) + sigs

@@ -47,37 +47,18 @@ class Pipeline:
         for element in self.elements:
             element.initialize(env)
 
-    #: Set by builders (e.g. ``apps.registry.make_app``) whose pipelines
-    #: are fully pinned by their configuration; enables stream caching in
-    #: the batch engine. None means "do not cache".
-    stream_signature = None
-
     def attach_run(self, machine, flow_run) -> None:
-        """Forward live run-state bindings to elements that want them."""
+        """Bind the machine's tracer, when one is active."""
         tracer = getattr(machine, "tracer", None)
         if tracer is not None and tracer.active:
             self._tracer = tracer
-        for element in [self.rx, self.tx, *self.elements]:
-            attach = getattr(element, "attach_run", None)
-            if attach is not None:
-                attach(machine, flow_run)
 
     @property
     def timing_pure(self) -> bool:
-        """True when generation never reads live run state.
-
-        Elements that declare ``attach_run`` (control loops, handoff
-        queue stages) consume clocks, counters, or cross-flow queues
-        while generating, so their packets cannot be pregenerated; a
-        traced pipeline records per-element marks and is treated the
-        same way.
-        """
-        if self._tracer is not None:
-            return False
-        return not any(
-            hasattr(element, "attach_run")
-            for element in (self.rx, self.tx, *self.elements)
-        )
+        """True unless traced: generation reads only the pipeline's own
+        tables and seeded traffic, but a traced pipeline records
+        per-element marks, which the replay loop does not."""
+        return self._tracer is None
 
     def run_packet(self, ctx: AccessContext):
         """Pull one packet from the source and run it through the chain."""

@@ -2,15 +2,16 @@
 
 A flow may behave innocently during offline profiling and aggressively in
 production (the paper's example: an FW-like flow that switches to
-SYN_MAX-style behaviour on a trigger packet). The defense: monitor each
-flow's memory-access rate with hardware counters and slow the flow down
-through its control element whenever it exceeds its profiled rate.
+SYN_MAX-style behaviour on a trigger packet). The defense: "we add to
+the beginning of each flow a control element, which performs a
+configurable number of simple CPU operations, with the purpose of slowing
+down the flow and controlling the rate at which it performs memory
+accesses", driven by hardware counters, whenever the flow exceeds its
+profiled rate.
 
-:class:`ThrottledFlow` wraps any flow with that closed loop (it reads the
-flow's live simulated counters); :class:`RateThrottle` is the loop itself,
-shared with the guard's :class:`~repro.guard.wrappers.GuardedFlow`; its
-step, :func:`~repro.click.elements.control.adjust_step`, is the control
-element's.
+:class:`RateThrottle` is that control element: the one closed loop, read
+from the flow's live simulated counters, that :class:`ThrottledFlow` and
+the guard's :class:`~repro.guard.wrappers.GuardedFlow` wrap around a flow.
 :class:`TwoFacedFlow` is the adversary.
 
 As in the paper's control element, the throttle acts on timing only: it
@@ -18,13 +19,14 @@ inserts compute before a packet and never changes which references the
 inner flow makes. So the batch engine replays a throttled flow from its
 inner flow's pregenerated (or cached) stream and runs only the wrapper's
 control decisions live, at packet boundaries (:mod:`repro.fastpath.engine`).
+A wrapper's factory declares no stream signature of its own: it exposes
+``inner_factory``, and the stream is keyed by the innermost factory's.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..click.elements.control import adjust_step
 from ..mem.access import AccessContext
 
 
@@ -48,9 +50,6 @@ class RateThrottle:
     #: The loop reads live counters, so the packet *timing* depends on
     #: run state: never pregenerated as a whole.
     timing_pure = False
-    #: Never cached: the batch engine's skeleton cache must not alias
-    #: the wrapper with its (possibly cacheable) inner flow.
-    stream_signature = None
     #: Only timing changes; the inner flow's reference sequence does not.
     timing_only = True
 
@@ -100,9 +99,32 @@ class RateThrottle:
         return dma
 
     def _adjust(self, span: int) -> None:
-        """One closed-loop step over the last ``span`` packets."""
+        """One proportional step over the last ``span`` packets.
+
+        ``extra_gap`` grows with the L3 refs/sec excess over the target
+        and is released at a quarter of the gain, so transient dips do
+        not unthrottle a flow.
+        """
         self._last_count = self._count
-        adjust_step(self, span)
+        fr = self._fr
+        d_refs = fr.counters.l3_refs - self._last_refs
+        d_clock = fr.clock - self._last_clock
+        self._last_refs = fr.counters.l3_refs
+        self._last_clock = fr.clock
+        if d_clock <= 0 or span <= 0:
+            return
+        target = self.target_refs_per_sec
+        rate = d_refs * self._freq / d_clock
+        error = (rate - target) / target
+        cycles_per_packet = d_clock / span
+        if error > 0:
+            self.extra_gap += self.gain * error * cycles_per_packet
+        else:
+            self.extra_gap = max(
+                0.0,
+                self.extra_gap + 0.25 * self.gain * error * cycles_per_packet,
+            )
+        self.adjustments += 1
 
     def finish_run(self) -> None:
         """End-of-run flush over the final partial adjust window.
@@ -175,14 +197,6 @@ class TwoFacedFlow:
         return (getattr(self.innocent, "timing_pure", False)
                 and getattr(self.aggressive, "timing_pure", False))
 
-    @property
-    def stream_signature(self):
-        inn = getattr(self.innocent, "stream_signature", None)
-        agg = getattr(self.aggressive, "stream_signature", None)
-        if inn is None or agg is None:
-            return None
-        return ("twofaced", self.trigger_packets, inn, agg)
-
     def run_packet(self, ctx: AccessContext):
         """Run the active persona (switching at the trigger)."""
         self.packets += 1
@@ -196,8 +210,10 @@ def two_faced_factory(innocent_factory, aggressive_factory,
                       trigger_packets: int):
     """Machine-compatible factory of a :class:`TwoFacedFlow`.
 
-    Signatured like the flow it builds when both personas' factories
-    are, so the batch engine can skip constructing it on a warm cache.
+    When both personas' factories declare a stream signature, so does
+    this one: the trigger and the two personas' streams pin the
+    composite's, so the batch engine can cache it and skip constructing
+    it on a warm cache.
     """
 
     def build(env):

@@ -94,8 +94,7 @@ def __getattr__(name):  # lazy re-exports (keep numpy off the import path)
 
         return run_batch
     if name in ("BATCH_PACKETS", "STREAM_CACHE", "StreamCache",
-                "StreamSupplier", "StubFlow", "is_timing_pure",
-                "stream_signature", "stream_key"):
+                "StreamSupplier", "StubFlow", "is_timing_pure"):
         from . import streams
 
         return getattr(streams, name)

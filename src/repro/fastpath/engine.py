@@ -28,11 +28,10 @@ loop a flow gets:
   packet's first gap, and a quarantine's idle packet consumes no stream
   packet. The wrappers' counts, feedback windows and quarantine state
   run exactly as they do live.
-* Flows whose reference sequence depends on run state (control
-  elements inside a pipeline, pipeline handoff stages, wrappers over
-  either) and all flows of a traced run stay on the live loop. A
-  skeleton touched before the run is materialized and generates its
-  stream afresh, without the cache.
+* Flows whose reference sequence depends on run state (pipeline
+  handoff stages, wrappers over them) and all flows of a traced run
+  stay on the live loop. A skeleton touched before the run is
+  materialized and generates its stream afresh, without the cache.
 
 Exactness rules the replay loop follows to the letter:
 

@@ -26,9 +26,12 @@ checkpoints of the private state, so :func:`restore_private` can rebuild
 the L1/L2 contents at any consumed (packet, reference) position when a
 run ends.
 
-Pure flows additionally declare a ``stream_signature``: a hashable value
-that, together with the machine seed, core, and platform spec, fully
-determines the generated stream. Streams of signatured flows are stored
+A pure flow's *factory* may declare a ``stream_signature``: a hashable
+value that, together with the machine seed, core, and platform spec,
+fully determines the generated stream. :meth:`Machine.add_flow
+<repro.hw.machine.Machine.add_flow>` reads it once, from the innermost
+factory under any wrapper factories, into ``FlowRun.signature``; flows
+themselves carry none. Streams of signatured flows are stored
 in a process-wide :class:`StreamCache` in *region-relative* form — each
 referenced line is re-expressed as its offset into the concatenation of
 the flow's regions in allocation order (:meth:`RegionTable.pack`) — so a
@@ -103,11 +106,6 @@ def _narrow(values) -> Optional[np.ndarray]:
 def is_timing_pure(flow) -> bool:
     """True when ``flow`` declares generation independent of run state."""
     return bool(getattr(flow, "timing_pure", False))
-
-
-def stream_signature(flow):
-    """The flow's stream signature, or None when it cannot be cached."""
-    return getattr(flow, "stream_signature", None)
 
 
 def stream_pure(flow):
@@ -610,11 +608,11 @@ class StubFlow:
     _OWN = frozenset({
         "_factory", "_meta", "_regions", "_seed", "_core", "_domain",
         "_spec", "_attach", "_flow", "_patched", "_absent", "touched",
-        "name", "measure_weight", "stream_signature", "dropped", "forwarded",
+        "name", "measure_weight", "dropped", "forwarded",
         "turns", "_next", "packets", "triggered", "trigger_packets",
     })
 
-    def __init__(self, factory, meta: StreamMeta, signature, regions,
+    def __init__(self, factory, meta: StreamMeta, regions,
                  seed: int, core: int, domain: int, spec):
         self._factory = factory
         self._meta = meta
@@ -629,7 +627,6 @@ class StubFlow:
         self.touched = False
         self.name = meta.flow_name
         self.measure_weight = meta.measure_weight
-        self.stream_signature = signature
         # Mirror the real flow's attribute surface: state attrs it has
         # get live shadows; ones it lacks raise AttributeError without
         # materializing (so hasattr probes stay cheap and faithful).
@@ -638,7 +635,7 @@ class StubFlow:
             self.dropped = 0
         else:
             absent.add("dropped")
-        if getattr(meta, "has_forwarded", False):
+        if meta.has_forwarded:
             self.forwarded = 0
         else:
             absent.add("forwarded")
@@ -833,27 +830,16 @@ STREAM_CACHE = StreamCache()
 
 
 def key_for_signature(sig, seed: int, core: int, spec) -> Tuple:
-    """The cache key pinning a signatured stream (see :func:`stream_key`).
-
-    ``spec`` is a frozen, hashable :class:`~repro.hw.topology.PlatformSpec`
-    and keys by value.
-    """
-    return (sig, seed, core, spec)
-
-
-def stream_key(flow, seed: int, core: int, spec) -> Optional[Tuple]:
-    """Cache key for a flow's stream, or None when uncacheable.
+    """The cache key pinning the stream of a flow with signature ``sig``.
 
     The per-flow RNG is derived from (machine seed, core) and the flow's
     construction consumes it deterministically, so (signature, seed,
     core, spec) pins the entire generated stream. The data domain is
     *not* part of the key: it only shifts absolute addresses, which the
-    region-relative encoding removes.
+    region-relative encoding removes. ``spec`` is a frozen, hashable
+    :class:`~repro.hw.topology.PlatformSpec` and keys by value.
     """
-    sig = stream_signature(flow)
-    if sig is None:
-        return None
-    return key_for_signature(sig, seed, core, spec)
+    return (sig, seed, core, spec)
 
 
 class StreamSupplier:
@@ -893,8 +879,9 @@ class StreamSupplier:
         self._dropped_base = int(getattr(self.flow, "dropped", 0) or 0)
         self._forwarded_base = int(getattr(self.flow, "forwarded", 0) or 0)
         self._regions = RegionTable(getattr(fr, "regions", []) or [])
-        self.key = (stream_key(self.flow, seed, fr.core, spec)
-                    if cacheable else None)
+        sig = fr.signature if cacheable else None
+        self.key = (key_for_signature(sig, seed, fr.core, spec)
+                    if sig is not None else None)
         self._cached: Optional[CachedStream] = None
         self.from_cache = False
         if self.key is not None and self._regions.regions:
@@ -1075,40 +1062,27 @@ class StreamSupplier:
         """
         flow = self.flow
         if isinstance(flow, StubFlow):
-            # Never-materialized skeleton: write the engine-visible state
-            # directly onto the stub (attribute probes on a stub would
-            # materialize the real flow, which is exactly what skipping
-            # construction avoids).
+            # Never-materialized skeleton: the state goes onto the stub
+            # itself (probing a stub's attributes would materialize the
+            # real flow, which is exactly what skipping construction
+            # avoids), and its metadata says which fields exist.
             flow._patched = True
             meta = flow._meta
-            if meta.has_dropped:
-                flow.dropped = self._dropped_base + dropped_cum
-            if getattr(meta, "has_forwarded", False):
-                # A pipeline forwards every non-dropped packet (it never
-                # produces idle packets), so the forwarded count is fully
-                # determined by the consumed count and the drop count.
-                flow.forwarded = (self._forwarded_base + consumed_packets
-                                  - dropped_cum)
-            if meta.shared_k:
-                k = meta.shared_k
-                flow.turns = [(consumed_packets - m + k - 1) // k
-                              for m in range(k)]
-                flow._next = consumed_packets % k
-            if meta.trigger_packets is not None:
-                flow.packets = consumed_packets
-                flow.triggered = consumed_packets > meta.trigger_packets
-            return
-        if hasattr(flow, "dropped"):
+        else:
+            meta = build_meta(flow, (), self.fr.data_domain)
+        if meta.has_dropped:
             flow.dropped = self._dropped_base + dropped_cum
-        if hasattr(flow, "forwarded"):
+        if meta.has_forwarded:
+            # A pipeline forwards every non-dropped packet (it never
+            # produces idle packets), so the forwarded count is fully
+            # determined by the consumed count and the drop count.
             flow.forwarded = (self._forwarded_base + consumed_packets
                               - dropped_cum)
-        if getattr(flow, "turns", None) is not None \
-                and getattr(flow, "flows", None):
-            k = len(flow.flows)
-            for m in range(k):
-                flow.turns[m] = (consumed_packets - m + k - 1) // k
+        if meta.shared_k:
+            k = meta.shared_k
+            flow.turns = [(consumed_packets - m + k - 1) // k
+                          for m in range(k)]
             flow._next = consumed_packets % k
-        if hasattr(flow, "trigger_packets") and hasattr(flow, "packets"):
+        if meta.trigger_packets is not None:
             flow.packets = consumed_packets
-            flow.triggered = consumed_packets > flow.trigger_packets
+            flow.triggered = consumed_packets > meta.trigger_packets

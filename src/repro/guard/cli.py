@@ -27,7 +27,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from .. import argtypes
-from ..apps.registry import app_factory
+from ..apps.registry import APP_NAMES, app_factory
 from ..check.runner import ENGINE_SETS
 from ..core.prediction import ContentionPredictor
 from ..hw.machine import Machine
@@ -126,6 +126,17 @@ def usage_error(args) -> Optional[str]:
         if len(args.slo) > 1:
             return "demo mode takes at most one --slo (the victim's)"
         return None
+    cores = PlatformSpec.westmere().total_cores
+    used = set()
+    for app, core in args.mix:
+        if app not in APP_NAMES:
+            return (f"--mix: unknown application {app!r} "
+                    f"(known: {', '.join(APP_NAMES)})")
+        if not 0 <= core < cores:
+            return f"--mix: core {core} outside the platform (0-{cores - 1})"
+        if core in used:
+            return f"--mix: two flows on core {core}"
+        used.add(core)
     labels = [f"{app}@{core}" for app, core in args.mix]
     unknown = sorted({s.label for s in args.slo} - set(labels))
     if unknown:

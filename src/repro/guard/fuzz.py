@@ -245,24 +245,3 @@ def run_fuzz(options: GuardFuzzOptions) -> GuardFuzzResult:
         if not outcome.ok and options.fail_fast:
             break
     return result
-
-
-def guard_scenario_payload(config: ScenarioConfig,
-                           engine: Optional[str] = None) -> Dict[str, Any]:
-    """Plain-JSON payload of one guarded scenario (the sweep task unit)."""
-    checker = InvariantChecker()
-    checker.context = f"{config.name or 'scenario'}/{engine or 'default'}"
-    machine, guard, result = run_guarded_scenario(
-        config, engine=engine, checker=checker)
-    return {
-        "name": config.name,
-        "digest": config.digest(),
-        "engine": engine,
-        "slos": dict(guard.slos),
-        "windows": guard.windows_observed,
-        "events": [e.to_dict() for e in guard.events],
-        "flows": guard.flow_summaries(),
-        "unhandled": list(guard.unhandled),
-        "violations": [str(v) for v in checker.violations],
-        "end_clock_cycles": result.end_clock,
-    }

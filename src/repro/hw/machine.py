@@ -64,7 +64,7 @@ class FlowRun:
         "index", "label", "flow", "core", "socket", "data_domain", "measured",
         "ctx", "prog", "pc", "prog_len", "clock", "counters",
         "warmup_target", "measure_target", "snap_start", "snap_end", "done",
-        "latencies", "packet_start", "regions",
+        "latencies", "packet_start", "regions", "signature",
     )
 
     def __init__(self, index: int, label: str, flow, core: int, socket: int,
@@ -95,6 +95,9 @@ class FlowRun:
         #: ``add_flow``); the batch engine's stream cache re-expresses
         #: cached access streams relative to these.
         self.regions: List = []
+        #: The stream signature its innermost factory declares (None:
+        #: never stream-cached); the batch engine's cache key.
+        self.signature = None
 
 
 class RunResult:
@@ -173,32 +176,35 @@ def flow_layers(flow) -> List:
     return layers
 
 
-def _audit_wrapper_identity(flow) -> None:
-    """Reject wrapper flows that alias their wrapped flow's identity.
+def _audit_wrapper_identity(flow, declared_wrappers: int,
+                            signatured: bool) -> None:
+    """Reject flows whose identity the stream cache or labels would alias.
 
-    The batch engine keys its skeleton/stream cache on ``name`` and
-    ``stream_signature``; a wrapper (throttle, two-faced composite,
-    guard) that passes either through unchanged could be cached under —
-    and later served as — its inner flow, silently dropping the wrapper
-    behaviour. Wrappers must either derive a distinct identity or
-    declare ``stream_signature = None`` (never cached).
+    A wrapper (throttle, two-faced composite, guard) must not reuse its
+    wrapped flow's name: labels derived from it could not tell them
+    apart. And a signatured factory must declare through
+    ``inner_factory`` exactly the layers of its product that are not
+    timing-pure: on a warm cache :meth:`Machine.add_flow` stands a
+    skeleton of the innermost factory's flow in for the product, wrapped
+    only in the declared wrappers, so an undeclared layer (a throttle
+    built inside the factory) would silently drop out, and the stream
+    of a timing-pure wrapper would be cached under its inner flow's
+    signature.
     """
-    inners = [inner for inner in (getattr(flow, "inner", None),
-                                  getattr(flow, "innocent", None),
-                                  getattr(flow, "aggressive", None))
-              if inner is not None and hasattr(inner, "run_packet")]
-    if not inners:
-        return
-    sig = getattr(flow, "stream_signature", None)
+    if signatured and sum(not getattr(layer, "timing_pure", False)
+                          for layer in flow_layers(flow)) != declared_wrappers:
+        raise ValueError(
+            f"factory of {getattr(flow, 'name', '?')!r} declares a stream "
+            f"signature and {declared_wrappers} wrapper(s), but its flow "
+            "has a different number of layers that are not timing-pure; "
+            "a cached skeleton would not stand for it")
     name = getattr(flow, "name", None)
-    for inner in inners:
-        if sig is not None and sig == getattr(inner, "stream_signature",
-                                              None):
-            raise ValueError(
-                f"wrapper flow {name!r} reuses the stream signature of "
-                f"its wrapped flow {getattr(inner, 'name', '?')!r}; the "
-                "batch engine would alias their cached streams")
-        if name is not None and name == getattr(inner, "name", None):
+    if name is None:
+        return
+    for attr in ("inner", "innocent", "aggressive"):
+        inner = getattr(flow, attr, None)
+        if (inner is not None and hasattr(inner, "run_packet")
+                and name == getattr(inner, "name", None)):
             raise ValueError(
                 f"wrapper flow reuses its wrapped flow's name {name!r}; "
                 "labels derived from it could not tell them apart")
@@ -313,7 +319,7 @@ class Machine:
                         for rname, size, is_data_rel, abs_dom in meta.layout
                     ]
                     flow = stub = _fastpath.StubFlow(
-                        inner_factory, meta, factory_sig, regions,
+                        inner_factory, meta, regions,
                         self.seed, core, data_domain, self.spec)
                     # Wrappers allocate nothing and draw no randomness,
                     # so the layout and the stream are the inner flow's.
@@ -336,7 +342,7 @@ class Machine:
             # Audit on the construction path only: probing a cached
             # skeleton's attributes would materialize it (a skeleton's
             # identity was already audited when its stream was recorded).
-            _audit_wrapper_identity(flow)
+            _audit_wrapper_identity(flow, len(wraps), factory_sig is not None)
             regions = []
             for d in range(self.spec.n_sockets):
                 regions.extend(self.space.domain(d).regions[marks[d]:])
@@ -347,6 +353,7 @@ class Machine:
             raise ValueError(f"duplicate flow label {label!r}")
         fr = FlowRun(len(self.flows), label, flow, core, socket, data_domain, measured)
         fr.regions = regions
+        fr.signature = factory_sig
         self.flows.append(fr)
         self._cores_used[core] = label
         self._l1[core] = SetAssociativeCache(
@@ -663,8 +670,8 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                     raise _event_limit_error(max_events)
                 ctx.reset()
                 # Keep the public run state current: flows with live
-                # feedback (ControlElement, ThrottledFlow) read their
-                # own clock and counters during generation.
+                # feedback (ThrottledFlow, GuardedFlow) read their own
+                # clock and counters during generation.
                 fr.clock = clock
                 fr.packet_start = clock
                 dma = fl.run_packet(ctx)

@@ -5,7 +5,7 @@ Three layers, wired through the whole stack:
 * **Tracing** (:mod:`.trace`, :mod:`.chrometrace`) — structured events
   from the timing engine and the Click pipeline layer (run phases,
   per-packet spans with element attribution, sampled cache/MC events) to
-  pluggable sinks, including JSONL and the Chrome ``trace_event`` format
+  pluggable sinks, including the Chrome ``trace_event`` format
   (viewable in ``about:tracing`` / Perfetto).
 * **Metrics** (:mod:`.metrics`) — periodic counter snapshots at a
   configurable simulated-time interval, yielding per-core time series
@@ -29,7 +29,6 @@ from .trace import (
     KIND_META,
     KIND_PACKET,
     KIND_PHASE,
-    JsonlSink,
     ListSink,
     NULL_SINK,
     NULL_TRACER,
@@ -38,7 +37,7 @@ from .trace import (
     TraceSink,
     Tracer,
 )
-from .chrometrace import ChromeTraceSink, to_chrome_trace, write_chrome_trace
+from .chrometrace import ChromeTraceSink, to_chrome_trace
 from .metrics import FlowSeries, MetricsSampler, percentile
 from .report import (
     RunReport,
@@ -56,7 +55,6 @@ __all__ = [
     "KIND_META",
     "KIND_PACKET",
     "KIND_PHASE",
-    "JsonlSink",
     "ListSink",
     "NULL_SINK",
     "NULL_TRACER",
@@ -66,7 +64,6 @@ __all__ = [
     "Tracer",
     "ChromeTraceSink",
     "to_chrome_trace",
-    "write_chrome_trace",
     "FlowSeries",
     "MetricsSampler",
     "percentile",

@@ -133,14 +133,3 @@ def _element_spans(event: TraceEvent, run: int, tid: int, ts: float,
         })
         cursor += share
     return spans
-
-
-def write_chrome_trace(events: List[TraceEvent],
-                       path_or_file: Union[str, IO[str]]) -> None:
-    """Write an event list (e.g. from a :class:`ListSink`) as a trace file."""
-    payload = to_chrome_trace(events)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w") as fh:
-            json.dump(payload, fh)
-    else:
-        json.dump(payload, path_or_file)

@@ -22,8 +22,7 @@ via the frequency carried by the run-begin metadata event.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 #: Event kinds emitted by the engine hooks.
 KIND_META = "meta"      #: run begin/end metadata (flows, platform, freq)
@@ -110,27 +109,6 @@ class ListSink(TraceSink):
     def by_kind(self, kind: str) -> List[TraceEvent]:
         """Just the events of one kind, in emission order."""
         return [e for e in self.events if e.kind == kind]
-
-
-class JsonlSink(TraceSink):
-    """Writes one JSON object per line (stream-appendable, grep-able)."""
-
-    def __init__(self, path_or_file: Union[str, IO[str]]):
-        if isinstance(path_or_file, str):
-            self._file: IO[str] = open(path_or_file, "w")
-            self._owns = True
-        else:
-            self._file = path_or_file
-            self._owns = False
-        self.emitted = 0
-
-    def emit(self, event: TraceEvent) -> None:
-        self._file.write(json.dumps(event.to_dict()) + "\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._owns and not self._file.closed:
-            self._file.close()
 
 
 class Tracer:

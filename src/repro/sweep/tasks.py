@@ -134,21 +134,6 @@ def _task_check_scenario(p: Dict[str, Any]) -> Dict[str, Any]:
     return scenario_payload(config, engine=p.get("engine"))
 
 
-@task("guard_scenario")
-def _task_guard_scenario(p: Dict[str, Any]) -> Dict[str, Any]:
-    """One fuzzer scenario run under the SLO guard (see repro.guard).
-
-    The payload carries the guard's full event stream and per-flow
-    verdicts, so a sharded fuzz campaign can assert determinism (and
-    zero unhandled violations) exactly like a serial one.
-    """
-    from ..check.scenarios import ScenarioConfig
-    from ..guard.fuzz import guard_scenario_payload
-
-    config = ScenarioConfig.from_dict(p["config"])
-    return guard_scenario_payload(config, engine=p.get("engine"))
-
-
 # -- fault injection (test suite) --------------------------------------------
 
 @task("fault")

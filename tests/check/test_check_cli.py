@@ -87,6 +87,14 @@ def test_replay_empty_dir(tmp_path, capsys):
     assert "no corpus entries" in capsys.readouterr().out
 
 
+def test_replay_missing_dir_is_a_usage_error(tmp_path, capsys):
+    # A misspelt path must not pass as an empty corpus.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--replay", str(tmp_path / "no-such-dir")])
+    assert exc.value.code == 2
+    assert "no such directory" in capsys.readouterr().err
+
+
 def test_replay_still_failing_entry_exits_one(tmp_path, capsys):
     # An entry whose config cannot even build (unknown app) counts as a
     # crash finding: replay must report it and exit nonzero.

@@ -69,7 +69,6 @@ class RandomFlow:
         self.regions = regions
         self.rng = random.Random(seed)
         self.dma_rate = dma_rate
-        self.stream_signature = ("random", seed, dma_rate)
 
     def _line(self) -> int:
         region = self.rng.choice(self.regions)
@@ -106,7 +105,8 @@ def _serve(spec, regions, seed, dma_rate, batch, n_blocks, cache, rng,
     a flow touching lines outside its own allocations.
     """
     fr = SimpleNamespace(flow=RandomFlow(regions, seed, dma_rate), core=0,
-                         regions=regions if known else [], data_domain=0)
+                         regions=regions if known else [], data_domain=0,
+                         signature=("random", seed, dma_rate))
     n1 = _n_sets(spec.l1_size, spec.l1_ways)
     n2 = _n_sets(spec.l2_size, spec.l2_ways)
     sup = StreamSupplier(fr, 1, spec, n1, n2,

@@ -98,7 +98,6 @@ class _Sparse:
     """A timing-pure flow whose every third packet makes no reference."""
 
     timing_pure = True
-    stream_signature = ("sparse",)
     name = "sparse"
 
     def __init__(self, env):
@@ -121,7 +120,7 @@ def sparse_factory(env):
     return _Sparse(env)
 
 
-sparse_factory.stream_signature = _Sparse.stream_signature
+sparse_factory.stream_signature = ("sparse",)
 
 
 def _ip_two_faced():

@@ -61,6 +61,18 @@ def test_mix_rejects_slo_for_unknown_flow(capsys):
     assert "FW@3" in err and "IP@0" in err
 
 
+@pytest.mark.parametrize("mix, message", [
+    ("NAT:0", "unknown application 'NAT'"),
+    ("IP:0,FW:99", "core 99 outside the platform"),
+    ("IP:-1", "core -1 outside the platform"),
+    ("IP:0,MON:0", "two flows on core 0"),
+])
+def test_mix_rejects_unknown_apps_and_cores(mix, message, capsys):
+    # A usage error (2) before any simulation, not a traceback (1).
+    assert main(["guard", "--mix", mix]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_fuzz_mode_end_to_end(tmp_path, capsys):
     out = tmp_path / "fuzz.json"
     code = main(["guard", "--fuzz", "1", "--seed", hex(SEED),

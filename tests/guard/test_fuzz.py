@@ -1,4 +1,4 @@
-"""Random-SLO guard fuzz: determinism, the no-unhandled contract, sweep task."""
+"""Random-SLO guard fuzz: determinism and the no-unhandled contract."""
 
 import json
 
@@ -10,10 +10,8 @@ from repro.guard.fuzz import (
     GuardFuzzOptions,
     assign_slos,
     fuzz_one,
-    guard_scenario_payload,
     run_fuzz,
 )
-from repro.sweep.tasks import run_task
 
 pytestmark = pytest.mark.guard
 
@@ -71,15 +69,3 @@ def test_fuzz_one_single_engine_skips_cross_check():
     outcome = fuzz_one(generate_one(SEED, 1), engines=("scalar",))
     assert outcome.ok
     assert outcome.mismatch is None
-
-
-def test_guard_scenario_sweep_task_round_trips():
-    config = generate_one(SEED, 2)
-    direct = guard_scenario_payload(config, engine="scalar")
-    via_task = run_task("guard_scenario",
-                        {"config": config.to_dict(), "engine": "scalar"})
-    assert json.loads(json.dumps(via_task)) == \
-        json.loads(json.dumps(direct))
-    assert via_task["digest"] == config.digest()
-    assert via_task["unhandled"] == [] and via_task["violations"] == []
-    assert via_task["windows"] > 0

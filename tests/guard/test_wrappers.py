@@ -4,8 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import fastpath
+from repro.apps.synthetic import syn_max_factory
+from repro.fastpath.streams import StubFlow
 from repro.guard.slo import FlowSLO, parse_slo, slo_map
 from repro.guard.wrappers import GuardedFlow, guarded_factory
+from repro.hw.machine import Machine
+from repro.hw.topology import PlatformSpec
 
 pytestmark = pytest.mark.guard
 
@@ -40,9 +45,22 @@ def make_guarded(adjust_every=4, gain=0.6):
 def test_identity_never_aliases_the_inner_flow():
     flow = GuardedFlow(_InertFlow())
     assert flow.name == "guarded(inert)"
-    assert flow.stream_signature is None
     assert flow.timing_pure is False
     assert flow.guard_controllable is True
+    # The factory declares no signature of its own: a warm batch run
+    # keys the stream by the inner factory's and wraps its skeleton.
+    factory = guarded_factory(syn_max_factory())
+    assert getattr(factory, "stream_signature", None) is None
+    fastpath.clear_stream_cache()
+    with fastpath.use_engine("batch"):
+        for _ in range(2):
+            machine = Machine(PlatformSpec.westmere().scaled(64))
+            fr = machine.add_flow(factory, core=0)
+            result = machine.run(warmup_packets=50, measure_packets=200)
+    assert fr.signature == syn_max_factory().stream_signature
+    assert isinstance(fr.flow, GuardedFlow)
+    assert isinstance(fr.flow.inner, StubFlow)
+    assert result[fr.label].packets == 200
 
 
 def test_construction_validation():

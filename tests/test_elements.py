@@ -1,12 +1,11 @@
 """Standard elements: FromDevice, ToDevice, CheckIPHeader, Classifier,
-Queue, Counter, Discard, ControlElement."""
+Queue, Counter, Discard."""
 
 import pytest
 
 from repro.click.element import PacketSink
 from repro.click.elements.checkipheader import CheckIPHeader
 from repro.click.elements.classifier import Classifier, Pattern
-from repro.click.elements.control import ControlElement
 from repro.click.elements.counter import Counter
 from repro.click.elements.discard import Discard
 from repro.click.elements.fromdevice import FromDevice
@@ -184,64 +183,3 @@ def test_packet_sink():
     assert sink.process(AccessContext(), pkt()) is None
     assert sink.count == 1
     assert sink.bytes > 0
-
-
-# -- ControlElement ---------------------------------------------------------------
-
-class FakeCounters:
-    def __init__(self):
-        self.l3_refs = 0
-
-
-class FakeRun:
-    def __init__(self):
-        self.counters = FakeCounters()
-        self.clock = 0.0
-
-
-class FakeMachine:
-    def __init__(self, freq):
-        class Spec:
-            freq_hz = 0.0
-
-        self.spec = Spec()
-        self.spec.freq_hz = freq
-
-
-def test_control_element_throttles_over_target():
-    ce = ControlElement(target_refs_per_sec=1e6, adjust_every=4, gain=1.0)
-    fr = FakeRun()
-    ce.attach_run(FakeMachine(1e9), fr)
-    # Simulate a flow doing 10 refs per 100 cycles => 1e8 refs/sec (100x over).
-    for i in range(1, 17):
-        fr.counters.l3_refs = 10 * i
-        fr.clock = 100.0 * i
-        ce.process(AccessContext(), pkt())
-    assert ce.extra_gap > 0
-    assert ce.adjustments == 4
-
-
-def test_control_element_relaxes_under_target():
-    ce = ControlElement(target_refs_per_sec=1e12, adjust_every=2, gain=1.0)
-    fr = FakeRun()
-    ce.attach_run(FakeMachine(1e9), fr)
-    ce.extra_gap = 500.0
-    for i in range(1, 9):
-        fr.counters.l3_refs = i
-        fr.clock = 1000.0 * i
-        ce.process(AccessContext(), pkt())
-    assert ce.extra_gap < 500.0
-
-
-def test_control_element_inactive_without_target():
-    ce = ControlElement()
-    out = ce.process(AccessContext(), pkt())
-    assert out is not None
-    assert ce.extra_gap == 0
-
-
-def test_control_element_validation():
-    with pytest.raises(ValueError):
-        ControlElement(adjust_every=0)
-    with pytest.raises(ValueError):
-        ControlElement(gain=0)

@@ -1,7 +1,5 @@
 """Trace layer: sink plumbing, event ordering, phase markers, sampling."""
 
-import json
-
 import pytest
 
 from repro.apps.registry import app_factory
@@ -13,7 +11,6 @@ from repro.obs import (
     KIND_PACKET,
     KIND_PHASE,
     NULL_TRACER,
-    JsonlSink,
     ListSink,
     Tracer,
     observe,
@@ -114,18 +111,6 @@ def test_null_tracer_is_inactive():
     # The engine takes the untraced path: no error, no events.
     result = _traced_run(NULL_TRACER)
     assert result["MON@0"].packets > 0
-
-
-def test_jsonl_sink_round_trips(tmp_path):
-    path = tmp_path / "events.jsonl"
-    tracer = Tracer(JsonlSink(str(path)), packet_sample=4)
-    _traced_run(tracer)
-    tracer.close()
-    lines = path.read_text().strip().splitlines()
-    events = [json.loads(line) for line in lines]
-    assert events[0]["name"] == "run_begin"
-    kinds = {e["kind"] for e in events}
-    assert {KIND_META, KIND_PHASE, KIND_PACKET} <= kinds
 
 
 def test_observe_session_attaches_ambient_tracer():

@@ -11,7 +11,6 @@ from repro.apps.registry import (
     make_app,
 )
 from repro.apps.synthetic import SynApp
-from repro.click.elements.control import ControlElement
 from repro.click.pipeline import Pipeline
 from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
@@ -60,11 +59,6 @@ def test_element_composition_matches_paper():
     assert names("FW") == ip + ["NetFlow", "Firewall"]
     assert names("RE") == ip + ["NetFlow", "REElement"]
     assert names("VPN") == ip + ["NetFlow", "VPNEncrypt"]
-
-
-def test_control_element_prepends():
-    app = make_app("IP", make_env(), control=ControlElement())
-    assert app.elements[0].__class__.__name__ == "ControlElement"
 
 
 def test_app_factory_runs_on_machine():

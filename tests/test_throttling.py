@@ -1,17 +1,13 @@
 """Aggressiveness containment: throttled and two-faced flows."""
 
-import random
-from types import SimpleNamespace
-
 import pytest
 
+from repro import fastpath
 from repro.apps.synthetic import syn_factory, syn_max_factory
-from repro.click.elements.control import ControlElement
 from repro.core.throttling import ThrottledFlow, TwoFacedFlow, throttled_factory
+from repro.fastpath.streams import StubFlow
 from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
-from repro.mem.access import AccessContext
-from repro.net.packet import Packet
 
 
 def spec():
@@ -269,9 +265,30 @@ def test_periodic_and_flush_paths_share_arithmetic():
 
 
 def test_throttled_flow_is_never_stream_cached():
-    flow = ThrottledFlow(_InertFlow(), target_refs_per_sec=1e6)
-    assert flow.stream_signature is None
-    assert flow.timing_pure is False
+    # The wrapper's factory declares no signature: add_flow keys the
+    # stream by the inner factory's and wraps the throttle around a
+    # skeleton of the inner flow, so a warm run still throttles.
+    assert ThrottledFlow(_InertFlow(), 1e6).timing_pure is False
+    baseline = syn_refs_per_sec(syn_max_factory()).l3_refs_per_sec
+    factory = throttled_factory(syn_max_factory(),
+                                target_refs_per_sec=baseline / 3,
+                                adjust_every=16)
+    assert getattr(factory, "stream_signature", None) is None
+    fastpath.clear_stream_cache()
+    runs = []
+    with fastpath.use_engine("batch"):
+        for _ in range(2):
+            m = Machine(spec())
+            fr = m.add_flow(factory, core=0, label="f")
+            runs.append((fr, m.run(warmup_packets=100,
+                                   measure_packets=600)["f"]))
+    (_, cold), (warm_fr, warm) = runs
+    assert warm_fr.signature == syn_max_factory().stream_signature
+    assert isinstance(warm_fr.flow, ThrottledFlow)
+    assert isinstance(warm_fr.flow.inner, StubFlow)
+    assert warm_fr.flow.adjustments > 0
+    assert warm.l3_refs_per_sec == cold.l3_refs_per_sec
+    assert warm.l3_refs_per_sec < baseline / 2
 
 
 def test_two_faced_trigger_boundary_exact():
@@ -289,37 +306,3 @@ def test_two_faced_zero_trigger_is_aggressive_from_first_packet():
     flow = TwoFacedFlow(innocent, aggressive, trigger_packets=0)
     flow.run_packet(None)
     assert (innocent.calls, aggressive.calls) == (0, 1)
-
-
-def test_control_element_and_throttle_share_one_loop():
-    """Fed the same counter trajectory, the Click control element and a
-    ThrottledFlow take identical closed-loop steps."""
-    machine = SimpleNamespace(spec=SimpleNamespace(freq_hz=1e9))
-    element = ControlElement(target_refs_per_sec=5e7, adjust_every=8,
-                             gain=0.6)
-    throttle = ThrottledFlow(SimpleNamespace(name="inner"),
-                             target_refs_per_sec=5e7, adjust_every=8,
-                             gain=0.6)
-    runs = [SimpleNamespace(counters=SimpleNamespace(l3_refs=0), clock=0.0)
-            for _ in range(2)]
-    element.attach_run(machine, runs[0])
-    throttle.attach_run(machine, runs[1])
-    packet = Packet.udp(src=1, dst=2)
-    rng = random.Random(5)
-    refs, clock = 0, 0.0
-    element_gaps, throttle_gaps = [], []
-    for n in range(256):
-        # Over the target for the first half, far under it afterwards.
-        refs += rng.randrange(40 if n < 128 else 5)
-        clock += rng.uniform(50.0, 400.0)
-        for fr in runs:
-            fr.counters.l3_refs = refs
-            fr.clock = clock
-        element.process(AccessContext(), packet)
-        throttle.wrap_packet(AccessContext(), lambda ctx: None)
-        element_gaps.append(element.extra_gap)
-        throttle_gaps.append(throttle.extra_gap)
-    assert element_gaps == throttle_gaps
-    assert element.adjustments == throttle.adjustments == 32
-    assert element_gaps[127] > element_gaps[0]
-    assert element_gaps[-1] < element_gaps[127]
