@@ -20,6 +20,8 @@ class PacketStore:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._buf = bytearray(capacity)
+        # A read copies once, out of a view (the buffer never resizes).
+        self._view = memoryview(self._buf)
         self.total_written = 0
 
     @property
@@ -46,16 +48,17 @@ class PacketStore:
             raise ValueError("negative offset/length")
         if length == 0:
             return b""
-        if abs_offset + length > self.total_written:
+        total = self.total_written
+        if abs_offset + length > total:
             return None  # never written
-        if abs_offset < self.oldest_valid:
-            return None  # overwritten
-        pos = abs_offset % self.capacity
-        first = min(length, self.capacity - pos)
-        out = bytes(self._buf[pos:pos + first])
-        if first < length:
-            out += bytes(self._buf[:length - first])
-        return out
+        capacity = self.capacity
+        if abs_offset < total - capacity:
+            return None  # overwritten (before oldest_valid)
+        pos = abs_offset % capacity
+        end = pos + length
+        if end <= capacity:
+            return self._view[pos:end].tobytes()
+        return b"".join((self._view[pos:], self._view[:end - capacity]))
 
     def contains(self, abs_offset: int, length: int) -> bool:
         """True if the whole range is still resident."""

@@ -39,12 +39,23 @@ DERIVED_FIELDS = (
 
 REL_TOL = 1e-9
 
+#: UtilizationQueue fields compared exactly on every memory controller
+#: and the QPI link: both window loops run the queue's common step
+#: inline, and a slip there can leave the waits unchanged for a while.
+QUEUE_FIELDS = ("requests", "rho", "wait", "window_start", "window_busy")
+
 
 def _caches(machine) -> List:
     """Every cache of ``machine`` in a fixed order: L1s, L2s, then L3s."""
     return ([machine._l1[core] for core in sorted(machine._l1)]
             + [machine._l2[core] for core in sorted(machine._l2)]
             + list(machine.l3))
+
+
+def _queues(machine) -> List:
+    """Every shared queue of ``machine``: the memory controllers, then QPI."""
+    return [(f"mc{mc.domain}", mc) for mc in machine.mcs] + [
+        ("qpi", machine.qpi)]
 
 
 def _flow_state(fr) -> Dict[str, object]:
@@ -76,11 +87,12 @@ def compare_results(ref_machine, ref_result, alt_machine, alt_result,
                     label: str = "batch") -> List[str]:
     """Every divergence between a reference and an alternate run.
 
-    Counters, tag breakdowns, clocks, events, drop state, and end-of-run
+    Counters, tag breakdowns, clocks, events, drop state, end-of-run
     cache contents (every core's L1/L2 and every socket's L3, set by set
-    in LRU order) must match exactly; derived per-flow rates must agree
-    to ``REL_TOL`` relative. Returns human-readable divergence strings
-    (empty means equivalent).
+    in LRU order) and the queue state of every memory controller and
+    the QPI link (:data:`QUEUE_FIELDS`) must match exactly; derived
+    per-flow rates must agree to ``REL_TOL`` relative. Returns
+    human-readable divergence strings (empty means equivalent).
     """
     divergences: List[str] = []
 
@@ -125,6 +137,14 @@ def compare_results(ref_machine, ref_result, alt_machine, alt_result,
                 diverge(f"cache {ref_cache.name} set {idx}", ref_set,
                         alt_set)
                 break
+
+    for (name, ref_q), (_, alt_q) in zip(_queues(ref_machine),
+                                         _queues(alt_machine)):
+        for fname in QUEUE_FIELDS:
+            ref_v = getattr(ref_q, fname)
+            alt_v = getattr(alt_q, fname)
+            if ref_v != alt_v:
+                diverge(f"{name}.{fname}", ref_v, alt_v)
 
     if sorted(ref_result.stats) != sorted(alt_result.stats):
         diverge("measured flow labels", sorted(ref_result.stats),

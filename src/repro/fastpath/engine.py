@@ -3,8 +3,9 @@
 Both engines run on the one execution driver, ``Machine._drive`` in
 :mod:`repro.hw.machine`: a heap interleaves cores at memory-reference
 granularity, and each flow's window loop is a suspended generator the
-driver resumes with ``send(next core's clock)``, so its hot bindings
-live in generator locals across windows. The scalar engine puts every
+driver resumes through its pre-bound ``send`` with the next core's
+clock, so its hot bindings and counters live in generator locals across
+windows. The scalar engine puts every
 flow on the live per-packet loop; the batch engine differs only in which
 loop a flow gets:
 
@@ -37,20 +38,32 @@ Exactness rules the replay loop follows to the letter:
 
 * the per-reference clock updates perform the *same float operations in
   the same order* as the live loop (``now = clock + gap`` then
-  ``clock = now + lat``); counter accumulators append onto the running
-  value in the same sequence, so float results are bit-equal, not merely
-  close;
+  ``clock = now + lat``, with the cache latencies passed in as floats,
+  which is the double an int latency converts to); counter accumulators
+  append onto the running value in the same sequence, so float results
+  are bit-equal, not merely close;
 * memory controllers and the QPI link are stateful queueing models fed
-  by request timestamps — they are called in exactly the live loop's
-  order with exactly its arguments;
+  by request timestamps. Both loops run a request's common step inline
+  (count it, add its service time, check the window, read ``wait``) and
+  call :meth:`~repro.hw.dram.UtilizationQueue.roll` when the window is
+  due, in exactly the live loop's order with exactly its timestamps;
+  :func:`~repro.fastpath.diff.compare_results` holds every queue's state
+  equal;
 * DMA invalidations, counter snapshots and observer windows happen at
   the same points of the global interleaving. The max-events guard
   fires at packet loads against a per-packet count: each loop adds a
   packet's references to the shared count when the next packet loads
   (and its partial packet when closed), so both engines trip it at the
-  same load. At a suspension point mid-packet the flow's ``clock`` and
-  ``l3_refs`` are current, as on the live loop, because an observer of
-  another flow may retarget this flow's throttle there;
+  same load;
+* what each loop publishes, and when, is the same on both loops. At a
+  packet boundary a loop writes every counter accumulator and
+  ``fr.clock`` before anything there reads them (snapshots, observers,
+  the wrappers' feedback). At a suspension point mid-packet it
+  publishes ``fr.clock`` and ``l3_refs`` only when the run has
+  observers: an observer of another flow (the guard) may retarget this
+  flow's throttle there, and ``set_limit`` reads both. Nothing else
+  reads a suspended flow, so a run without observers publishes nothing
+  there. ``close()`` publishes everything;
 * a core's private L1/L2 sees only its own flow's references and DMA
   invalidations, so for a timing-pure flow every private outcome is a
   function of the flow's stream alone and is resolved ahead of the run
@@ -69,6 +82,7 @@ and guard configurations (``test_wrapper_replay.py``).
 
 from __future__ import annotations
 
+from ..hw.dram import UTILIZATION_WINDOW
 from ..hw.machine import MAX_EVENTS, _DOMAIN_LINE_SHIFT, _event_limit_error
 from .streams import (BATCH_PACKETS, StreamSupplier, StubFlow,
                       materialize_stub, stream_pure)
@@ -137,8 +151,11 @@ def _replay_gen(fr, sup, shared, env, control=None):
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     observe, metrics_due, metrics_on, ev, nw) = shared
+     observe, metrics_due, observed, ev, nw) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
+    window = UTILIZATION_WINDOW
+    qpi_service = qpi.service_cycles
+    qpi_extra = qpi.extra_cycles
     c = fr.counters
     i = fr.index
     tag_refs = c.tag_refs
@@ -204,7 +221,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
                             nw[0] -= 1
                             if nw[0] == 0:
                                 return
-                    if metrics_on and clock >= metrics_due[i]:
+                    if observed and clock >= metrics_due[i]:
                         observe(i, clock, c)
                 # -- load next pregenerated packet ------------------------
                 ev[0] += j - j0      # the finished packet's references
@@ -234,7 +251,9 @@ def _replay_gen(fr, sup, shared, env, control=None):
                     tags = block.tags
                     l3i = block.l3i
                     doms = block.doms
-                    codes = block.codes
+                    # A list, not the stored bytes: CPython indexes a
+                    # list of small ints on a specialized fast path.
+                    codes = list(block.codes)
                     bounds = block.bounds
                 k = steps - block.start
                 steps += 1
@@ -259,7 +278,6 @@ def _replay_gen(fr, sup, shared, env, control=None):
                         trailing += lead_gap
                 loaded = True
                 if clock > limit:
-                    fr.clock = clock
                     limit = yield clock
                 continue
 
@@ -286,11 +304,22 @@ def _replay_gen(fr, sup, shared, env, control=None):
                         s3.pop(0)
                     l3m += 1
                     dom = doms[j]
-                    wait = mcs[dom].request(now)
+                    # UtilizationQueue.request, inline (see hw.dram).
+                    mc = mcs[dom]
+                    mc.requests += 1
+                    mc.window_busy += mc.service_cycles
+                    if now - mc.window_start >= window:
+                        mc.roll(now)
+                    wait = mc.wait
                     lat = lat_dram + wait
                     mcw += wait
                     if dom != home:
-                        lat += qpi.transfer(now)
+                        # QPILink.transfer, inline.
+                        qpi.requests += 1
+                        qpi.window_busy += qpi_service
+                        if now - qpi.window_start >= window:
+                            qpi.roll(now)
+                        lat += qpi.wait + qpi_extra
                         rr += 1
                     clock = now + lat
             elif code:
@@ -302,11 +331,12 @@ def _replay_gen(fr, sup, shared, env, control=None):
             g += gap
             j += 1
             if clock > limit:
-                fr.clock = clock
-                # Another flow's observer may retarget this flow's
-                # throttle while it is suspended here, and the guard's
-                # set_limit reads l3_refs as the live loop leaves it.
-                c.l3_refs = l3r
+                if observed:
+                    # Another flow's observer may retarget this flow's
+                    # throttle while it is suspended here; set_limit
+                    # reads its clock and l3_refs.
+                    fr.clock = clock
+                    c.l3_refs = l3r
                 limit = yield clock
     finally:
         # close(): flush accumulators (suspension points are the only

@@ -14,6 +14,16 @@ with competition" (Section 3.3).
 
 ``rho`` changes only when a window rolls over, so the wait is computed
 once per window and every request in between returns the stored value.
+A request's common step is three operations: count it, add its service
+time to the window's busy cycles, and compare the time since the window
+opened with :data:`UTILIZATION_WINDOW`. Both window loops of
+:mod:`repro.hw.machine` and :mod:`repro.fastpath.engine` run that step
+inline on the queue's public fields and then read ``wait``; only when
+the window is due do they call :meth:`UtilizationQueue.roll`, the one
+place the window rolls, which :meth:`UtilizationQueue.request` calls too.
+The inline step and :meth:`~UtilizationQueue.request` perform the same
+float operations in the same order, so either leaves the queue in the
+same state (``tests/test_dram.py`` pins a traced co-run's waits to it).
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ class UtilizationQueue:
     """Shared-channel queueing from windowed utilization."""
 
     __slots__ = ("service_cycles", "requests", "rho", "wait",
-                 "_window_start", "_window_busy")
+                 "window_start", "window_busy")
 
     def __init__(self, service_cycles: float):
         if service_cycles <= 0:
@@ -41,14 +51,19 @@ class UtilizationQueue:
     def request(self, now: float) -> float:
         """One transfer at time ``now``; returns the queueing delay in cycles."""
         self.requests += 1
-        self._window_busy += self.service_cycles
-        elapsed = now - self._window_start
-        if elapsed >= UTILIZATION_WINDOW:
-            rho = self.rho = min(MAX_RHO, self._window_busy / elapsed)
-            self.wait = self.service_cycles * rho / (1.0 - rho)
-            self._window_start = now
-            self._window_busy = 0.0
+        self.window_busy += self.service_cycles
+        if now - self.window_start >= UTILIZATION_WINDOW:
+            self.roll(now)
         return self.wait
+
+    def roll(self, now: float) -> None:
+        """Close the window at ``now``: its utilization sets the wait of
+        every request until the next roll."""
+        elapsed = now - self.window_start
+        rho = self.rho = min(MAX_RHO, self.window_busy / elapsed)
+        self.wait = self.service_cycles * rho / (1.0 - rho)
+        self.window_start = now
+        self.window_busy = 0.0
 
     @property
     def busy_cycles(self) -> float:
@@ -67,8 +82,10 @@ class UtilizationQueue:
         self.rho = 0.0
         #: Queueing delay of every request in the current window.
         self.wait = 0.0
-        self._window_start = 0.0
-        self._window_busy = 0.0
+        #: Clock at which the current window opened, and the service
+        #: cycles requested in it so far.
+        self.window_start = 0.0
+        self.window_busy = 0.0
 
 
 class MemoryController(UtilizationQueue):

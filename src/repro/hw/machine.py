@@ -36,7 +36,7 @@ from ..obs.session import current_session
 from ..obs.trace import NULL_TRACER, Tracer
 from .cache import SetAssociativeCache
 from .counters import CoreCounters, FlowStats
-from .dram import MemoryController
+from .dram import UTILIZATION_WINDOW, MemoryController
 from .interconnect import QPILink
 from .topology import PlatformSpec
 
@@ -435,7 +435,8 @@ class Machine:
         them at memory-reference granularity by always resuming the core
         with the smallest clock, with the next core's clock as the limit
         of its window. A loop yields only once its clock has passed that
-        limit, so each switch is one ``heapreplace`` and one ``send``.
+        limit, so each switch is one ``heapreplace`` and one call of the
+        loop's pre-bound ``send``.
         ``replay(fr, shared, env)`` (the batch engine's hook) may return a
         flow's window loop; flows it declines, and every flow when it is
         None, run on :func:`_live_loop`.
@@ -475,9 +476,12 @@ class Machine:
             tracer.begin_run(self)
         for obs in observers:
             obs.begin(self)
-        metrics_on = bool(observers)
+        # Only observers read a suspended flow's clock and l3_refs (the
+        # guard retargets throttles of flows it is not sampling); without
+        # them the loops publish those at packet boundaries only.
+        observed = bool(observers)
         metrics_due = observe = None
-        if metrics_on:
+        if observed:
             metrics_due, observe = _observer_schedule(observers, len(flows))
         mem_sample = tracer.mem_sample if trace_on else 0
 
@@ -485,11 +489,13 @@ class Machine:
         ev = [0]             # references of the packets counted so far
         nw = [n_waiting]     # measured flows still short of their target
         spec = self.spec
-        shared = (spec.lat_l1, spec.lat_l2, spec.lat_l3,
-                  spec.lat_l3 + spec.lat_dram_extra, self.mcs, self.qpi,
+        # Latencies as floats keep the loops' clock arithmetic on
+        # float + float (an int operand converts to the same double).
+        shared = (float(spec.lat_l1), float(spec.lat_l2), float(spec.lat_l3),
+                  float(spec.lat_l3 + spec.lat_dram_extra), self.mcs, self.qpi,
                   spec.l1_ways, spec.l2_ways, spec.l3_ways, max_events,
                   _DOMAIN_LINE_SHIFT,
-                  observe, metrics_due, metrics_on, ev, nw)
+                  observe, metrics_due, observed, ev, nw)
 
         # A machine built under the ambient batch engine may hold
         # construction-skipped StubFlows; the live loop needs the real
@@ -521,12 +527,13 @@ class Machine:
                 raise RuntimeError("tag registry changed mid-run")
             heappush(heap, (fr.clock, fr.index))
 
+        sends = [gen.send for gen in gens]
         i = heappop(heap)[1]
         try:
             if not heap:
-                gens[i].send(float("inf"))
+                sends[i](float("inf"))
             while True:
-                i = heapreplace(heap, (gens[i].send(heap[0][0]), i))[1]
+                i = heapreplace(heap, (sends[i](heap[0][0]), i))[1]
         except StopIteration:
             pass
         finally:
@@ -607,12 +614,19 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
 
     Primed with ``send(None)``; every later ``send(limit)`` runs the flow
     until its clock passes ``limit`` (the next core's clock) and yields
-    that clock. ``close()`` leaves the flow's run state consistent.
+    that clock. Per-reference counters live in locals and are written
+    to the flow's :class:`CoreCounters` at every packet boundary (before
+    anything there reads them) and on ``close()``; a suspension point
+    publishes ``fr.clock`` and ``l3_refs`` only when the run has
+    observers. ``close()`` leaves the flow's run state consistent.
     """
     (lat_l1, lat_l2, lat_l3, lat_dram, mcs, qpi,
      l1_ways, l2_ways, l3_ways, max_events, domain_shift,
-     observe, metrics_due, metrics_on, ev, nw) = shared
+     observe, metrics_due, observed, ev, nw) = shared
     (my_l1, my_l1_n, my_l2, my_l2_n, my_l3, my_l3_n, home) = env
+    window = UTILIZATION_WINDOW
+    qpi_service = qpi.service_cycles
+    qpi_extra = qpi.extra_cycles
     fl = fr.flow
     ctx = fr.ctx
     c = fr.counters
@@ -624,6 +638,14 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
     prog = fr.prog
     pc = fr.pc
     prog_len = fr.prog_len
+    l1h = c.l1_hits
+    l2h = c.l2_hits
+    l3r = c.l3_refs
+    l3h = c.l3_hits
+    l3m = c.l3_misses
+    rr = c.remote_refs
+    g = c.gap_cycles
+    mcw = c.mc_wait_cycles
 
     limit = yield
     clock = fr.clock
@@ -633,7 +655,15 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                 # -- packet boundary --------------------------------------
                 if prog_len >= 0:
                     clock += ctx.trailing_gap
-                    c.gap_cycles += ctx.trailing_gap
+                    g += ctx.trailing_gap
+                    c.l1_hits = l1h
+                    c.l2_hits = l2h
+                    c.l3_refs = l3r
+                    c.l3_hits = l3h
+                    c.l3_misses = l3m
+                    c.remote_refs = rr
+                    c.gap_cycles = g
+                    c.mc_wait_cycles = mcw
                     if not ctx.is_idle:
                         c.packets += 1
                         if (fr.latencies is not None
@@ -661,7 +691,7 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                             nw[0] -= 1
                             if nw[0] == 0:
                                 return
-                    if metrics_on and clock >= metrics_due[i]:
+                    if observed and clock >= metrics_due[i]:
                         observe(i, clock, c)
                 # -- generate next packet ---------------------------------
                 ev[0] += pc // 3     # the finished packet's references
@@ -699,7 +729,6 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                         "zero-time packet"
                     )
                 if clock > limit:
-                    fr.clock = clock
                     limit = yield clock
                 continue
 
@@ -711,7 +740,7 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
             if line in s:
                 s.remove(line)
                 s.append(line)
-                c.l1_hits += 1
+                l1h += 1
                 clock = now + lat_l1
             else:
                 s.append(line)
@@ -721,45 +750,68 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                 if line in s2:
                     s2.remove(line)
                     s2.append(line)
-                    c.l2_hits += 1
+                    l2h += 1
                     clock = now + lat_l2
                 else:
                     s2.append(line)
                     if len(s2) > l2_ways:
                         s2.pop(0)
-                    c.l3_refs += 1
+                    l3r += 1
                     tag = prog[pc + 2]
                     tag_refs[tag] += 1
                     s3 = my_l3[line % my_l3_n]
                     if line in s3:
                         s3.remove(line)
                         s3.append(line)
-                        c.l3_hits += 1
+                        l3h += 1
                         tag_hits[tag] += 1
                         clock = now + lat_l3
                     else:
                         s3.append(line)
                         if len(s3) > l3_ways:
                             s3.pop(0)
-                        c.l3_misses += 1
+                        l3m += 1
                         dom = line >> domain_shift
-                        wait = mcs[dom].request(now)
+                        # UtilizationQueue.request, inline (see hw.dram).
+                        mc = mcs[dom]
+                        mc.requests += 1
+                        mc.window_busy += mc.service_cycles
+                        if now - mc.window_start >= window:
+                            mc.roll(now)
+                        wait = mc.wait
                         lat = lat_dram + wait
-                        c.mc_wait_cycles += wait
+                        mcw += wait
                         if dom != home:
-                            lat += qpi.transfer(now)
-                            c.remote_refs += 1
+                            # QPILink.transfer, inline.
+                            qpi.requests += 1
+                            qpi.window_busy += qpi_service
+                            if now - qpi.window_start >= window:
+                                qpi.roll(now)
+                            lat += qpi.wait + qpi_extra
+                            rr += 1
                         clock = now + lat
-                        if trace_on and c.l3_misses % mem_sample == 0:
+                        if trace_on and l3m % mem_sample == 0:
                             tracer.mem(i, now, wait, dom, dom != home)
-            c.gap_cycles += gap
+            g += gap
             pc += 3
             if clock > limit:
-                fr.clock = clock
+                if observed:
+                    # Another flow's observer may retarget this flow's
+                    # throttle while it is suspended here; set_limit
+                    # reads its clock and l3_refs.
+                    fr.clock = clock
+                    c.l3_refs = l3r
                 limit = yield clock
     finally:
+        c.l1_hits = l1h
+        c.l2_hits = l2h
+        c.l3_refs = l3r
+        c.l3_hits = l3h
+        c.l3_misses = l3m
+        c.remote_refs = rr
+        c.gap_cycles = g
+        c.mc_wait_cycles = mcw
         ev[0] += pc // 3             # the partial packet's references
         fr.clock = clock
         fr.pc = pc
         fr.prog_len = prog_len
-

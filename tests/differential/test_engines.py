@@ -10,8 +10,9 @@ machines are built under the ambient batch engine, so signatured flows
 exercise the construction-skipped skeleton path too); and built under
 batch but run with ``engine="scalar"``, so skeleton machines must
 materialize back to real flows losslessly. End-of-run CoreCounters, tag
-breakdowns, clocks, events, per-flow drop counts and cache contents must
-match *exactly*; derived rates to 1e-9 relative
+breakdowns, clocks, events, per-flow drop counts, cache contents and the
+queue state of every memory controller and the QPI link must match
+*exactly*; derived rates to 1e-9 relative
 (:func:`repro.fastpath.diff.compare_results`).
 """
 
@@ -92,6 +93,15 @@ def test_compare_results_detects_divergence():
                                   alt_machine, alt_result)
     assert len(divergences) == 1
     assert "cache L2.0 set" in divergences[0]
+    # A queue-step slip: one request's service time lost from the open
+    # window, which the waits would show only at the next roll.
+    l2_set[-1] -= alt_machine._l2[0].n_sets
+    alt_machine.mcs[0].window_busy -= alt_machine.mcs[0].service_cycles
+    divergences = compare_results(ref_machine, ref_result,
+                                  alt_machine, alt_result)
+    assert divergences == [
+        f"[batch] mc0.window_busy: scalar={ref_machine.mcs[0].window_busy!r}"
+        f" batch={alt_machine.mcs[0].window_busy!r}"]
 
 
 def test_warm_pass_hits_cache():

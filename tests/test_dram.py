@@ -4,9 +4,14 @@ import random
 
 import pytest
 
+from repro.apps.registry import app_factory
+from repro.fastpath.diff import QUEUE_FIELDS
 from repro.hw.dram import (MAX_RHO, UTILIZATION_WINDOW, MemoryController,
                            UtilizationQueue)
 from repro.hw.interconnect import QPILink
+from repro.hw.machine import Machine
+from repro.hw.topology import PlatformSpec
+from repro.obs import KIND_MEM, ListSink, Tracer
 
 
 def test_rejects_bad_service():
@@ -110,6 +115,68 @@ def test_wait_is_computed_once_per_window():
     for waits in windows:
         assert len(set(waits)) == 1
     assert len({waits[0] for waits in windows[1:]}) > 1
+
+
+def test_request_at_exactly_one_window_rolls():
+    """``elapsed == UTILIZATION_WINDOW`` closes the window."""
+    service = 5.0
+    mc = MemoryController(0, service_cycles=service)
+    assert mc.request(UTILIZATION_WINDOW - 1.0) == 0.0
+    assert mc.window_start == 0.0
+    wait = mc.request(UTILIZATION_WINDOW)
+    rho = min(MAX_RHO, 2 * service / UTILIZATION_WINDOW)
+    assert mc.rho == rho
+    assert wait == mc.wait == service * rho / (1.0 - rho)
+    assert mc.window_start == UTILIZATION_WINDOW
+    assert mc.window_busy == 0.0
+    assert mc.requests == 2
+    # The next request opens a fresh window at the roll's clock.
+    assert mc.request(UTILIZATION_WINDOW + 1.0) == wait
+    assert mc.window_busy == service
+
+
+def test_window_loops_match_request():
+    """The loops' inline queue step is ``request``/``transfer``, exactly.
+
+    A traced two-socket co-run with remote data records every L3 miss
+    (its clock, home domain, and memory-controller wait). Replaying each
+    domain's misses through a fresh controller, and the remote ones
+    through a fresh link, must give every wait and the final queue
+    state bit for bit.
+    """
+    spec = PlatformSpec.westmere().scaled(64)
+    sink = ListSink()
+    machine = Machine(spec, seed=11, tracer=Tracer(sink, mem_sample=1))
+    machine.add_flow(app_factory("MON"), core=0, data_domain=1)
+    machine.add_flow(app_factory("IP"), core=1)
+    machine.add_flow(app_factory("RE"), core=6, data_domain=0)
+    machine.add_flow(app_factory("FW"), core=7)
+    machine.run(warmup_packets=100, measure_packets=200, engine="scalar")
+
+    mcs = [MemoryController(d, spec.mc_service_cycles)
+           for d in range(spec.n_sockets)]
+    qpi = QPILink(spec.qpi_extra_cycles, spec.qpi_service_cycles)
+    waits = {fr.label: 0.0 for fr in machine.flows}
+    misses = sink.by_kind(KIND_MEM)
+    for event in misses:
+        wait = mcs[event.args["domain"]].request(event.ts)
+        assert wait == event.args["mc_wait"]
+        if event.args["remote"]:
+            qpi.transfer(event.ts)
+        waits[event.flow] += wait
+    for fr in machine.flows:
+        assert fr.counters.l3_misses == sum(e.flow == fr.label
+                                            for e in misses)
+        assert fr.counters.mc_wait_cycles == waits[fr.label]
+    for ref, got in zip(mcs + [qpi], machine.mcs + [machine.qpi]):
+        assert ([getattr(got, name) for name in QUEUE_FIELDS]
+                == [getattr(ref, name) for name in QUEUE_FIELDS])
+    # The run exercised what it pins: rolled windows with queueing on
+    # both controllers, and remote fills on the link.
+    assert all(mc.rho > 0.0 and mc.wait > 0.0 for mc in mcs)
+    assert qpi.requests == sum(fr.counters.remote_refs
+                               for fr in machine.flows) > 0
+    assert qpi.window_start > 0.0
 
 
 def test_busy_cycles_counts_requests():
