@@ -70,8 +70,10 @@ class REEncoder:
         for (off, fp), index in zip(chunks, touched):
             entry = table.get(index)
             if entry is not None and entry[0] == fp:
+                # get() returns exactly ``window`` bytes or None, so
+                # startswith compares in place what a slice would.
                 stored = self.store.get(entry[1], window)
-                if stored is not None and stored == payload[off:off + window]:
+                if stored is not None and payload.startswith(stored, off):
                     if off > lit_start:
                         tokens.append(("lit", payload[lit_start:off]))
                     tokens.append(("ref", entry[1], window))

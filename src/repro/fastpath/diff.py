@@ -132,6 +132,9 @@ def compare_results(ref_machine, ref_result, alt_machine, alt_result,
                                     _caches(alt_machine)):
         for idx, (ref_set, alt_set) in enumerate(zip(ref_cache.sets,
                                                      alt_cache.sets)):
+            # As lists: dict equality ignores the LRU order of an L3 set.
+            ref_set = list(ref_set)
+            alt_set = list(alt_set)
             if ref_set != alt_set:
                 # First differing set only: one bad install shows once.
                 diverge(f"cache {ref_cache.name} set {idx}", ref_set,

@@ -49,6 +49,12 @@ Exactness rules the replay loop follows to the letter:
   due, in exactly the live loop's order with exactly its timestamps;
   :func:`~repro.fastpath.diff.compare_results` holds every queue's state
   equal;
+* each socket's L3 set is an insertion-ordered dict, LRU first (see
+  :mod:`repro.hw.cache`), and both loops hit, fill, evict and
+  DMA-invalidate it with the same statements in the same order of the
+  global interleaving, so every L3 outcome and the exact LRU order of
+  every set match; :func:`~repro.fastpath.diff.compare_results`
+  compares each set as a list, since dict equality ignores order;
 * DMA invalidations, counter snapshots and observer windows happen at
   the same points of the global interleaving. The max-events guard
   fires at packet loads against a per-packet count: each loop adds a
@@ -265,7 +271,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
                     for line in dma:
                         s = my_l3[line % my_l3_n]
                         if line in s:
-                            s.remove(line)
+                            del s[line]
                 j0 = j = bounds[k]
                 pkt_end = bounds[k + 1]
                 trailing = block.trailing[k]
@@ -291,17 +297,22 @@ def _replay_gen(fr, sup, shared, env, control=None):
                 line = lines[j]
                 tag = tags[j]
                 tag_refs[tag] += 1
+                # The L3 set is an insertion-ordered dict, LRU first.
                 s3 = my_l3[l3i[j]]
                 if line in s3:
-                    s3.remove(line)
-                    s3.append(line)
+                    del s3[line]
+                    s3[line] = None
                     l3h += 1
                     tag_hits[tag] += 1
                     clock = now + lat_l3
                 else:
-                    s3.append(line)
+                    s3[line] = None
                     if len(s3) > l3_ways:
-                        s3.pop(0)
+                        # The first key is the LRU line; a for loop reaches
+                        # it without calling next() and iter().
+                        for victim in s3:
+                            break
+                        del s3[victim]
                     l3m += 1
                     dom = doms[j]
                     # UtilizationQueue.request, inline (see hw.dram).

@@ -243,7 +243,8 @@ class Machine:
         self.guard = guard
         self.space = AddressSpace(self.spec.n_sockets)
         self.l3 = [
-            SetAssociativeCache(self.spec.l3_size, self.spec.l3_ways, f"L3.{s}")
+            SetAssociativeCache(self.spec.l3_size, self.spec.l3_ways,
+                                f"L3.{s}", hashed=True)
             for s in range(self.spec.n_sockets)
         ]
         self.mcs = [
@@ -717,7 +718,7 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                             s.remove(line)
                         s = my_l3[line % my_l3_n]
                         if line in s:
-                            s.remove(line)
+                            del s[line]
                 prog = fr.prog = ctx.program
                 prog_len = len(prog)
                 # A packet with no memory references must still advance
@@ -759,17 +760,22 @@ def _live_loop(fr, shared, env, tracer, trace_on, mem_sample):
                     l3r += 1
                     tag = prog[pc + 2]
                     tag_refs[tag] += 1
+                    # The L3 set is an insertion-ordered dict, LRU first.
                     s3 = my_l3[line % my_l3_n]
                     if line in s3:
-                        s3.remove(line)
-                        s3.append(line)
+                        del s3[line]
+                        s3[line] = None
                         l3h += 1
                         tag_hits[tag] += 1
                         clock = now + lat_l3
                     else:
-                        s3.append(line)
+                        s3[line] = None
                         if len(s3) > l3_ways:
-                            s3.pop(0)
+                            # The first key is the LRU line; a for loop reaches
+                            # it without calling next() and iter().
+                            for victim in s3:
+                                break
+                            del s3[victim]
                         l3m += 1
                         dom = line >> domain_shift
                         # UtilizationQueue.request, inline (see hw.dram).

@@ -71,9 +71,9 @@ def test_cache_validate_catches_planted_corruption():
     cache = machine.l3[0]
     # Duplicate residency: copy a resident line into another set.
     donor = next(s for s in cache.sets if s)
-    line = donor[0]
+    line = next(iter(donor))
     victim_idx = (line + 1) % cache.n_sets
-    cache.sets[victim_idx].append(line)
+    cache.sets[victim_idx][line] = None
     checker.check_caches(machine)
     assert any(v.invariant == "cache-structure" for v in checker.violations)
 
@@ -84,9 +84,9 @@ def test_cache_validate_catches_overflowed_set():
     cache = machine.l3[0]
     donor = next(i for i, s in enumerate(cache.sets) if s)
     # Blow past the associativity with correctly-indexed lines.
-    base = cache.sets[donor][0]
-    cache.sets[donor].extend([base + cache.n_sets * (k + 1)
-                              for k in range(cache.ways + 1)])
+    base = next(iter(cache.sets[donor]))
+    cache.sets[donor].update(dict.fromkeys(
+        base + cache.n_sets * (k + 1) for k in range(cache.ways + 1)))
     checker.check_caches(machine)
     assert any(v.invariant == "cache-structure" and "ways" in v.detail
                for v in checker.violations)

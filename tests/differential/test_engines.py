@@ -93,9 +93,21 @@ def test_compare_results_detects_divergence():
                                   alt_machine, alt_result)
     assert len(divergences) == 1
     assert "cache L2.0 set" in divergences[0]
+    # An LRU-order slip: the same lines in one L3 set, two of them
+    # swapped. The L3 sets are dicts, whose equality ignores order.
+    l2_set[-1] -= alt_machine._l2[0].n_sets
+    l3_set = next(s for s in alt_machine.l3[0].sets if len(s) >= 2)
+    first, second, *rest = l3_set
+    l3_set.clear()
+    l3_set.update(dict.fromkeys([second, first, *rest]))
+    divergences = compare_results(ref_machine, ref_result,
+                                  alt_machine, alt_result)
+    assert len(divergences) == 1
+    assert "cache L3.0 set" in divergences[0]
+    l3_set.clear()
+    l3_set.update(dict.fromkeys([first, second, *rest]))
     # A queue-step slip: one request's service time lost from the open
     # window, which the waits would show only at the next roll.
-    l2_set[-1] -= alt_machine._l2[0].n_sets
     alt_machine.mcs[0].window_busy -= alt_machine.mcs[0].service_cycles
     divergences = compare_results(ref_machine, ref_result,
                                   alt_machine, alt_result)

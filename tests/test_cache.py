@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 from repro.hw.cache import SetAssociativeCache
 
 
-def small_cache(ways=2, sets=4):
-    return SetAssociativeCache(size=ways * sets * 64, ways=ways, name="t")
+#: ``SetAssociativeCache(hashed=...)``: list sets, then dict sets.
+LAYOUTS = (False, True)
+
+
+def small_cache(ways=2, sets=4, hashed=False):
+    return SetAssociativeCache(size=ways * sets * 64, ways=ways, name="t",
+                               hashed=hashed)
 
 
 def test_geometry():
@@ -138,18 +143,36 @@ def test_property_most_recent_line_always_resident(lines):
                 max_size=400))
 @settings(max_examples=30, deadline=None)
 def test_property_matches_reference_lru_model(lines):
-    """The cache must agree with a straightforward per-set LRU model."""
+    """The cache must agree with a straightforward per-set LRU model,
+    set by set in LRU order, on both set layouts."""
     ways, sets = 4, 4
-    c = small_cache(ways=ways, sets=sets)
-    model = {s: [] for s in range(sets)}
-    for line in lines:
-        s = line % sets
-        expect_hit = line in model[s]
-        assert c.access(line) == expect_hit
-        if expect_hit:
-            model[s].remove(line)
-        model[s].append(line)
-        if len(model[s]) > ways:
-            model[s].pop(0)
-    for s in range(sets):
-        assert c.sets[s] == model[s]
+    for hashed in LAYOUTS:
+        c = small_cache(ways=ways, sets=sets, hashed=hashed)
+        model = {s: [] for s in range(sets)}
+        for line in lines:
+            s = line % sets
+            expect_hit = line in model[s]
+            assert c.access(line) == expect_hit
+            if expect_hit:
+                model[s].remove(line)
+            model[s].append(line)
+            if len(model[s]) > ways:
+                model[s].pop(0)
+        for s in range(sets):
+            assert list(c.sets[s]) == model[s]
+
+
+@pytest.mark.parametrize("hashed", LAYOUTS, ids=("list", "dict"))
+def test_layout_victim_and_refill_order(hashed):
+    """fill evicts the LRU line; an invalidated line refills as MRU."""
+    c = small_cache(ways=3, sets=1, hashed=hashed)
+    for line in (0, 1, 2):
+        assert c.fill(line) is None
+    assert c.access(0)                  # order 1, 2, 0
+    assert c.fill(3) == 1               # order 2, 0, 3
+    assert c.invalidate(0)
+    assert list(c.sets[0]) == [2, 3]
+    assert c.fill(0) is None            # order 2, 3, 0
+    assert c.fill(4) == 2
+    assert list(c.sets[0]) == [3, 0, 4]
+    assert c.occupancy() == 3 and c.validate() == []

@@ -13,10 +13,15 @@ Invariants under test:
   count references).
 * No cache set ever holds more than ``ways`` lines — eviction is
   bounded by the associativity, and total occupancy by capacity.
-* The model agrees exactly with an independent reference LRU.
+* The model agrees exactly with an independent reference LRU: hit or
+  miss, ``fill``'s victim, and each set's iteration (LRU) order.
 * The warm solo hit rate of a cyclic sweep is monotonically
   non-increasing in the working-set size (the shape behind the paper's
   cache-sensitivity curves).
+
+Every checker runs on both set layouts (:data:`LAYOUTS`): the list the
+machine gives private caches and the insertion-ordered dict it gives
+the shared L3.
 """
 
 from __future__ import annotations
@@ -37,9 +42,14 @@ except ImportError:  # pragma: no cover - depends on the environment
     HAVE_HYPOTHESIS = False
 
 
-def small_cache() -> SetAssociativeCache:
+#: ``SetAssociativeCache(hashed=...)``: list sets, then dict sets.
+LAYOUTS = (False, True)
+
+
+def small_cache(hashed: bool = False) -> SetAssociativeCache:
     """4 sets x 4 ways — small enough that random traffic evicts."""
-    return SetAssociativeCache(size=4 * 4 * CACHE_LINE, ways=4, name="t")
+    return SetAssociativeCache(size=4 * 4 * CACHE_LINE, ways=4, name="t",
+                               hashed=hashed)
 
 
 class ReferenceLRU:
@@ -52,14 +62,17 @@ class ReferenceLRU:
         self.sets = {i: [] for i in range(n_sets)}
 
     def access(self, line: int) -> bool:
+        return self.fill(line)[0]
+
+    def fill(self, line: int):
+        """(hit, evicted line or None)."""
         s = self.sets[line % self.n_sets]
         hit = line in s
         if hit:
             s.remove(line)
         s.append(line)
-        if len(s) > self.ways:
-            del s[0]
-        return hit
+        victim = s.pop(0) if len(s) > self.ways else None
+        return hit, victim
 
     def invalidate(self, line: int) -> None:
         s = self.sets[line % self.n_sets]
@@ -74,7 +87,11 @@ class ReferenceLRU:
 
 
 def check_counter_conservation(ops) -> None:
-    cache = small_cache()
+    for hashed in LAYOUTS:
+        _check_counter_conservation(ops, small_cache(hashed))
+
+
+def _check_counter_conservation(ops, cache) -> None:
     n_accesses = 0
     for kind, line in ops:
         if kind == "access":
@@ -95,7 +112,11 @@ def check_counter_conservation(ops) -> None:
 
 
 def check_bounded_occupancy(ops) -> None:
-    cache = small_cache()
+    for hashed in LAYOUTS:
+        _check_bounded_occupancy(ops, small_cache(hashed))
+
+
+def _check_bounded_occupancy(ops, cache) -> None:
     for kind, line in ops:
         if kind == "access":
             cache.access(line)
@@ -115,23 +136,31 @@ def check_bounded_occupancy(ops) -> None:
 
 
 def check_against_oracle(ops) -> None:
-    cache = small_cache()
+    for hashed in LAYOUTS:
+        _check_against_oracle(ops, small_cache(hashed))
+
+
+def _check_against_oracle(ops, cache) -> None:
     oracle = ReferenceLRU(cache.n_sets, cache.ways)
     for kind, line in ops:
         if kind == "access":
             assert cache.access(line) == oracle.access(line), (
                 f"hit/miss disagreement at access({line})")
         elif kind == "fill":
-            cache.fill(line)
-            oracle.access(line)  # fill = access without counting
+            # fill = access without counting; same victim.
+            assert cache.fill(line) == oracle.fill(line)[1], (
+                f"victim disagreement at fill({line})")
         elif kind == "probe":
             assert cache.probe(line) == (
                 line in oracle.sets[line % oracle.n_sets])
         else:
             cache.invalidate(line)
             oracle.invalidate(line)
-    assert sorted(cache.resident_lines()) == sorted(
-        line for s in oracle.sets.values() for line in s)
+        idx = line % cache.n_sets
+        assert list(cache.sets[idx]) == oracle.sets[idx], (
+            f"LRU order disagreement in set {idx} after {kind}({line})")
+    assert [list(s) for s in cache.sets] == [
+        oracle.sets[idx] for idx in range(cache.n_sets)]
 
 
 CHECKERS = (check_counter_conservation, check_bounded_occupancy,

@@ -156,7 +156,12 @@ def test_property_curve_rejects_negative_competition(x):
 ))
 @settings(max_examples=40, deadline=None)
 def test_property_cache_state_consistent_under_mixed_ops(ops):
-    cache = SetAssociativeCache(size=4 * 64 * 2, ways=2, name="t")
+    for hashed in (False, True):        # list sets, then dict sets
+        _check_mixed_ops(ops, SetAssociativeCache(
+            size=4 * 64 * 2, ways=2, name="t", hashed=hashed))
+
+
+def _check_mixed_ops(ops, cache):
     resident = {s: [] for s in range(cache.n_sets)}
     for op, line in ops:
         s = line % cache.n_sets
@@ -182,7 +187,7 @@ def test_property_cache_state_consistent_under_mixed_ops(ops):
             if was_there:
                 resident[s].remove(line)
     for s in range(cache.n_sets):
-        assert cache.sets[s] == resident[s]
+        assert list(cache.sets[s]) == resident[s]
 
 
 # -- flow hash ---------------------------------------------------------------------
