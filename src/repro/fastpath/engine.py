@@ -50,11 +50,13 @@ Exactness rules the replay loop follows to the letter:
   :func:`~repro.fastpath.diff.compare_results` holds every queue's state
   equal;
 * each socket's L3 set is an insertion-ordered dict, LRU first (see
-  :mod:`repro.hw.cache`), and both loops hit, fill, evict and
-  DMA-invalidate it with the same statements in the same order of the
-  global interleaving, so every L3 outcome and the exact LRU order of
-  every set match; :func:`~repro.fastpath.diff.compare_results`
-  compares each set as a list, since dict equality ignores order;
+  :mod:`repro.hw.cache`). Both loops find an L3-bound reference's set
+  (``line % n_sets``) and home domain (``line >> domain_shift``) with
+  the same statements, and hit, fill, evict and DMA-invalidate the set
+  with the same statements in the same order of the global
+  interleaving, so every L3 outcome and the exact LRU order of every
+  set match; :func:`~repro.fastpath.diff.compare_results` compares
+  each set as a list, since dict equality ignores order;
 * DMA invalidations, counter snapshots and observer windows happen at
   the same points of the global interleaving. The max-events guard
   fires at packet loads against a per-packet count: each loop adds a
@@ -89,7 +91,7 @@ and guard configurations (``test_wrapper_replay.py``).
 from __future__ import annotations
 
 from ..hw.dram import UTILIZATION_WINDOW
-from ..hw.machine import MAX_EVENTS, _DOMAIN_LINE_SHIFT, _event_limit_error
+from ..hw.machine import MAX_EVENTS, _event_limit_error
 from .streams import (BATCH_PACKETS, StreamSupplier, StubFlow,
                       materialize_stub, stream_pure)
 
@@ -182,7 +184,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
     mcw = c.mc_wait_cycles
 
     block = None
-    gaps = lines = tags = l3i = doms = codes = bounds = None
+    gaps = lines = tags = codes = bounds = None
     j = 0
     j0 = 0               # where the references not yet counted start
     pkt_end = 0
@@ -255,8 +257,6 @@ def _replay_gen(fr, sup, shared, env, control=None):
                     gaps = block.gaps
                     lines = block.lines
                     tags = block.tags
-                    l3i = block.l3i
-                    doms = block.doms
                     # A list, not the stored bytes: CPython indexes a
                     # list of small ints on a specialized fast path.
                     codes = list(block.codes)
@@ -298,7 +298,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
                 tag = tags[j]
                 tag_refs[tag] += 1
                 # The L3 set is an insertion-ordered dict, LRU first.
-                s3 = my_l3[l3i[j]]
+                s3 = my_l3[line % my_l3_n]
                 if line in s3:
                     del s3[line]
                     s3[line] = None
@@ -314,7 +314,7 @@ def _replay_gen(fr, sup, shared, env, control=None):
                             break
                         del s3[victim]
                     l3m += 1
-                    dom = doms[j]
+                    dom = line >> domain_shift
                     # UtilizationQueue.request, inline (see hw.dram).
                     mc = mcs[dom]
                     mc.requests += 1
@@ -394,10 +394,8 @@ def run_batch(machine, warmup_packets: int = 200,
             # without reading or extending the cache.
             materialize_stub(fr)
             cacheable = False
-        sup = StreamSupplier(
-            fr, machine.seed, machine.spec, env[1], env[3], env[5],
-            _DOMAIN_LINE_SHIFT, batch=batch, cacheable=cacheable,
-        )
+        sup = StreamSupplier(fr, machine.seed, machine.spec, env[1], env[3],
+                             batch=batch, cacheable=cacheable)
         machine.prefiltered_cores.add(fr.core)
         control = _control_hook(wrappers) if wrappers else None
         return _replay_gen(fr, sup, shared, env, control)

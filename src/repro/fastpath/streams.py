@@ -43,8 +43,8 @@ re-generate the same five flow types over and over), and the reason
 ``engine="batch"`` is fast. Stored blocks are compact: every field is a
 NumPy array in the narrowest integer dtype that holds the block's values
 (about 8 bytes per reference in all, where a Python int takes 28), and
-one NumPy pass rebases the packed lines into absolute lines, L3 set
-indices and home domains. Level codes and
+one NumPy pass rebases the packed lines into absolute lines (one add
+when the flow's regions lie back to back). Level codes and
 checkpoints are cached with the stream, keyed by the layout's region-base
 residues (:meth:`RegionTable.residues`), the only part of a layout that
 private outcomes depend on; warm machines reuse them and never probe
@@ -60,6 +60,7 @@ engine-visible equivalence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -67,8 +68,9 @@ import numpy as np
 from ..constants import CACHE_LINE
 from ..hw.machine import flow_layers
 
-#: Default pregeneration block size (packets per block).
-BATCH_PACKETS = 256
+#: Default pregeneration block size (packets per block): small, since a
+#: run materializes its last block of each flow but reads it only in part.
+BATCH_PACKETS = 32
 
 #: Default cache capacity in stored memory references. A stored reference
 #: costs about 8 bytes (packed line, gap, tag and level code, plus its
@@ -96,7 +98,11 @@ def _narrow(values) -> Optional[np.ndarray]:
         return arr
     if arr.dtype.kind not in "iu":
         return None
-    lo, hi = int(arr.min()), int(arr.max())
+    return _fit(arr, int(arr.min()), int(arr.max()))
+
+
+def _fit(arr: np.ndarray, lo: int, hi: int) -> Optional[np.ndarray]:
+    """Integer ``arr``, whose values lie in [lo, hi], narrowed."""
     for dtype, dmin, dmax in _NARROW:
         if dmin <= lo and hi <= dmax:
             return arr.astype(dtype, copy=False)
@@ -143,15 +149,15 @@ class PacketBlock:
     """One block of pregenerated packets, flattened for the replay loop.
 
     All per-reference sequences are plain Python lists (fastest to index
-    from the interpreter loop); one numpy pass per block precomputes L3
-    set indices and home domains. ``codes`` holds
-    each reference's private-cache outcome (see :func:`prefilter`): the
-    supplier attaches it, and the replay loop touches shared state only
-    for L3-bound references.
+    from the interpreter loop). The replay loop derives a reference's L3
+    set and home domain from its line, as the live loop does. ``codes``
+    holds each reference's private-cache outcome (see :func:`prefilter`):
+    the supplier attaches it, and the replay loop touches shared state
+    only for L3-bound references.
     """
 
     __slots__ = (
-        "start", "n_packets", "gaps", "lines", "tags", "l3i", "doms",
+        "start", "n_packets", "gaps", "lines", "tags",
         "codes", "bounds", "trailing", "instr", "idle", "dma", "dropped",
     )
 
@@ -171,27 +177,11 @@ class PacketBlock:
         self.idle = idle
         self.dma = dma                  # per packet: tuple of lines or None
         self.dropped = dropped          # cumulative flow.dropped after packet
-        self.l3i: List[int] = []
-        self.doms: List[int] = []
         self.codes = b""
 
     @property
     def n_refs(self) -> int:
         return len(self.lines)
-
-    def finalize(self, l3_nsets: int, domain_shift: int,
-                 lines: Optional[np.ndarray] = None) -> None:
-        """Precompute per-reference L3 set indices and home domains.
-
-        This is the vectorized part of the batch engine's address path:
-        one numpy pass per block replaces a modulo and a shift per
-        L3-bound reference in the interpreter loop. ``lines`` is
-        ``self.lines`` as an int64 array when the caller already has it.
-        """
-        if lines is None:
-            lines = np.asarray(self.lines, dtype=np.int64)
-        self.l3i = (lines % l3_nsets).tolist()
-        self.doms = (lines >> domain_shift).tolist()
 
 
 #: Level codes :func:`prefilter` assigns to references.
@@ -377,27 +367,23 @@ class _RelativeBlock:
         rel.nbytes = sum(a.nbytes for a in arrays)
         return rel
 
-    def rebase(self, table: "RegionTable", l3_nsets: int,
-               domain_shift: int) -> PacketBlock:
-        """Materialize a finalized PacketBlock against ``table``'s regions.
-
-        One NumPy pass over the packed lines yields the absolute lines,
-        the L3 set indices and the home domains.
-        """
-        lines = table.unpack(self.lines)
-        dlist = table.unpack(self.dma).tolist()
+    def rebase(self, table: "RegionTable") -> PacketBlock:
+        """Materialize a PacketBlock against ``table``'s regions."""
         dbounds = self.dma_bounds.tolist()
-        dma: List[Optional[Tuple[int, ...]]] = [
-            tuple(dlist[lo:hi]) if hi > lo else None
-            for lo, hi in zip(dbounds, dbounds[1:])]
-        block = PacketBlock(
+        if dbounds[-1]:
+            dlist = table.unpack(self.dma).tolist()
+            dma: List[Optional[Tuple[int, ...]]] = [
+                tuple(dlist[lo:hi]) if hi > lo else None
+                for lo, hi in zip(dbounds, dbounds[1:])]
+        else:
+            dma = [None] * self.n_packets
+        return PacketBlock(
             self.start, self.n_packets,
-            self.gaps.tolist(), lines.tolist(), self.tags.tolist(),
-            self.bounds.tolist(), self.trailing.tolist(), self.instr.tolist(),
-            self.idle.tolist(), dma, self.dropped.tolist(),
+            self.gaps.tolist(), table.unpack(self.lines).tolist(),
+            self.tags.tolist(), self.bounds.tolist(), self.trailing.tolist(),
+            self.instr.tolist(), self.idle.tolist(), dma,
+            self.dropped.tolist(),
         )
-        block.finalize(l3_nsets, domain_shift, lines)
-        return block
 
 
 class RegionTable:
@@ -429,6 +415,13 @@ class RegionTable:
             - self._starts)
         self._unpack_shift = self._bases_by_index - self._packed_starts[
             :len(self.regions)]
+        #: The shift every region unpacks by when the regions lie back to
+        #: back in allocation order (as bump allocation leaves them).
+        self.shift: Optional[int] = None
+        if self.regions and bool((self._unpack_shift
+                                  == self._unpack_shift[0]).all()):
+            self.shift = int(self._unpack_shift[0])
+            self._span = (self.shift, self.shift + sum(sizes))
 
     def fingerprint(self) -> Tuple:
         """Shape check for cache hits: sizes/names in allocation order."""
@@ -447,6 +440,12 @@ class RegionTable:
             return _narrow(lines)
         if not self.regions:
             return None
+        if self.shift is not None:
+            lo, hi = self._span
+            first, last = int(lines.min()), int(lines.max())
+            if first < lo or last >= hi:
+                return None
+            return _fit(lines - lo, first - lo, last - lo)
         pos = np.searchsorted(self._starts, lines, side="right") - 1
         pos = np.clip(pos, 0, len(self._starts) - 1)
         if not bool(((lines >= self._starts[pos])
@@ -456,6 +455,8 @@ class RegionTable:
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`pack` against *this* machine's bases (int64)."""
+        if self.shift is not None:
+            return packed.astype(np.int64) + self.shift
         ridx = np.searchsorted(self._packed_starts, packed, side="right") - 1
         return self._unpack_shift[ridx] + packed
 
@@ -709,6 +710,8 @@ class CachedStream:
         self.key = key
         self.fingerprint = fingerprint
         self.blocks: List[_RelativeBlock] = []
+        #: ``blocks[i].start``, for bisection.
+        self.starts: List[int] = []
         self.n_packets = 0
         self.n_refs = 0
         #: Bytes of stored arrays: blocks plus private codes.
@@ -729,11 +732,9 @@ class CachedStream:
         # Blocks are appended in start order, but suppliers with
         # different ``batch`` values extend one stream, so block sizes
         # differ and the start must be searched for, not computed.
-        for rel in self.blocks:
-            if rel.start == packet_index:
-                return rel
-            if rel.start > packet_index:
-                break
+        i = bisect_left(self.starts, packet_index)
+        if i < len(self.starts) and self.starts[i] == packet_index:
+            return self.blocks[i]
         return None
 
 
@@ -778,6 +779,7 @@ class StreamCache:
 
     def append(self, stream: CachedStream, rel: _RelativeBlock) -> None:
         stream.blocks.append(rel)
+        stream.starts.append(rel.start)
         stream.n_packets += rel.n_packets
         self.grow(stream, rel.n_refs, rel.nbytes)
 
@@ -856,7 +858,6 @@ class StreamSupplier:
     """
 
     def __init__(self, fr, seed: int, spec, l1_nsets: int, l2_nsets: int,
-                 l3_nsets: int, domain_shift: int,
                  batch: int = BATCH_PACKETS, cache: StreamCache = None,
                  cacheable: bool = True):
         self.fr = fr
@@ -865,7 +866,6 @@ class StreamSupplier:
         self.flow = flow_layers(fr.flow)[-1]
         self.batch = batch
         self.cache = cache if cache is not None else STREAM_CACHE
-        self._geom = (l3_nsets, domain_shift)
         # The prefilter's private L1/L2 sets: where the last served block
         # ended while _private_live, stale after cached codes were served.
         self._ways = (spec.l1_ways, spec.l2_ways)
@@ -995,7 +995,7 @@ class StreamSupplier:
         if self._cached is not None:
             rel = self._cached.block_at(start)
             if rel is not None:
-                block = rel.rebase(self._regions, *self._geom)
+                block = rel.rebase(self._regions)
             else:
                 # Cache exhausted: catch the fresh flow instance up to the
                 # replayed prefix, then continue generating (and extending
@@ -1005,7 +1005,6 @@ class StreamSupplier:
         if block is None:
             block = self._generate_block(start)
             self._store(block)
-            block.finalize(*self._geom)
         self._attach_codes(block)
         self._next_packet = start + block.n_packets
         return block
@@ -1048,13 +1047,14 @@ class StreamSupplier:
         Under timing-only wrappers that is the inner flow's state and the
         count of stream packets (a quarantine's idle steps are not).
 
-        Pregeneration always runs the functional layer in 256-packet
-        blocks, so at the end of a run the flow may have generated ahead
-        of what the engine consumed (and under cached replay it never
-        generated at all). ``dropped`` is part of the documented flow
-        protocol (experiment code reads ``Pipeline.dropped`` after a
-        run), so it is reset to the value the scalar engine would have
-        left: the cumulative count at the last consumed packet.
+        Pregeneration runs the functional layer in whole blocks of
+        ``batch`` packets, so at the end of a run the flow may have
+        generated ahead of what the engine consumed (and under cached
+        replay it never generated at all). ``dropped`` is part of the
+        documented flow protocol (experiment code reads
+        ``Pipeline.dropped`` after a run), so it is reset to the value
+        the scalar engine would have left: the cumulative count at the
+        last consumed packet.
         Round-robin bookkeeping of a shared-core flow and the trigger
         state of a two-faced flow are recomputed the same way; deeper
         app-internal diagnostic state (element hit counters, RNG

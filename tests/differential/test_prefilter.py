@@ -31,7 +31,7 @@ import pytest
 
 from repro.apps.registry import app_factory
 from repro.hw.cache import SetAssociativeCache
-from repro.hw.machine import _DOMAIN_LINE_SHIFT, Machine
+from repro.hw.machine import Machine
 from repro.hw.topology import PlatformSpec
 from repro.mem.allocator import AddressSpace
 from repro.fastpath.streams import StreamCache, StreamSupplier
@@ -109,9 +109,7 @@ def _serve(spec, regions, seed, dma_rate, batch, n_blocks, cache, rng,
                          signature=("random", seed, dma_rate))
     n1 = _n_sets(spec.l1_size, spec.l1_ways)
     n2 = _n_sets(spec.l2_size, spec.l2_ways)
-    sup = StreamSupplier(fr, 1, spec, n1, n2,
-                         _n_sets(spec.l3_size, spec.l3_ways),
-                         _DOMAIN_LINE_SHIFT, batch=batch, cache=cache)
+    sup = StreamSupplier(fr, 1, spec, n1, n2, batch=batch, cache=cache)
     blocks, installed = [], {}
     for b in range(n_blocks):
         block = sup.next_block()
@@ -282,3 +280,30 @@ def test_invalidate_private_refuses_prefiltered_cores(engine):
         return
     with pytest.raises(RuntimeError, match="prefiltered"):
         machine.run(warmup_packets=50, measure_packets=100, engine=engine)
+
+
+def test_mixed_block_sizes_serve_every_start_in_order():
+    """Suppliers with different ``batch`` values extend one stream. Each
+    block is found by its start and a start inside a block finds none."""
+    spec = SPECS["scale64"]
+    cache = StreamCache()
+    layout = _layout((40, 9, 70), (0, 0, 0))
+    rng = random.Random(11)
+    cached = 0
+    for batch in (7, 3, 1, 32):
+        # Serve the cached blocks, then generate two of this size.
+        _serve(spec, layout, 11, 0.3, batch, cached + 2, cache, rng)
+        cached += 2
+    (stream,) = cache._streams.values()
+    sizes = [rel.n_packets for rel in stream.blocks]
+    assert sizes == [7, 7, 3, 3, 1, 1, 32, 32]
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    assert stream.starts == starts
+    for rel in stream.blocks:
+        assert stream.block_at(rel.start) is rel
+        if rel.n_packets > 1:
+            assert stream.block_at(rel.start + 1) is None
+    assert stream.block_at(stream.n_packets) is None
+    blocks, _ = _serve(spec, layout, 11, 0.3, 5, len(sizes), cache, rng)
+    assert [block.start for block in blocks] == starts
+    assert [block.n_packets for block in blocks] == sizes

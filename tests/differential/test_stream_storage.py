@@ -5,8 +5,11 @@ The stream cache stores each block region-relative and packed
 it against a machine's own regions in one NumPy pass
 (:meth:`~repro.fastpath.streams._RelativeBlock.rebase`). A block stored
 in one layout and rebased onto another must equal the block that layout
-would have generated, field for field and as the same Python types,
-including its L3 set indices and home domains. The cases cover field
+would have generated, field for field and as the same Python types. The
+layouts cover both ways :class:`~repro.fastpath.streams.RegionTable`
+packs and unpacks: one shared shift when the regions lie back to back,
+and a search for each line's region when they moved relative to each
+other. The cases cover field
 values that need wider dtypes (gaps of 2**15 and 2**31 and more, tag ids
 above 127, a packed line space larger than int32), idle packets, packets
 with no references and packets without DMA. The cache's running
@@ -35,9 +38,8 @@ from repro.fastpath.streams import (
 )
 from tests.differential.scenarios import app, scenario
 
-L3_NSETS = 96
-FIELDS = ("start", "n_packets", "gaps", "lines", "tags", "l3i", "doms",
-          "bounds", "trailing", "instr", "idle", "dma", "dropped")
+FIELDS = ("start", "n_packets", "gaps", "lines", "tags", "bounds",
+          "trailing", "instr", "idle", "dma", "dropped")
 
 
 def _regions(sizes, bases):
@@ -77,10 +79,8 @@ def _block(rng, regions, n_packets, *, gap_max=40, tag_max=12,
                    if kind == 3 else None)
         drops += rng.randrange(2)
         dropped.append(drops)
-    block = PacketBlock(start, n_packets, gaps, lines, tags, bounds,
-                        trailing, instr, idle, dma, dropped)
-    block.finalize(L3_NSETS, _DOMAIN_LINE_SHIFT)
-    return block
+    return PacketBlock(start, n_packets, gaps, lines, tags, bounds,
+                       trailing, instr, idle, dma, dropped)
 
 
 def _moved(block, src, dst):
@@ -91,7 +91,7 @@ def _moved(block, src, dst):
                 return (b.base >> 6) + line - (a.base >> 6)
         raise AssertionError(f"line {line} outside the regions")
 
-    moved = PacketBlock(
+    return PacketBlock(
         block.start, block.n_packets, list(block.gaps),
         [move(line) for line in block.lines], list(block.tags),
         list(block.bounds), list(block.trailing), list(block.instr),
@@ -99,8 +99,6 @@ def _moved(block, src, dst):
         [None if d is None else tuple(move(line) for line in d)
          for d in block.dma],
         list(block.dropped))
-    moved.finalize(L3_NSETS, _DOMAIN_LINE_SHIFT)
-    return moved
 
 
 def _types(value):
@@ -120,19 +118,63 @@ def _assert_same(got: PacketBlock, want: PacketBlock) -> None:
 def _round_trip(block, src, dst):
     rel = _RelativeBlock.compact(block, RegionTable(src))
     assert rel is not None
-    got = rel.rebase(RegionTable(dst), L3_NSETS, _DOMAIN_LINE_SHIFT)
+    got = rel.rebase(RegionTable(dst))
     _assert_same(got, _moved(block, src, dst))
     return rel
 
 
 LAYOUTS = {
     # (sizes in lines, source bases, destination bases)
+    "contiguous": ((300, 41, 2000), (0, 300, 341), (9000, 9300, 9341)),
     "shifted": ((300, 41, 2000), (0, 300, 341), (7, 400, 9000)),
     "reordered": ((300, 41, 2000), (0, 300, 341), (5000, 64, 2100)),
+    "skewed source": ((300, 41, 2000), (5000, 64, 2100), (0, 300, 341)),
     "remote domain": ((300, 41, 2000), (0, 300, 341),
                       tuple((1 << _DOMAIN_LINE_SHIFT) + b
                             for b in (0, 300, 341))),
 }
+
+
+def _shared(sizes, bases):
+    return RegionTable(_regions(sizes, bases)).shift is not None
+
+
+def test_layouts_cover_both_unpack_branches():
+    assert {name: (_shared(sizes, src), _shared(sizes, dst))
+            for name, (sizes, src, dst) in LAYOUTS.items()} == {
+        "contiguous": (True, True),
+        "shifted": (True, False),
+        "reordered": (True, False),
+        "skewed source": (False, True),
+        "remote domain": (True, True),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_shift_agrees_with_the_region_search(seed):
+    """The one-add path and the per-region search give equal results."""
+    rng = random.Random(seed)
+    sizes = [rng.randrange(1, 500) for _ in range(rng.randrange(1, 6))]
+    base = rng.randrange(1 << 20)
+    bases = [base + sum(sizes[:i]) for i in range(len(sizes))]
+    fast = RegionTable(_regions(sizes, bases))
+    slow = RegionTable(_regions(sizes, bases))
+    assert fast.shift == base
+    slow.shift = None
+    total = sum(sizes)
+    packed = np.asarray([rng.randrange(total) for _ in range(200)]
+                        + [0, total - 1], dtype=np.uint16)
+    lines = fast.unpack(packed)
+    assert lines.dtype == np.int64
+    assert lines.tolist() == slow.unpack(packed).tolist()
+    for probe in (lines, lines[:1], np.asarray([base - 1], dtype=np.int64),
+                  np.asarray([base + total], dtype=np.int64)):
+        got, want = fast.pack(probe), slow.pack(probe)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -144,8 +186,7 @@ def test_block_round_trips_onto_a_shifted_layout(layout, seed):
     block = _block(random.Random(seed), src, 37)
     rel = _round_trip(block, src, dst)
     # Rebasing onto the storing layout gives the original block back.
-    _assert_same(rel.rebase(RegionTable(src), L3_NSETS, _DOMAIN_LINE_SHIFT),
-                 block)
+    _assert_same(rel.rebase(RegionTable(src)), block)
     # Small values take one or two bytes each.
     for name in ("lines", "dma", "gaps", "tags", "bounds", "dma_bounds"):
         assert getattr(rel, name).itemsize <= 2, name
@@ -206,7 +247,6 @@ def test_edge_packets_round_trip():
                          [0, 2, 3], [1, 1], [4, 4], [False, False],
                          [None, None], [0, 1])
     for block in (idle, empty, no_dma):
-        block.finalize(L3_NSETS, _DOMAIN_LINE_SHIFT)
         _round_trip(block, src, dst)
 
 

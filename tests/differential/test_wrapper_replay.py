@@ -29,7 +29,8 @@ from repro.click.handoff import build_pipelined_flow
 from repro.click.multiflow import shared_core_factory
 from repro.core.throttling import throttled_factory, two_faced_factory
 from repro.fastpath.diff import compare_results
-from repro.fastpath.streams import BATCH_PACKETS, STREAM_CACHE, StubFlow
+from repro.fastpath.engine import run_batch
+from repro.fastpath.streams import STREAM_CACHE, StubFlow
 from repro.guard.fuzz import run_guarded_scenario
 from repro.guard.supervisor import GuardConfig, SLOGuard
 from repro.guard.wrappers import guarded_factory
@@ -277,8 +278,9 @@ CASES = [
 
 # -- the harness --------------------------------------------------------------
 
-def _run(case, engine, prepare=None):
-    """One run of ``case`` built and run under ``engine``."""
+def _run(case, engine, prepare=None, batch=None):
+    """One run of ``case`` built and run under ``engine``; ``batch``
+    runs the batch engine with blocks of that many packets."""
     steer = case.steer()
     checker = InvariantChecker()
     machine = Machine(SPEC, seed=SEED, guard=steer, checker=checker)
@@ -286,8 +288,12 @@ def _run(case, engine, prepare=None):
         case.build(machine)
         if prepare is not None:
             prepare(machine)
-        result = machine.run(warmup_packets=case.warmup,
-                             measure_packets=case.measure)
+        if batch is None:
+            result = machine.run(warmup_packets=case.warmup,
+                                 measure_packets=case.measure)
+        else:
+            result = run_batch(machine, case.warmup, case.measure,
+                               batch=batch)
     assert checker.ok, "\n".join(str(v) for v in checker.violations)
     events = [getattr(e, "to_dict", lambda e=e: e)() for e in steer.events]
     return machine, result, events
@@ -321,15 +327,29 @@ def test_wrapped_replay_matches_scalar(case):
             assert fr.core in machine.prefiltered_cores
 
 
+#: The block size the quarantine case is replayed at: its quarantine
+#: starts and ends inside one block of this many packets.
+QUARANTINE_BLOCK = 256
+
+
 def test_quarantine_starts_and_ends_mid_block():
     case = CASES[1]
-    machine, _, events = _run(case, "scalar")
-    [(_, clock, _, packets)] = events
-    assert 0 < packets % BATCH_PACKETS < BATCH_PACKETS - 1
-    target = machine.flows[1]
+    ref_machine, ref_result, ref_events = _run(case, "scalar")
+    [(_, clock, _, packets)] = ref_events
+    assert 0 < packets % QUARANTINE_BLOCK < QUARANTINE_BLOCK - 1
+    target = ref_machine.flows[1]
     assert target.flow.suspended_until == clock + 60_000.0
     # The stream packet after the quarantine is in the same block.
-    assert target.flow.idle_packets < BATCH_PACKETS - packets % BATCH_PACKETS
+    assert (target.flow.idle_packets
+            < QUARANTINE_BLOCK - packets % QUARANTINE_BLOCK)
+    fastpath.clear_stream_cache()
+    for label in ("batch-cold", "batch-warm"):
+        machine, result, events = _run(case, "batch",
+                                       batch=QUARANTINE_BLOCK)
+        divergences = compare_results(ref_machine, ref_result,
+                                      machine, result, label)
+        assert not divergences, "\n".join(divergences)
+        assert events == ref_events, label
 
 
 def test_touched_inner_stub_runs_live():
